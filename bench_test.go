@@ -4,8 +4,8 @@
 // benchmarks documented in PERFORMANCE.md. Each figure has one benchmark
 // whose sub-benchmarks are the x-axis positions of the paper's plot;
 // accuracy figures report an "acc%" metric alongside time. cmd/cindexp
-// runs the same harness with the full paper-scale sweeps; bench.sh records
-// the detection benchmarks to BENCH_detect.json for trajectory tracking.
+// runs the same harness with the full paper-scale sweeps, and cmd/cindbench
+// is the repository's end-to-end benchmark.
 package cind_test
 
 import (
@@ -252,21 +252,39 @@ func BenchmarkViolationDetection(b *testing.B) {
 					fmt.Sprintf("%05d", i), "Customer", "Addr", "555",
 					[]string{"NYC", "EDI"}[i%2]))
 			}
-			cfds := bank.CFDs(sch)
-			cinds := bank.CINDs(sch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cindapi.Detect(db, cfds, cinds)
-			}
+			benchDetect(b, benchChecker(b, db, bank.CFDs(sch), bank.CINDs(sch)))
 		})
+	}
+}
+
+// benchChecker is a Checker over db for per-kind constraint slices; before
+// any Apply each Detect runs the batch engine over db's current contents.
+func benchChecker(b *testing.B, db *cindapi.Database, cfds []*cindapi.CFD, cinds []*cindapi.CIND, opts ...cindapi.CheckerOption) *cindapi.Checker {
+	b.Helper()
+	chk, err := cindapi.NewChecker(db, kindSet(b, db.Schema(), cfds, cinds), opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return chk
+}
+
+// benchDetect times chk.Detect.
+func benchDetect(b *testing.B, chk *cindapi.Checker) {
+	b.Helper()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := chk.Detect(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSQLBackendDetect compares bulk detection through the SQL
 // backend (WithSQLBackend over the embedded engine, mirror kept warm
 // across iterations — the steady-state serving cost) against the
-// in-memory engine on the same scaled bank instance. bench.sh records it
-// to BENCH_sql.json; PERFORMANCE.md tabulates the comparison.
+// in-memory engine on the same scaled bank instance; PERFORMANCE.md
+// tabulates the comparison.
 func BenchmarkSQLBackendDetect(b *testing.B) {
 	sch := bank.Schema()
 	for _, size := range []int{10000, 100000} {
@@ -279,9 +297,7 @@ func BenchmarkSQLBackendDetect(b *testing.B) {
 		cfds := bank.CFDs(sch)
 		cinds := bank.CINDs(sch)
 		b.Run(fmt.Sprintf("checking=%d/engine=memory", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cindapi.Detect(db, cfds, cinds)
-			}
+			benchDetect(b, benchChecker(b, db, cfds, cinds))
 		})
 		b.Run(fmt.Sprintf("checking=%d/engine=sql", size), func(b *testing.B) {
 			sqlDB, err := cindapi.OpenSQLBackend("mem:")
@@ -289,32 +305,13 @@ func BenchmarkSQLBackendDetect(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sqlDB.Close()
-			var cs []cindapi.Constraint
-			for _, c := range cfds {
-				cs = append(cs, c)
-			}
-			for _, c := range cinds {
-				cs = append(cs, c)
-			}
-			set, err := cindapi.NewConstraintSet(sch, cs...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			chk, err := cindapi.NewChecker(db, set, cindapi.WithSQLBackend(sqlDB))
-			if err != nil {
-				b.Fatal(err)
-			}
+			chk := benchChecker(b, db, cfds, cinds, cindapi.WithSQLBackend(sqlDB))
 			// The first Detect ingests the mirror tables; time the warm
 			// path, like the in-memory engine's prebuilt indexes.
 			if _, err := chk.Detect(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := chk.Detect(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchDetect(b, chk)
 		})
 	}
 }
@@ -343,10 +340,7 @@ func BenchmarkViolationDetectionManyCFDs(b *testing.B) {
 						RHS: pattern.Wilds(3),
 					}})
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cindapi.Detect(db, cfds, nil)
-			}
+			benchDetect(b, benchChecker(b, db, cfds, nil))
 		})
 	}
 }
@@ -366,13 +360,7 @@ func BenchmarkViolationDetectionDirty(b *testing.B) {
 					fmt.Sprintf("%05d", i%500), fmt.Sprintf("Cust-%d", i), "Addr", "555",
 					[]string{"NYC", "EDI"}[i%2]))
 			}
-			cfds := bank.CFDs(sch)
-			cinds := bank.CINDs(sch)
-			opts := cindapi.DetectOptions{Limit: limit}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cindapi.DetectWith(db, cfds, cinds, opts)
-			}
+			benchDetect(b, benchChecker(b, db, bank.CFDs(sch), bank.CINDs(sch), cindapi.WithLimit(limit)))
 		})
 	}
 }
@@ -396,10 +384,7 @@ func BenchmarkViolationDetectionParallel(b *testing.B) {
 	}
 	for _, par := range []int{1, 0} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			opts := cindapi.DetectOptions{Parallel: par}
-			for i := 0; i < b.N; i++ {
-				cindapi.DetectWith(db, w.CFDs, w.CINDs, opts)
-			}
+			benchDetect(b, benchChecker(b, db, w.CFDs, w.CINDs, cindapi.WithParallelism(par)))
 		})
 	}
 }
@@ -427,9 +412,9 @@ func dirtyBankDB(size int) (*cindapi.Database, *cindapi.ConstraintSet) {
 // BenchmarkStreamFirstViolation is the acceptance benchmark for the
 // streaming API: time-to-first-violation via Checker.Violations with an
 // early break, against materialising the full report via Detect, on the
-// dirty 10k-tuple workload. bench.sh records both to BENCH_stream.json;
-// the stream must be far cheaper — it stops the workers after one
-// detection group instead of enumerating every quadratic pair.
+// dirty 10k-tuple workload. The stream must be far cheaper — it stops the
+// workers after one detection group instead of enumerating every quadratic
+// pair.
 func BenchmarkStreamFirstViolation(b *testing.B) {
 	ctx := context.Background()
 	db, set := dirtyBankDB(10000)
@@ -513,23 +498,23 @@ func incrementalBankDB(size int) (*cindapi.Database, []*cindapi.CFD, []*cindapi.
 // BenchmarkIncrementalDetection compares steady-state violation upkeep
 // under a 95/5 insert/delete mix at 10k tuples: one iteration applies one
 // delta and learns exactly how the violation set changed. mode=session
-// maintains the report incrementally (cind.Session) and reads the change
-// off the returned Diff; mode=redetect re-runs the full batch engine after
-// every delta — what a service without incremental maintenance pays for
-// the same knowledge. bench.sh records both to BENCH_incr.json; the
-// session must be >= 10x faster per delta (PERFORMANCE.md tracks the
-// measured ratio). Materialising the full report on demand is priced
-// separately by BenchmarkIncrementalReport.
+// maintains the report incrementally (Checker.Apply) and reads the change
+// off the returned diff; mode=redetect re-runs the full batch engine after
+// every delta and diffs the rendered snapshots — what a service without
+// incremental maintenance pays for the same knowledge. The session must be
+// >= 10x faster per delta (PERFORMANCE.md tracks the measured ratio).
+// Materialising the full report on demand is priced separately by
+// BenchmarkIncrementalReport.
 func BenchmarkIncrementalDetection(b *testing.B) {
 	const size = 10000
+	ctx := context.Background()
 	b.Run("tuples=10000/mode=session", func(b *testing.B) {
-		db, cfds, cinds := incrementalBankDB(size)
-		sess := cindapi.NewSession(db, cfds, cinds)
+		chk := sessionChecker(b, size)
 		deltas := benchDeltaMix(b.N, size)
 		changes := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			diff, err := sess.Apply(deltas[i])
+			diff, err := chk.Apply(ctx, deltas[i])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -540,8 +525,10 @@ func BenchmarkIncrementalDetection(b *testing.B) {
 	})
 	b.Run("tuples=10000/mode=redetect", func(b *testing.B) {
 		db, cfds, cinds := incrementalBankDB(size)
+		chk := benchChecker(b, db, cfds, cinds)
 		deltas := benchDeltaMix(b.N, size)
-		prev := cindapi.Detect(db, cfds, cinds)
+		prev := renderedViolations(b, chk)
+		changes := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			d := deltas[i]
@@ -550,38 +537,79 @@ func BenchmarkIncrementalDetection(b *testing.B) {
 			} else {
 				db.Delete(d.Rel, d.Tuple)
 			}
-			rep := cindapi.Detect(db, cfds, cinds)
-			_ = cindapi.DiffReports(prev, rep)
-			prev = rep
+			cur := renderedViolations(b, chk)
+			for k, n := range cur {
+				changes += max(n-prev[k], 0)
+			}
+			for k, n := range prev {
+				changes += max(n-cur[k], 0)
+			}
+			prev = cur
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "deltas/s")
+		b.ReportMetric(float64(changes)/float64(b.N), "changes/delta")
 	})
 }
 
+// renderedViolations runs batch detection and returns the report as a
+// multiset of rendered violations, the identity the redetect baseline
+// diffs consecutive snapshots by.
+func renderedViolations(b *testing.B, chk *cindapi.Checker) map[string]int {
+	rep, err := chk.Detect(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := make(map[string]int, rep.Total())
+	for _, v := range rep.Violations() {
+		m[v.String()]++
+	}
+	return m
+}
+
+// sessionChecker is a Checker over the incremental benchmarks' instance
+// whose resident session is already built, so a timed loop measures
+// steady-state upkeep, not seeding.
+func sessionChecker(b *testing.B, size int) *cindapi.Checker {
+	db, cfds, cinds := incrementalBankDB(size)
+	chk := benchChecker(b, db, cfds, cinds)
+	if _, err := chk.Apply(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	return chk
+}
+
 // BenchmarkIncrementalReport prices materialising the full report from the
-// resident session state on demand (Report caches until the next change,
-// so this is the worst case: every read follows a write).
+// resident session state on demand (the report is cached until the next
+// change, so this is the worst case: every read follows a write).
 func BenchmarkIncrementalReport(b *testing.B) {
-	db, cfds, cinds := incrementalBankDB(10000)
-	sess := cindapi.NewSession(db, cfds, cinds)
+	ctx := context.Background()
+	chk := sessionChecker(b, 10000)
 	deltas := benchDeltaMix(b.N, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Apply(deltas[i]); err != nil {
+		if _, err := chk.Apply(ctx, deltas[i]); err != nil {
 			b.Fatal(err)
 		}
-		_ = sess.Report()
+		if _, err := chk.Detect(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkIncrementalSessionSeed times NewSession itself — the one-off
-// cost of building the resident indexes over an existing instance.
+// BenchmarkIncrementalSessionSeed times a checker's first Apply — the
+// one-off cost of building the resident indexes over an existing instance.
 func BenchmarkIncrementalSessionSeed(b *testing.B) {
+	ctx := context.Background()
 	db, cfds, cinds := incrementalBankDB(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := cindapi.NewSession(db, cfds, cinds)
-		_ = sess.Report()
+		chk := benchChecker(b, db, cfds, cinds)
+		if _, err := chk.Apply(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := chk.Detect(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

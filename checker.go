@@ -18,7 +18,6 @@ import (
 	"cind/internal/repair"
 	"cind/internal/schema"
 	"cind/internal/sqlbackend"
-	"cind/internal/violation"
 )
 
 // Constraint is the sealed common interface of *CFD and *CIND — the paper's
@@ -229,8 +228,7 @@ func WithSQLBackend(db *sql.DB) CheckerOption {
 // Checker is the unified constraint-checking handle: one long-lived value
 // that serves batch detection (Detect), streaming detection (Violations)
 // and incremental maintenance under writes (Apply) for one database and one
-// ConstraintSet. It replaces the positional Detect/DetectWith/NewSession
-// entry points.
+// ConstraintSet.
 //
 // Until the first Apply, Detect and Violations evaluate the database
 // through the batched engine on every call. The first Apply builds the
@@ -257,7 +255,7 @@ type Checker struct {
 	// every later Apply mutates the database the engine would otherwise
 	// be scanning — so reads hold mu.RLock for their whole run.
 	mu   sync.RWMutex
-	sess *violation.Session
+	sess *detect.Session
 
 	// backend, when non-nil, serves pre-session batch detection through
 	// SQL (WithSQLBackend). It has its own mutex; the checker's read lock
@@ -375,7 +373,7 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 	if c.backend != nil {
 		return c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
 	}
-	return violation.DetectContext(ctx, c.db, c.set.cfds, c.set.cinds, c.engineOpts())
+	return detect.RunContext(ctx, c.db, c.set.cfds, c.set.cinds, c.engineOpts())
 }
 
 // Violations streams violations as the engine finds them, instead of
@@ -407,52 +405,25 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 			return
 		}
 		c.mu.RLock()
-		sess := c.sess
-		if sess != nil {
+		if c.sess != nil {
 			// The session's report is an immutable snapshot: a later
 			// Apply replaces it rather than mutating it, so yielding
 			// needs no lock (and Apply from inside the loop is fine).
-			rep := sess.Report().Truncate(c.cfg.limit)
+			rep := c.sess.Report().Truncate(c.cfg.limit)
 			c.mu.RUnlock()
-			for _, v := range rep.CFD {
-				if ctx.Err() != nil {
-					yield(Violation{}, ctx.Err())
-					return
-				}
-				if !yield(detect.CFDViolation(v), nil) {
-					return
-				}
-			}
-			for _, v := range rep.CIND {
-				if ctx.Err() != nil {
-					yield(Violation{}, ctx.Err())
-					return
-				}
-				if !yield(detect.CINDViolation(v), nil) {
-					return
-				}
-			}
+			yieldReport(ctx, rep, yield)
 			return
 		}
 		defer c.mu.RUnlock()
 		if c.backend != nil {
 			// SQL backend: materialise the (truncated) report, then yield
-			// in report order — identical to the session path's stream.
+			// it in report order, exactly as the session path does.
 			rep, err := c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
 			if err != nil {
 				yield(Violation{}, err)
 				return
 			}
-			for _, v := range rep.CFD {
-				if !yield(detect.CFDViolation(v), nil) {
-					return
-				}
-			}
-			for _, v := range rep.CIND {
-				if !yield(detect.CINDViolation(v), nil) {
-					return
-				}
-			}
+			yieldReport(ctx, rep, yield)
 			return
 		}
 		n := 0
@@ -470,6 +441,27 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 		})
 		if err != nil && !broke {
 			yield(Violation{}, err)
+		}
+	}
+}
+
+// yieldReport yields rep's violations in report order without copying the
+// report, polling ctx before each one: a cancelled context ends the walk
+// with one final (zero Violation, ctx.Err()) pair.
+func yieldReport(ctx context.Context, rep *Report, yield func(Violation, error) bool) {
+	for i := 0; i < rep.Total(); i++ {
+		if err := ctx.Err(); err != nil {
+			yield(Violation{}, err)
+			return
+		}
+		var v Violation
+		if i < len(rep.CFD) {
+			v = detect.CFDViolation(rep.CFD[i])
+		} else {
+			v = detect.CINDViolation(rep.CIND[i-len(rep.CFD)])
+		}
+		if !yield(v, nil) {
+			return
 		}
 	}
 }
@@ -495,7 +487,7 @@ func (c *Checker) Apply(ctx context.Context, deltas ...Delta) (*ReportDiff, erro
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.sess == nil {
-		sess, err := violation.NewSessionContext(ctx, c.db, c.set.cfds, c.set.cinds)
+		sess, err := detect.NewSessionContext(ctx, c.db, c.set.cfds, c.set.cinds)
 		if err != nil {
 			return nil, err
 		}

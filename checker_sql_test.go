@@ -5,6 +5,7 @@ package cind_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	cindapi "cind"
@@ -135,6 +136,37 @@ func TestSQLBackendContextCancellation(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("cancelled Violations yielded no error")
+	}
+}
+
+// TestSQLBackendViolationsCancelMidStream: cancelling while a SQL-backed
+// stream yields ends it with one final (zero Violation, ctx.Err()) pair,
+// as on every other path.
+func TestSQLBackendViolationsCancelMidStream(t *testing.T) {
+	sch, set := bankSet(t)
+	chk := sqlChecker(t, bank.Data(sch), set)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n, errs := 0, 0
+	var last error
+	for v, err := range chk.Violations(ctx) {
+		if err != nil {
+			if v.Constraint() != nil {
+				t.Fatalf("the error pair carries a violation: %s", v)
+			}
+			errs++
+			last = err
+			continue
+		}
+		if errs > 0 {
+			t.Fatal("a violation followed the error pair")
+		}
+		n++
+		cancel()
+	}
+	if n != 1 || errs != 1 || !errors.Is(last, context.Canceled) {
+		t.Fatalf("cancelled after the first violation: got %d violations and %d errors (last %v), want 1 and 1 context.Canceled",
+			n, errs, last)
 	}
 }
 

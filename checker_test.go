@@ -1,7 +1,6 @@
 // Tests for the unified Checker API: ConstraintSet construction and
-// round-trip, Checker detection/streaming/apply/repair, context
-// cancellation, and byte-identical parity between the deprecated positional
-// shims and the Checker they wrap.
+// round-trip, Checker detection/streaming/apply/repair, and context
+// cancellation.
 package cind_test
 
 import (
@@ -22,7 +21,7 @@ import (
 )
 
 // bankSet gathers the paper's Figures 2 and 4 constraints into a set,
-// CFDs first (the order the per-kind shim calls use).
+// CFDs first (the order reports list them in).
 func bankSet(t testing.TB) (*cindapi.Schema, *cindapi.ConstraintSet) {
 	t.Helper()
 	sch := bank.Schema()
@@ -94,57 +93,6 @@ func dirtyWitness(w *gen.Workload) *cindapi.Database {
 		}
 	}
 	return db
-}
-
-// TestShimsByteIdenticalToChecker is the acceptance criterion: the
-// deprecated Detect / DetectWith shims and the Checker must render
-// byte-identical reports, on the bank and generated workloads, with and
-// without engine options.
-func TestShimsByteIdenticalToChecker(t *testing.T) {
-	ctx := context.Background()
-	check := func(name string, db *cindapi.Database, set *cindapi.ConstraintSet) {
-		t.Run(name, func(t *testing.T) {
-			shim := cindapi.Detect(db, set.CFDs(), set.CINDs())
-			chk, err := cindapi.NewChecker(db, set)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := chk.Detect(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shim.String() != rep.String() {
-				t.Fatalf("shim and Checker reports differ:\n--- shim\n%s\n--- checker\n%s", shim, rep)
-			}
-
-			for _, limit := range []int{1, 3, 0} {
-				for _, par := range []int{1, 0} {
-					shim := cindapi.DetectWith(db, set.CFDs(), set.CINDs(),
-						cindapi.DetectOptions{Limit: limit, Parallel: par})
-					chk, err := cindapi.NewChecker(db, set,
-						cindapi.WithLimit(limit), cindapi.WithParallelism(par))
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := chk.Detect(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if shim.String() != rep.String() {
-						t.Fatalf("limit=%d parallel=%d: shim and Checker reports differ:\n--- shim\n%s\n--- checker\n%s",
-							limit, par, shim, rep)
-					}
-				}
-			}
-		})
-	}
-
-	_, set := bankSet(t)
-	check("bank", bank.Data(bank.Schema()), set)
-	for _, seed := range []int64{1, 21} {
-		set, db := genWorkloadSet(t, seed)
-		check(fmt.Sprintf("gen-seed=%d", seed), db, set)
-	}
 }
 
 // TestConstraintSetOrderAndRoundTrip: ParseConstraints preserves the
@@ -344,49 +292,28 @@ func TestCheckerViolationsMatchesDetect(t *testing.T) {
 	}
 }
 
-// TestCheckerApplyMatchesSessionShim drives the same delta script through
-// the deprecated NewSession shim and through Checker.Apply: every diff and
-// the final reports must be byte-identical, and the checker's Detect must
-// serve the maintained report.
-func TestCheckerApplyMatchesSessionShim(t *testing.T) {
+// TestCheckerApplyMatchesBatch drives a delta script through Checker.Apply:
+// Detect must then serve the maintained report, which must equal batch
+// detection over the mutated database, and streaming must walk it in order.
+func TestCheckerApplyMatchesBatch(t *testing.T) {
 	ctx := context.Background()
 	sch, set := bankSet(t)
-
-	mkDeltas := func() []cindapi.Delta {
-		var ds []cindapi.Delta
-		for i := 0; i < 40; i++ {
-			t := instance.Consts(fmt.Sprintf("n%04d", i), "Cust", "Addr", "555",
-				[]string{"NYC", "EDI"}[i%2])
-			ds = append(ds, cindapi.InsertDelta("checking", t))
-			if i%3 == 0 {
-				ds = append(ds, cindapi.DeleteDelta("checking", t))
-			}
-		}
-		return ds
-	}
-
-	sessDB := bank.Data(sch)
-	sess := cindapi.NewSession(sessDB, set.CFDs(), set.CINDs())
-
 	chkDB := bank.Data(sch)
 	chk, err := cindapi.NewChecker(chkDB, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for i, d := range mkDeltas() {
-		want, err := sess.Apply(d)
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < 40; i++ {
+		tu := instance.Consts(fmt.Sprintf("n%04d", i), "Cust", "Addr", "555",
+			[]string{"NYC", "EDI"}[i%2])
+		ds := []cindapi.Delta{cindapi.InsertDelta("checking", tu)}
+		if i%3 == 0 {
+			ds = append(ds, cindapi.DeleteDelta("checking", tu))
 		}
-		got, err := chk.Apply(ctx, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.String() != got.String() ||
-			want.Added.String() != got.Added.String() ||
-			want.Removed.String() != got.Removed.String() {
-			t.Fatalf("delta %d (%s): shim diff %s vs checker diff %s", i, d, want, got)
+		for _, d := range ds {
+			if _, err := chk.Apply(ctx, d); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -394,11 +321,8 @@ func TestCheckerApplyMatchesSessionShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Report().String() != rep.String() {
-		t.Fatalf("final reports differ:\n--- session\n%s\n--- checker\n%s", sess.Report(), rep)
-	}
 	// The maintained report equals batch detection over the mutated db.
-	if batch := cindapi.Detect(chkDB, set.CFDs(), set.CINDs()); batch.String() != rep.String() {
+	if batch := detectAll(t, chkDB, set); batch.String() != rep.String() {
 		t.Fatalf("maintained report diverges from batch:\n--- batch\n%s\n--- checker\n%s", batch, rep)
 	}
 	// Streaming after Apply serves the maintained report in order.
@@ -483,7 +407,7 @@ func TestCheckerConcurrentReadersAndFirstApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch := cindapi.Detect(chk.Database(), set.CFDs(), set.CINDs()); batch.String() != rep.String() {
+	if batch := detectAll(t, chk.Database(), set); batch.String() != rep.String() {
 		t.Fatalf("post-concurrency report diverges from batch detection")
 	}
 }

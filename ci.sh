@@ -38,6 +38,11 @@ go run ./cmd/cindlint ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The serving packages' tests race real goroutines against each other:
+# repeat them so load-dependent flakes surface here, not in a later run.
+echo "== go test -race -count=3 ./internal/server ./internal/shard ./internal/stream"
+go test -race -count=3 ./internal/server ./internal/shard ./internal/stream
+
 echo "== examples smoke: go run ./examples/*"
 for d in examples/*/; do
 	echo "-- go run ./$d"

@@ -8,7 +8,7 @@
 // the internal packages, one per subsystem:
 //
 //	internal/schema       relational schemas, finite/infinite domains
-//	internal/instance     in-memory instances and chase templates
+//	internal/instance     in-memory instances, chase templates, CSV I/O
 //	internal/pattern      pattern tableaux and the match order ≍
 //	internal/core         CINDs: syntax, semantics, normal form, Theorem 3.2
 //	internal/cfd          CFDs: syntax, semantics, normal form
@@ -24,7 +24,6 @@
 //	internal/memdb        embedded zero-dependency database/sql driver
 //	internal/constraint   the sealed Constraint interface (CFD | CIND)
 //	internal/detect       batched, interned, parallel violation detection
-//	internal/violation    CSV loading and violation reports
 //	internal/server       the cindserve HTTP service over Checker
 //	internal/exp          the Section 6 experiment harness
 //	internal/lint         the cindlint static-analysis suite (see LINT.md)
@@ -166,10 +165,6 @@
 // namespaces per-shard WALs. See internal/shard and the "Sharding"
 // section of PERFORMANCE.md for the scaling curve.
 //
-// The positional entry points Detect, DetectWith and NewSession remain as
-// thin deprecated shims over the Checker for one release; MIGRATION.md
-// tabulates old call → new call.
-//
 // See the examples/ directory for runnable walkthroughs of the paper's
 // scenarios, and PERFORMANCE.md for the detection engine's architecture and
 // benchmark methodology.
@@ -191,7 +186,6 @@ import (
 	"cind/internal/repair"
 	"cind/internal/schema"
 	"cind/internal/views"
-	"cind/internal/violation"
 )
 
 // Schema-layer types.
@@ -268,85 +262,30 @@ func MarshalSpec(s *Spec) string { return parser.Marshal(s) }
 // Report collects detected violations: per kind in the CFD/CIND fields, and
 // uniformly via Violations(). Reports list violations grouped per
 // constraint in set order.
-type Report = violation.Report
-
-// ViolationReport collects detected violations.
-//
-// Deprecated: use Report (the same type); this alias predates the Checker
-// API.
-type ViolationReport = violation.Report
-
-// DetectOptions tunes the batched detection engine: worker count and an
-// optional cap on reported violations.
-//
-// Deprecated: pass WithParallelism / WithLimit to NewChecker instead.
-type DetectOptions = detect.Options
-
-// Detect runs every constraint against the database and reports violations.
-// Detection goes through the batched engine of internal/detect: constants
-// are interned to integer symbol IDs, constraints sharing a projection are
-// evaluated off one shared index, and independent groups run on a bounded
-// worker pool.
-//
-// Deprecated: build a Checker — NewChecker(db, set).Detect(ctx) — which
-// adds context cancellation, streaming and incremental maintenance over the
-// same engine and produces the identical report. This shim remains for one
-// release.
-func Detect(db *Database, cfds []*CFD, cinds []*CIND) *Report {
-	return violation.Detect(db, cfds, cinds)
-}
-
-// DetectWith is Detect with explicit engine options — use Limit to keep
-// violation-heavy (dirty) data from materialising every violating pair.
-//
-// Deprecated: build a Checker with WithParallelism / WithLimit instead.
-// This shim remains for one release.
-func DetectWith(db *Database, cfds []*CFD, cinds []*CIND, opts DetectOptions) *Report {
-	return violation.DetectWith(db, cfds, cinds, opts)
-}
+type Report = detect.Report
 
 // LoadCSV loads CSV rows into the named relation of db.
 func LoadCSV(db *Database, rel string, r io.Reader, header bool) error {
-	return violation.LoadCSV(db, rel, r, header)
+	return instance.LoadCSV(db, rel, r, header)
 }
 
-// Incremental detection (the write-heavy serving path): a Session keeps the
-// detection engine's interned projection indexes resident and maintains the
-// violation report under tuple-level deltas in time proportional to the
-// affected projection groups, instead of re-running Detect after every
+// Incremental detection (the write-heavy serving path): Checker.Apply keeps
+// the detection engine's interned projection indexes resident and maintains
+// the violation report under tuple-level deltas in time proportional to the
+// affected projection groups, instead of re-running detection after every
 // write.
 type (
-	// Session is a long-lived incremental violation detector.
-	Session = violation.Session
 	// Delta is one tuple-level insert or delete.
 	Delta = detect.Delta
 	// ReportDiff is the net report change of one Apply batch.
-	ReportDiff = violation.ReportDiff
+	ReportDiff = detect.Diff
 )
 
-// NewSession builds the resident indexes over db's current contents and
-// returns a session whose Report already reflects them. The database handle
-// is retained and mutated by Apply; don't write to it directly afterwards.
-//
-// Deprecated: use a Checker — NewChecker(db, set) then Apply(ctx, deltas...)
-// — which builds the same resident session on first Apply and additionally
-// serves Detect and streaming Violations off it. This shim remains for one
-// release.
-func NewSession(db *Database, cfds []*CFD, cinds []*CIND) *Session {
-	return violation.NewSession(db, cfds, cinds)
-}
-
-// InsertDelta builds a tuple-insert delta for Session.Apply.
+// InsertDelta builds a tuple-insert delta for Checker.Apply.
 func InsertDelta(rel string, t Tuple) Delta { return detect.Ins(rel, t) }
 
-// DeleteDelta builds a tuple-delete delta for Session.Apply.
+// DeleteDelta builds a tuple-delete delta for Checker.Apply.
 func DeleteDelta(rel string, t Tuple) Delta { return detect.Del(rel, t) }
-
-// DiffReports computes the violations added and removed between two
-// reports — the snapshot-based oracle for Session's incremental diffs.
-func DiffReports(before, after *ViolationReport) *ReportDiff {
-	return violation.DiffReports(before, after)
-}
 
 // Witness builds the Theorem 3.2 witness: a nonempty database satisfying
 // every CIND of sigma (CINDs are always consistent). maxTuples bounds the

@@ -20,8 +20,8 @@ import (
 	"path/filepath"
 
 	"cind/internal/bank"
+	"cind/internal/instance"
 	"cind/internal/parser"
-	"cind/internal/violation"
 )
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := violation.MarshalCSV(db.Instance(rel.Name()), f); err != nil {
+		if err := instance.MarshalCSV(db.Instance(rel.Name()), f); err != nil {
 			f.Close()
 			fatal(err)
 		}

@@ -50,6 +50,17 @@ func loadBankCSVs(t testing.TB, spec *cindapi.Spec) *cindapi.Database {
 	return db
 }
 
+// kindSet gathers per-kind constraint slices into a ConstraintSet, CFDs
+// first.
+func kindSet(tb testing.TB, sch *cindapi.Schema, cfds []*cindapi.CFD, cinds []*cindapi.CIND) *cindapi.ConstraintSet {
+	tb.Helper()
+	set, err := cindapi.SpecSet(&cindapi.Spec{Schema: sch, CFDs: cfds, CINDs: cinds})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return set
+}
+
 // TestEndToEndDetection is the full Example 1.2 pipeline through the
 // facade: the two paper errors (t10 vs ψ6, t12 vs ϕ3) are found in the CSV
 // data, and nothing else.
@@ -59,7 +70,7 @@ func TestEndToEndDetection(t *testing.T) {
 		t.Fatalf("spec has %d CFDs, %d CINDs", len(spec.CFDs), len(spec.CINDs))
 	}
 	db := loadBankCSVs(t, spec)
-	rep := cindapi.Detect(db, spec.CFDs, spec.CINDs)
+	rep := detectAll(t, db, kindSet(t, spec.Schema, spec.CFDs, spec.CINDs))
 	if rep.Total() != 2 {
 		t.Fatalf("violations = %d, want 2:\n%s", rep.Total(), rep)
 	}
@@ -120,7 +131,7 @@ func TestEndToEndWitness(t *testing.T) {
 	if db.IsEmpty() {
 		t.Fatal("witness must be nonempty")
 	}
-	if rep := cindapi.Detect(db, nil, spec.CINDs); !rep.Clean() {
+	if rep := detectAll(t, db, kindSet(t, spec.Schema, nil, spec.CINDs)); !rep.Clean() {
 		t.Fatalf("witness violates Σ:\n%s", rep)
 	}
 }
@@ -159,7 +170,7 @@ func TestEndToEndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := loadBankCSVs(t, back)
-	rep := cindapi.Detect(db, back.CFDs, back.CINDs)
+	rep := detectAll(t, db, kindSet(t, back.Schema, back.CFDs, back.CINDs))
 	if rep.Total() != 2 {
 		t.Fatalf("round-tripped detection found %d violations, want 2", rep.Total())
 	}
@@ -174,7 +185,7 @@ func TestEndToEndGeneratedWorkload(t *testing.T) {
 	if w.Witness == nil {
 		t.Fatal("consistent workloads carry a witness")
 	}
-	if rep := cindapi.Detect(w.Witness, w.CFDs, w.CINDs); !rep.Clean() {
+	if rep := detectAll(t, w.Witness, kindSet(t, w.Schema, w.CFDs, w.CINDs)); !rep.Clean() {
 		t.Fatalf("generator ground truth broken:\n%s", rep)
 	}
 	ans := cindapi.CheckConsistency(w.Schema, w.CFDs, w.CINDs, cindapi.CheckOptions{Seed: 21})
@@ -302,55 +313,43 @@ func readBankDeltas(t testing.TB) []cindapi.Delta {
 }
 
 // TestEndToEndIncrementalStream replays testdata/bank/deltas.log through
-// the facade session — the cindviolate -stream pipeline — and checks the
-// stream cures both paper errors and stays equal to batch detection.
+// Checker.Apply — the cindviolate -stream pipeline — and checks the stream
+// cures both paper errors while the maintained report stays equal to batch
+// detection after every delta.
 func TestEndToEndIncrementalStream(t *testing.T) {
+	ctx := context.Background()
 	spec := loadBankSpec(t)
 	db := loadBankCSVs(t, spec)
-	sess := cindapi.NewSession(db, spec.CFDs, spec.CINDs)
-	if got := sess.Report().Total(); got != 2 {
-		t.Fatalf("initial stream state has %d violations, want the paper's 2", got)
-	}
-
-	src, err := os.ReadFile(filepath.Join("testdata", "bank", "deltas.log"))
+	set := kindSet(t, spec.Schema, spec.CFDs, spec.CINDs)
+	chk, err := cindapi.NewChecker(db, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied := 0
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rec, err := csv.NewReader(strings.NewReader(line)).Read()
-		if err != nil {
-			t.Fatalf("delta log line %q: %v", line, err)
-		}
-		tu := make(cindapi.Tuple, len(rec)-2)
-		for i, v := range rec[2:] {
-			tu[i] = cindapi.Const(v)
-		}
-		var d cindapi.Delta
-		if rec[0] == "+" {
-			d = cindapi.InsertDelta(rec[1], tu)
-		} else {
-			d = cindapi.DeleteDelta(rec[1], tu)
-		}
-		if _, err := sess.Apply(d); err != nil {
+	if got := detectAll(t, db, set).Total(); got != 2 {
+		t.Fatalf("initial stream state has %d violations, want the paper's 2", got)
+	}
+	deltas := readBankDeltas(t)
+	if len(deltas) != 4 {
+		t.Fatalf("delta log holds %d deltas, fixture has 4", len(deltas))
+	}
+	for _, d := range deltas {
+		if _, err := chk.Apply(ctx, d); err != nil {
 			t.Fatalf("applying %s: %v", d, err)
 		}
-		applied++
-
-		batch := cindapi.Detect(db, spec.CFDs, spec.CINDs)
-		if sess.Report().String() != batch.String() {
-			t.Fatalf("after %s the session diverges from batch detection:\nsession: %s\nbatch:   %s",
-				d, sess.Report(), batch)
+		rep, err := chk.Detect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch := detectAll(t, db, set); rep.String() != batch.String() {
+			t.Fatalf("after %s the maintained report diverges from batch detection:\nchecker: %s\nbatch:   %s",
+				d, rep, batch)
 		}
 	}
-	if applied != 4 {
-		t.Fatalf("delta log applied %d deltas, fixture has 4", applied)
+	rep, err := chk.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sess.Report().Clean() {
-		t.Fatalf("stream should end clean, got %s", sess.Report())
+	if !rep.Clean() {
+		t.Fatalf("stream should end clean, got %s", rep)
 	}
 }

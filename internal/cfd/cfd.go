@@ -228,7 +228,7 @@ func (v Violation) String() string {
 // This method is the single-constraint reference implementation and the
 // differential-testing oracle for internal/detect, which evaluates many
 // constraints off shared interned indexes and is the path bulk callers
-// (violation.Detect, the facade) use. The two produce identical violations
+// (the facade's Checker) use. The two produce identical violations
 // in identical order.
 func (c *CFD) Violations(db *instance.Database) []Violation {
 	in := db.Instance(c.Rel)

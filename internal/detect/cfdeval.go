@@ -89,74 +89,19 @@ func planCFDs(db *instance.Database, cfds []*cfd.CFD, it *types.Interner) []*cfd
 	return groups
 }
 
-// eval builds the shared X index once and evaluates every member against
-// it, writing each member's violations into its own slot of out. stop is
-// polled cooperatively; a stopped evaluation leaves partial slots behind,
-// which the caller discards.
-func (g *cfdGroup) eval(coded map[string]*codedRel, out [][]cfd.Violation, limit int, stop func() bool) {
-	cr := coded[g.rel]
-	ix := buildProjIndex(cr, g.xCols, stop)
-	if ix == nil {
-		return
-	}
-	for i := range g.m {
-		if stop() {
-			return
-		}
-		out[g.m[i].idx] = evalCFDMember(cr, ix, &g.m[i], limit, stop)
-	}
-}
-
-// evalCFDMember reproduces the Section 4 semantics exactly as the reference
-// cfd.CFD.Violations does, including its deterministic order: rows in
-// tableau order; X groups in first-seen order; within a group, Y partitions
-// in first-seen order, equal-Y pairs (i ≤ j) before cross-partition pairs.
-// The LHS pattern is checked once per group — all tuples of an X group
-// share their X projection, so matching the representative decides the
-// whole group. stop is polled every batch of groups and every batch of
-// emitted violations, so cancellation interrupts even a quadratic dirty
-// bucket.
-func evalCFDMember(cr *codedRel, ix *projIndex, m *cfdMember, limit int, stop func() bool) []cfd.Violation {
-	var out []cfd.Violation
-	stopped := false
-	for ri := range m.rows {
-		row := &m.rows[ri]
-		emit := func(r1, r2 int32) bool {
-			out = append(out, cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.tuples[r1], T2: cr.tuples[r2]})
-			if limit > 0 && len(out) >= limit {
-				return false
-			}
-			if len(out)&255 == 0 && stop() {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		for gi := 0; gi < ix.size(); gi++ {
-			if gi&1023 == 0 && stop() {
-				return out
-			}
-			if !matchCoded(cr, int(ix.rep(gi)), ix.cols, row.lhs) {
-				continue
-			}
-			partitionPairs(cr, m.yCols, row.rhs, ix.group(int32(gi)), emit)
-			if stopped {
-				return out
-			}
-			if limit > 0 && len(out) >= limit {
-				return out[:limit]
-			}
-		}
-	}
-	return out
-}
-
-// stream emits every violation of the group as it is found, in the same
-// order eval would produce, without materialising result slices. emit
-// returning false — the consumer broke, or its downstream channel send saw
-// cancellation — aborts the whole group; stream reports whether it ran to
+// stream builds the shared X index once and emits every violation of every
+// member against it, as it is found. It reproduces the Section 4 semantics
+// exactly as the reference cfd.CFD.Violations does, including its
+// deterministic order: members in input order; per member, rows in tableau
+// order; X groups in first-seen order; within a group, Y partitions in
+// first-seen order, equal-Y pairs (i ≤ j) before cross-partition pairs. The
+// LHS pattern is checked once per group — all tuples of an X group share
+// their X projection, so matching the representative decides the whole
+// group. emit receives the member's position in the Run input with each
+// violation; returning false — the consumer broke, hit its limit, or saw
+// cancellation — aborts the whole group. stream reports whether it ran to
 // completion.
-func (g *cfdGroup) stream(coded map[string]*codedRel, stop func() bool, emit func(v cfd.Violation) bool) bool {
+func (g *cfdGroup) stream(coded map[string]*codedRel, stop func() bool, emit func(idx int, v cfd.Violation) bool) bool {
 	cr := coded[g.rel]
 	ix := buildProjIndex(cr, g.xCols, stop)
 	if ix == nil {
@@ -167,7 +112,7 @@ func (g *cfdGroup) stream(coded map[string]*codedRel, stop func() bool, emit fun
 		for ri := range m.rows {
 			row := &m.rows[ri]
 			e := func(r1, r2 int32) bool {
-				return emit(cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.tuples[r1], T2: cr.tuples[r2]})
+				return emit(m.idx, cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.tuples[r1], T2: cr.tuples[r2]})
 			}
 			for gi := 0; gi < ix.size(); gi++ {
 				if gi&1023 == 0 && stop() {
@@ -190,7 +135,7 @@ func (g *cfdGroup) stream(coded map[string]*codedRel, stop func() bool, emit fun
 // within a failing Y partition every pair i ≤ j including (t, t), then
 // every cross-partition pair. emit returning false stops enumeration early
 // (the Limit path); partitionPairs reports whether it ran to completion.
-// This is the single pair-semantics kernel shared by the batch evaluator
+// This is the single pair-semantics kernel shared by the group evaluator
 // and the incremental session's bucket recomputation.
 func partitionPairs(cr *codedRel, yCols []int, rhs []patSym, tups []int32, emit func(r1, r2 int32) bool) bool {
 	if len(tups) == 1 {

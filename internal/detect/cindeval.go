@@ -144,50 +144,18 @@ func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (work
 	return works, satisfied, stride, true
 }
 
-// eval runs every (member, row) anti-join of the group and emits violations
-// in reference order (rows in tableau order, LHS tuples in insertion
-// order), writing each member's violations into its own slot of out.
+// stream runs every (member, row) anti-join of the group and emits each
+// violation as soon as the shared RHS scan completes, in reference order:
+// members in input order, rows in tableau order, LHS tuples in insertion
+// order (works were appended in exactly that order).
 //
 // This reproduces the Section 2 semantics of the reference
 // core.CIND.Violations exactly: an LHS tuple t1 matching tp[X, Xp]
 // violates iff no RHS tuple t2 has t2[Y] = t1[X] with t2[Y] ≍ tp[Y] and
-// t2[Yp] ≍ tp[Yp].
-func (g *cindGroup) eval(coded map[string]*codedRel, out [][]core.Violation, limit int, stop func() bool) {
-	works, satisfied, stride, ok := g.antiJoin(coded, stop)
-	if !ok {
-		return
-	}
-
-	// Emit violations member-major, rows in tableau order — works were
-	// appended in exactly that order.
-	for wi := range works {
-		w := &works[wi]
-		crL := coded[w.m.lhsRel]
-		vs := out[w.m.idx]
-		if limit > 0 && len(vs) >= limit {
-			continue // this member already reached the cap on an earlier row
-		}
-		for k, ti := range w.tups {
-			if k&8191 == 0 && stop() {
-				return
-			}
-			if satisfied[int(w.slot[k])*stride+wi/64]&(1<<(wi%64)) != 0 {
-				continue
-			}
-			vs = append(vs, core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.tuples[ti]})
-			if limit > 0 && len(vs) >= limit {
-				break
-			}
-		}
-		out[w.m.idx] = vs
-	}
-}
-
-// stream emits every violation of the group as soon as the shared RHS scan
-// completes, in the same order eval would produce, without materialising
-// result slices. emit returning false aborts the whole group; stream
+// t2[Yp] ≍ tp[Yp]. emit receives the member's position in the Run input
+// with each violation; returning false aborts the whole group. stream
 // reports whether it ran to completion.
-func (g *cindGroup) stream(coded map[string]*codedRel, stop func() bool, emit func(v core.Violation) bool) bool {
+func (g *cindGroup) stream(coded map[string]*codedRel, stop func() bool, emit func(idx int, v core.Violation) bool) bool {
 	works, satisfied, stride, ok := g.antiJoin(coded, stop)
 	if !ok {
 		return false
@@ -202,7 +170,7 @@ func (g *cindGroup) stream(coded map[string]*codedRel, stop func() bool, emit fu
 			if satisfied[int(w.slot[k])*stride+wi/64]&(1<<(wi%64)) != 0 {
 				continue
 			}
-			if !emit(core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.tuples[ti]}) {
+			if !emit(w.m.idx, core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.tuples[ti]}) {
 				return false
 			}
 		}

@@ -56,8 +56,8 @@ func (d Delta) String() string { return d.Op.String() + d.Rel + d.Tuple.String()
 // each side is deterministically ordered (constraints in input order,
 // tableau rows in order, tuples in instance order).
 type Diff struct {
-	Added   Result
-	Removed Result
+	Added   Report
+	Removed Report
 }
 
 // Empty reports whether the batch left the violation report unchanged.

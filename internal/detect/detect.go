@@ -27,11 +27,13 @@
 // workloads. The reference implementations remain the semantic ground truth
 // (they sit below this package in the import graph and double as the
 // differential-testing oracle); callers wanting bulk detection should come
-// through here, via violation.Detect or the cind facade.
+// through here, via the cind facade's Checker.
 package detect
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"cind/internal/cfd"
 	"cind/internal/conc"
@@ -55,24 +57,75 @@ type Options struct {
 
 func (o Options) workers(units int) int { return conc.Workers(o.Parallel, units) }
 
-// Result collects the violations of one run, per constraint kind, in input
-// constraint order.
-type Result struct {
+// Report collects the violations of one run, per constraint kind, in input
+// constraint order. Reports list every CFD violation before every CIND
+// violation; Total, String, Violations and Truncate all follow that
+// concatenation, as does the Limit option.
+type Report struct {
 	CFD  []cfd.Violation
 	CIND []core.Violation
 }
 
 // Total returns the number of violations found.
-func (r *Result) Total() int { return len(r.CFD) + len(r.CIND) }
+func (r *Report) Total() int { return len(r.CFD) + len(r.CIND) }
 
 // Clean reports whether no violation was found.
-func (r *Result) Clean() bool { return r.Total() == 0 }
+func (r *Report) Clean() bool { return r.Total() == 0 }
+
+// Violations returns the report's contents as the unified sum type, CFD
+// violations first. The per-kind CFD/CIND fields remain the primary
+// storage; this is the kind-agnostic view for consumers that dispatch on
+// Violation.Kind.
+func (r *Report) Violations() []Violation {
+	out := make([]Violation, 0, r.Total())
+	for _, v := range r.CFD {
+		out = append(out, CFDViolation(v))
+	}
+	for _, v := range r.CIND {
+		out = append(out, CINDViolation(v))
+	}
+	return out
+}
+
+// Truncate returns the first limit violations of the report in report
+// order (the same prefix the Limit option produces), sharing the
+// underlying slices; the receiver is not mutated. A non-positive limit, or
+// one the report does not reach, returns the receiver unchanged.
+func (r *Report) Truncate(limit int) *Report {
+	if limit <= 0 || r.Total() <= limit {
+		return r
+	}
+	out := &Report{CFD: r.CFD, CIND: r.CIND}
+	if len(out.CFD) > limit {
+		out.CFD = out.CFD[:limit]
+	}
+	if rest := limit - len(out.CFD); len(out.CIND) > rest {
+		out.CIND = out.CIND[:rest]
+	}
+	return out
+}
+
+// String renders the report one violation per line.
+func (r *Report) String() string {
+	if r.Clean() {
+		return "clean: no violations"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d violation(s):\n", r.Total())
+	for _, v := range r.CFD {
+		fmt.Fprintf(&b, "  [cfd]  %s\n", v)
+	}
+	for _, v := range r.CIND {
+		fmt.Fprintf(&b, "  [cind] %s\n", v)
+	}
+	return strings.TrimRight(b.String(), "\n")
+}
 
 // Run evaluates every constraint against the database through the batched
 // engine. The result lists violations grouped by constraint in input order;
 // within one constraint the order matches the reference per-constraint
 // implementation.
-func Run(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options) *Result {
+func Run(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options) *Report {
 	res, _ := RunContext(context.Background(), db, cfds, cinds, opts)
 	return res
 }
@@ -106,7 +159,7 @@ func plan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, it *types.
 // worker pool promptly — mid pair enumeration, mid index build, mid
 // anti-join scan — instead of materialising the full report first. On
 // cancellation the partial result is discarded and ctx's error returned.
-func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options) (*Result, error) {
+func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -123,11 +176,11 @@ func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cin
 	units := make([]func(), 0, len(cfdGroups)+len(cindGroups))
 	for _, g := range cfdGroups {
 		g := g
-		units = append(units, func() { g.eval(coded, cfdOut, opts.Limit, stop) })
+		units = append(units, func() { g.stream(coded, stop, collect(cfdOut, opts.Limit, stop)) })
 	}
 	for _, g := range cindGroups {
 		g := g
-		units = append(units, func() { g.eval(coded, cindOut, opts.Limit, stop) })
+		units = append(units, func() { g.stream(coded, stop, collect(cindOut, opts.Limit, stop)) })
 	}
 
 	conc.ForEachIdx(opts.workers(len(units)), len(units), func(i int) {
@@ -140,7 +193,7 @@ func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cin
 		return nil, err
 	}
 
-	res := &Result{}
+	res := &Report{}
 	for _, vs := range cfdOut {
 		res.CFD = append(res.CFD, vs...)
 		if opts.Limit > 0 && len(res.CFD) >= opts.Limit {
@@ -160,6 +213,25 @@ func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cin
 		}
 	}
 	return res, nil
+}
+
+// collect is the batch consumer of a group's emitting kernel: it appends
+// each violation to its member's slot of out and aborts the group once that
+// slot holds limit violations. Aborting is exact because a group's members
+// are in input order, so every later member of the group lands past the
+// limit prefix of the concatenated report. stop is polled every 256
+// violations of a slot, so cancellation interrupts even a quadratic dirty
+// bucket; a stopped group leaves partial slots behind, which the caller
+// discards.
+func collect[V any](out [][]V, limit int, stop func() bool) func(idx int, v V) bool {
+	return func(idx int, v V) bool {
+		out[idx] = append(out[idx], v)
+		n := len(out[idx])
+		if limit > 0 && n >= limit {
+			return false
+		}
+		return n&255 != 0 || !stop()
+	}
 }
 
 // CFDViolations runs a single CFD through the engine — the batched

@@ -16,8 +16,8 @@ import (
 
 // referenceRun is the seed detection loop: each constraint evaluated
 // independently through the per-constraint reference implementations.
-func referenceRun(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Result {
-	res := &Result{}
+func referenceRun(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Report {
+	res := &Report{}
 	for _, c := range cfds {
 		res.CFD = append(res.CFD, c.Violations(db)...)
 	}
@@ -89,23 +89,16 @@ func TestRunMatchesReferenceOnScaledDirtyData(t *testing.T) {
 	}
 }
 
-// dirtyWorkload clones a generated witness and injects conflicts by
-// re-inserting tuples with one attribute swapped from another tuple of the
-// same relation (values stay within their domains by construction).
+// dirtyWorkload clones a generated witness and strands LHS demands of the
+// first six CINDs by deleting tuples from their RHS relations. (Swapping
+// attribute values between witness tuples plants no CFD violation on these
+// workloads: the clones never match a tableau row's LHS pattern.)
 func dirtyWorkload(w *gen.Workload) *instance.Database {
 	db := w.Witness.Clone()
-	for _, rel := range w.Schema.Relations() {
-		in := db.Instance(rel.Name())
-		tuples := in.Tuples()
-		if len(tuples) < 2 {
-			continue
-		}
-		last := rel.Arity() - 1
-		n := len(tuples)
-		for i := 0; i+1 < n && i < 8; i += 2 {
-			mut := tuples[i].Clone()
-			mut[last] = tuples[i+1][last]
-			in.Insert(mut)
+	for _, c := range w.CINDs[:min(6, len(w.CINDs))] {
+		in := db.Instance(c.RHSRel)
+		for j := 0; j < 4 && in.Len() > 0; j++ {
+			in.Delete(in.Tuples()[0])
 		}
 	}
 	return db
@@ -125,30 +118,59 @@ func TestRunMatchesReferenceOnGeneratedWorkloads(t *testing.T) {
 	}
 }
 
+// TestRunLimitIsAPrefixOfTheFullRun sweeps every small limit over
+// workloads whose detection groups hold several members (the permuted-X
+// CFD pair shares one index; the generated workloads group CFDs by X set
+// and CINDs by RHS projection), so a collector that aborts a group once one
+// member's slot is full must still return exactly the unlimited run's prefix.
 func TestRunLimitIsAPrefixOfTheFullRun(t *testing.T) {
-	db, cfds, cinds := scaledDirtyBank(300)
-	full := Run(db, cfds, cinds, Options{})
-	if full.Total() < 20 {
-		t.Fatalf("workload too clean (%d violations) to exercise Limit", full.Total())
+	type workload struct {
+		name  string
+		db    *instance.Database
+		cfds  []*cfd.CFD
+		cinds []*core.CIND
 	}
-	for _, limit := range []int{1, 2, 17, full.Total(), full.Total() + 50} {
-		for _, par := range []int{1, 0} {
-			got := Run(db, cfds, cinds, Options{Limit: limit, Parallel: par})
-			wantN := limit
-			if wantN > full.Total() {
-				wantN = full.Total()
-			}
-			if got.Total() != wantN {
-				t.Fatalf("limit=%d Parallel=%d: got %d violations, want %d", limit, par, got.Total(), wantN)
-			}
-			for i, v := range got.CFD {
-				if !reflect.DeepEqual(v, full.CFD[i]) {
-					t.Fatalf("limit=%d: CFD[%d] is not a prefix of the full run", limit, i)
+	db, cfds, cinds := scaledDirtyBank(300)
+	// The scaled rows never share (an, ab), so give the permuted-X pair
+	// collisions: a second customer name and address for 40 of them.
+	pdb, _, _ := scaledDirtyBank(300)
+	for _, tu := range pdb.Instance("checking").Tuples()[:40] {
+		alt := tu.Clone()
+		alt[1], alt[2] = instance.Const("Alt"), instance.Const("Alt")
+		pdb.Instance("checking").Insert(alt)
+	}
+	cases := []workload{
+		{"bank", db, cfds, cinds},
+		{"permuted-x", pdb, permutedXCFDs(pdb.Schema()), nil},
+	}
+	for _, seed := range []int64{1, 7} {
+		w := gen.New(gen.Config{Relations: 8, Card: 120, Consistent: true, Seed: seed})
+		cases = append(cases, workload{fmt.Sprintf("gen-seed=%d", seed), dirtyWorkload(w), w.CFDs, w.CINDs})
+	}
+	for _, c := range cases {
+		full := Run(c.db, c.cfds, c.cinds, Options{})
+		if full.Total() < 5 {
+			t.Fatalf("%s: workload too clean (%d violations) to exercise Limit", c.name, full.Total())
+		}
+		limits := []int{full.Total(), full.Total() + 50}
+		for limit := 1; limit <= min(full.Total(), 64); limit++ {
+			limits = append(limits, limit)
+		}
+		for _, limit := range limits {
+			for _, par := range []int{1, 0} {
+				got := Run(c.db, c.cfds, c.cinds, Options{Limit: limit, Parallel: par})
+				if wantN := min(limit, full.Total()); got.Total() != wantN {
+					t.Fatalf("%s limit=%d Parallel=%d: got %d violations, want %d", c.name, limit, par, got.Total(), wantN)
 				}
-			}
-			for i, v := range got.CIND {
-				if !reflect.DeepEqual(v, full.CIND[i]) {
-					t.Fatalf("limit=%d: CIND[%d] is not a prefix of the full run", limit, i)
+				for i, v := range got.CFD {
+					if !reflect.DeepEqual(v, full.CFD[i]) {
+						t.Fatalf("%s limit=%d Parallel=%d: CFD[%d] is not a prefix of the full run", c.name, limit, par, i)
+					}
+				}
+				for i, v := range got.CIND {
+					if !reflect.DeepEqual(v, full.CIND[i]) {
+						t.Fatalf("%s limit=%d Parallel=%d: CIND[%d] is not a prefix of the full run", c.name, limit, par, i)
+					}
 				}
 			}
 		}
@@ -206,14 +228,18 @@ func TestRunMatchesReferenceOnControlByteConstants(t *testing.T) {
 // the permuted pattern alignment must not change any result.
 func TestRunMatchesReferenceOnPermutedXLists(t *testing.T) {
 	db, _, _ := scaledDirtyBank(200)
-	sch := db.Schema()
-	cfds := []*cfd.CFD{
+	assertEquivalent(t, db, permutedXCFDs(db.Schema()), nil)
+}
+
+// permutedXCFDs is a CFD pair over checking whose X lists are permutations
+// of each other, so the engine evaluates both off one shared index.
+func permutedXCFDs(sch *schema.Schema) []*cfd.CFD {
+	return []*cfd.CFD{
 		cfd.MustNew(sch, "fwd", "checking", []string{"an", "ab"}, []string{"cn"},
 			[]cfd.Row{{LHS: pattern.Wilds(2), RHS: pattern.Wilds(1)}}),
 		cfd.MustNew(sch, "rev", "checking", []string{"ab", "an"}, []string{"ca"},
 			[]cfd.Row{{LHS: pattern.Tup(pattern.Sym("EDI"), pattern.Wild), RHS: pattern.Wilds(1)}}),
 	}
-	assertEquivalent(t, db, cfds, nil)
 }
 
 // TestParallelRunIsRaceFreeAndDeterministic hammers the parallel path; run

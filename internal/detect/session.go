@@ -43,7 +43,7 @@ import (
 //
 // A Session is safe for concurrent use: Apply takes the write lock,
 // Report a read lock (upgrading once to cache a rebuilt report). The
-// returned Result and Diff values are immutable snapshots; callers must
+// returned Report and Diff values are immutable snapshots; callers must
 // not modify them.
 type Session struct {
 	mu sync.RWMutex
@@ -70,7 +70,7 @@ type Session struct {
 	events map[string]*vioEvent
 
 	dirty  bool
-	cached *Result
+	cached *Report
 }
 
 // liveRel is a coded relation that grows append-only under inserts and
@@ -350,7 +350,7 @@ func (s *Session) maybeCompact() {
 // violation and in the same order, to detect.Run over the session's
 // database. The result is cached between Applies and must be treated as
 // immutable.
-func (s *Session) Report() *Result {
+func (s *Session) Report() *Report {
 	s.mu.RLock()
 	if !s.dirty {
 		r := s.cached
@@ -641,7 +641,7 @@ func (s *Session) flushEvents() *Diff {
 	order(added)
 	order(removed)
 	d := &Diff{}
-	fill := func(dst *Result, evs []*vioEvent) {
+	fill := func(dst *Report, evs []*vioEvent) {
 		for _, e := range evs {
 			if e.isCFD {
 				dst.CFD = append(dst.CFD, e.cfdV)
@@ -659,7 +659,7 @@ func (s *Session) flushEvents() *Diff {
 // batch engine's order: constraints in input order; per CFD member, tableau
 // rows in order, X buckets in first-live-row order, pairs in partition
 // order; per CIND member, tableau rows in order, LHS tuples in scan order.
-func (s *Session) assemble() *Result {
+func (s *Session) assemble() *Report {
 	cfdOut := make([][]cfd.Violation, len(s.cfds))
 	for _, st := range s.cfdStates {
 		type bucketRef struct {
@@ -701,7 +701,7 @@ func (s *Session) assemble() *Result {
 			}
 		}
 	}
-	res := &Result{}
+	res := &Report{}
 	for _, vs := range cfdOut {
 		res.CFD = append(res.CFD, vs...)
 	}

@@ -122,11 +122,11 @@ func randDelta(rng *rand.Rand, w *streamWorkload, db *instance.Database) Delta {
 
 // recompute is the differential oracle: a full batch run over the current
 // database.
-func recompute(db *instance.Database, w *streamWorkload) *Result {
+func recompute(db *instance.Database, w *streamWorkload) *Report {
 	return Run(db, w.cfds, w.cinds, Options{Parallel: 1})
 }
 
-func resultsEqual(a, b *Result) bool {
+func resultsEqual(a, b *Report) bool {
 	return reflect.DeepEqual(a.CFD, b.CFD) && reflect.DeepEqual(a.CIND, b.CIND)
 }
 
@@ -210,7 +210,7 @@ func runDifferentialScript(t *testing.T, w *streamWorkload, seed int64, steps in
 
 // violationKeys flattens a result into multiset keys (constraint identity,
 // tableau row, witness tuples).
-func violationKeys(r *Result) map[string]int {
+func violationKeys(r *Report) map[string]int {
 	m := make(map[string]int, r.Total())
 	for _, v := range r.CFD {
 		m[fmt.Sprintf("f%p.%d.%v%v", v.CFD, v.RowIdx, v.T1, v.T2)]++
@@ -224,7 +224,7 @@ func violationKeys(r *Result) map[string]int {
 // checkDiffConsistent verifies the Diff algebra: Added and Removed are
 // disjoint, Removed ⊆ before, Added ⊆ after, and
 // after = before − Removed + Added. Returns "" when consistent.
-func checkDiffConsistent(before, after *Result, diff *Diff) string {
+func checkDiffConsistent(before, after *Report, diff *Diff) string {
 	b, a := violationKeys(before), violationKeys(after)
 	add, rem := violationKeys(&diff.Added), violationKeys(&diff.Removed)
 	for k := range add {

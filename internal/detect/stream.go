@@ -152,13 +152,13 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 	for _, g := range cfdGroups {
 		g := g
 		units = append(units, func(send func(Violation) bool) {
-			g.stream(coded, stop, func(v cfd.Violation) bool { return send(CFDViolation(v)) })
+			g.stream(coded, stop, func(_ int, v cfd.Violation) bool { return send(CFDViolation(v)) })
 		})
 	}
 	for _, g := range cindGroups {
 		g := g
 		units = append(units, func(send func(Violation) bool) {
-			g.stream(coded, stop, func(v core.Violation) bool { return send(CINDViolation(v)) })
+			g.stream(coded, stop, func(_ int, v core.Violation) bool { return send(CINDViolation(v)) })
 		})
 	}
 

@@ -25,8 +25,8 @@ var NoWallTime = &Analyzer{
 		"internal/gen", "internal/types", "internal/instance",
 		"internal/depgraph", "internal/fd", "internal/ind", "internal/cfd",
 		"internal/repair", "internal/views", "internal/constraint",
-		"internal/schema", "internal/parser", "internal/violation",
-		"internal/bank", "internal/conc",
+		"internal/schema", "internal/parser", "internal/bank",
+		"internal/conc",
 	},
 	Run: runNoWallTime,
 }

@@ -7,11 +7,11 @@ import (
 	"cind/internal/bank"
 	"cind/internal/cfd"
 	cind "cind/internal/core"
+	"cind/internal/detect"
 	"cind/internal/gen"
 	"cind/internal/instance"
 	"cind/internal/pattern"
 	"cind/internal/schema"
-	"cind/internal/violation"
 )
 
 // TestRepairBankInstance runs the paper's Example 1.2 repair automatically:
@@ -28,7 +28,7 @@ func TestRepairBankInstance(t *testing.T) {
 		t.Fatal("repair must record its changes")
 	}
 	// The dirty input is untouched.
-	if violation.Detect(dirty, bank.CFDs(sch), bank.CINDs(sch)).Clean() {
+	if detect.Run(dirty, bank.CFDs(sch), bank.CINDs(sch), detect.Options{}).Clean() {
 		t.Fatal("input database must not be mutated")
 	}
 	// The repaired interest relation holds the corrected rate.
@@ -36,7 +36,7 @@ func TestRepairBankInstance(t *testing.T) {
 		t.Fatalf("expected the 1.5%% repair:\n%s", res.DB)
 	}
 	// And the final state passes full detection.
-	if rep := violation.Detect(res.DB, bank.CFDs(sch), bank.CINDs(sch)); !rep.Clean() {
+	if rep := detect.Run(res.DB, bank.CFDs(sch), bank.CINDs(sch), detect.Options{}); !rep.Clean() {
 		t.Fatalf("detector disagrees:\n%s", rep)
 	}
 }
@@ -149,7 +149,7 @@ func TestRepairedAlwaysCleanOrReported(t *testing.T) {
 			db.Instance(rel.Name()).Insert(instance.Consts(vals...))
 		}
 		res := Repair(db, w.CFDs, w.CINDs, Options{})
-		detectorClean := violation.Detect(res.DB, w.CFDs, w.CINDs).Clean()
+		detectorClean := detect.Run(res.DB, w.CFDs, w.CINDs, detect.Options{}).Clean()
 		if res.Clean != detectorClean {
 			t.Fatalf("seed %d: Clean=%v but detector says %v", seed, res.Clean, detectorClean)
 		}

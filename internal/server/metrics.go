@@ -94,12 +94,28 @@ func (h *latencyHistogram) snapshot() map[string]int64 {
 // under "latency_us" in the /metrics map. Registration happens in New,
 // before the server serves, so the map needs no lock.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	return s.instrumentStream(name, func(w http.ResponseWriter, r *http.Request, _ func()) { h(w, r) })
+}
+
+// instrumentStream is instrument for a streaming handler, which calls
+// observe itself just before it hands the stream's terminal record to the
+// writer: a client that has read the whole stream then already finds the
+// request in the histogram. A handler that returns without calling observe
+// is observed on return; later calls are no-ops.
+func (s *Server) instrumentStream(name string, h func(w http.ResponseWriter, r *http.Request, observe func())) http.HandlerFunc {
 	hist := new(latencyHistogram)
 	s.latency[name] = hist
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(start))
+		observed := false
+		observe := func() {
+			if !observed {
+				observed = true
+				hist.Observe(time.Since(start))
+			}
+		}
+		h(w, r, observe)
+		observe()
 	}
 }
 

@@ -329,7 +329,10 @@ func TestDurableFsyncPolicies(t *testing.T) {
 			dir := t.TempDir()
 			s1, ts1 := startDurable(t, dir, Options{Fsync: policy})
 			c := ts1.Client()
-			loadBankHTTP(t, c, ts1.URL, "bank", "")
+			// parallel=1: the pre-restart stream then arrives in report
+			// order, which the recovered session serves; the default pool
+			// interleaves detection groups.
+			loadBankHTTP(t, c, ts1.URL, "bank", "?parallel=1")
 			before := streamViolations(t, c, ts1.URL+"/datasets/bank/violations")
 			m := metricsMap(t, c, ts1.URL)
 			if n := m["wal_fsyncs"].(float64); tc.name == "always" && n < float64(len(bankRelations)) {

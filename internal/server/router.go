@@ -816,10 +816,6 @@ func (rt *Router) handleViolations(w http.ResponseWriter, r *http.Request) {
 	rt.nScatters.Add(1)
 
 	ww := stream.NewWireWriter(w, fl, enc)
-	defer func() {
-		ww.Close()
-		rt.nStreamed.Add(ww.Count())
-	}()
 
 	sources := make([]shard.Source, len(resps))
 	for i, resp := range resps {
@@ -843,6 +839,9 @@ func (rt *Router) handleViolations(w http.ResponseWriter, r *http.Request) {
 			n++
 			return limit <= 0 || n < limit
 		})
+	// Count the stream before its terminal record goes out, so /metrics
+	// agrees with any stream a client has finished reading.
+	rt.nStreamed.Add(ww.Count())
 	switch {
 	case err == nil:
 		ww.Close()

@@ -253,7 +253,7 @@ func New() *Server {
 	mux.HandleFunc("PUT /datasets/{name}", s.instrument("put_data", s.handlePutData))
 	mux.HandleFunc("GET /datasets/{name}", s.instrument("info", s.handleInfo))
 	mux.HandleFunc("DELETE /datasets/{name}", s.instrument("delete", s.handleDelete))
-	mux.HandleFunc("GET /datasets/{name}/violations", s.instrument("violations", s.handleViolations))
+	mux.HandleFunc("GET /datasets/{name}/violations", s.instrumentStream("violations", s.handleViolations))
 	mux.HandleFunc("POST /datasets/{name}/deltas", s.instrument("deltas", s.handleDeltas))
 	mux.HandleFunc("POST /datasets/{name}/repair", s.instrument("repair", s.handleRepair))
 	mux.HandleFunc("POST /datasets/{name}/implication", s.instrument("implication", s.handleImplication))
@@ -691,7 +691,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // a complete stream (limit included), the terminal error record after a
 // cancellation — flushed, so a client can always tell a complete stream
 // from a truncated one.
-func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, observe func()) {
 	d, ok := s.findDataset(w, r)
 	if !ok {
 		return
@@ -717,35 +717,44 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 
 	s.nActiveStream.Add(1)
-	defer s.nActiveStream.Add(-1)
-
 	sw := stream.NewWriter(w, fl, enc, stream.Options{})
-	defer func() {
-		// Close is idempotent: a no-op after the explicit CloseError /
-		// Close below, the trailer writer on the limit-break path.
-		sw.Close()
-		s.nStreamed.Add(sw.Count())
-	}()
 	n := 0
+	endErr := ""
 	for v, err := range chk.Violations(ctx) {
 		if err != nil {
 			// Cancellation (client gone, or Drain): end with the terminal
 			// error record — a disconnected client simply won't read it —
 			// and unwind the iterator, which stops the workers before
 			// Violations hands control back.
-			sw.CloseError(err.Error())
-			return
+			endErr = err.Error()
+			break
 		}
 		if !sw.Send(v) {
 			// The response writer failed: the client is gone. CloseError
 			// keeps the writer's bookkeeping exact; nothing reaches the
 			// socket.
-			sw.CloseError("client write failed")
-			return
+			endErr = "client write failed"
+			break
 		}
 		if n++; limit > 0 && n >= limit {
-			return
+			break
 		}
+	}
+	// Settle the stream's metrics before its terminal record goes out, so
+	// /metrics agrees with any stream a client has finished reading. The
+	// writer writes every violation it was handed unless the client is
+	// gone; then nobody reads the terminal record, and Count corrects the
+	// total afterwards.
+	s.nStreamed.Add(int64(n))
+	s.nActiveStream.Add(-1)
+	observe()
+	if endErr != "" {
+		sw.CloseError(endErr)
+	} else {
+		sw.Close()
+	}
+	if c := sw.Count(); c != int64(n) {
+		s.nStreamed.Add(c - int64(n))
 	}
 }
 

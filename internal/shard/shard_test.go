@@ -193,13 +193,10 @@ func TestOrderKeyErrors(t *testing.T) {
 
 // resultWire renders a detection result in report order — all CFD
 // violations, then all CIND violations.
-func resultWire(res *detect.Result) []stream.Violation {
+func resultWire(res *detect.Report) []stream.Violation {
 	out := make([]stream.Violation, 0, res.Total())
-	for _, v := range res.CFD {
-		out = append(out, stream.Convert(detect.CFDViolation(v)))
-	}
-	for _, v := range res.CIND {
-		out = append(out, stream.Convert(detect.CINDViolation(v)))
+	for _, v := range res.Violations() {
+		out = append(out, stream.Convert(v))
 	}
 	return out
 }

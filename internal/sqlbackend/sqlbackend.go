@@ -35,11 +35,11 @@ import (
 
 	"cind/internal/cfd"
 	cind "cind/internal/core"
+	"cind/internal/detect"
 	"cind/internal/instance"
 	"cind/internal/memdb"
 	"cind/internal/sqlgen"
 	"cind/internal/types"
-	"cind/internal/violation"
 )
 
 // SeqColumn is the hidden column every relation mirror carries: the
@@ -98,18 +98,18 @@ func (b *Backend) DB() *sql.DB { return b.db }
 
 // Detect evaluates every constraint against src through SQL and returns
 // the violation report: violations grouped per constraint in input order,
-// exactly as violation.Detect produces — the differential suite asserts
+// exactly as detect.Run produces — the differential suite asserts
 // equality violation for violation. A positive limit returns the first
 // limit violations of the unlimited run (the CFD-then-CIND concatenation
 // prefix, like detect.Options.Limit). ctx cancels between and inside
 // queries via QueryContext.
-func (b *Backend) Detect(ctx context.Context, src *instance.Database, cfds []*cfd.CFD, cinds []*cind.CIND, limit int) (*violation.Report, error) {
+func (b *Backend) Detect(ctx context.Context, src *instance.Database, cfds []*cfd.CFD, cinds []*cind.CIND, limit int) (*detect.Report, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := b.sync(ctx, src); err != nil {
 		return nil, err
 	}
-	rep := &violation.Report{}
+	rep := &detect.Report{}
 	full := func() bool { return limit > 0 && len(rep.CFD)+len(rep.CIND) >= limit }
 	for _, c := range cfds {
 		if full() {

@@ -14,13 +14,13 @@ import (
 	"cind/internal/bank"
 	"cind/internal/cfd"
 	cind "cind/internal/core"
+	"cind/internal/detect"
 	"cind/internal/gen"
 	"cind/internal/instance"
 	"cind/internal/memdb"
 	"cind/internal/pattern"
 	"cind/internal/schema"
 	"cind/internal/types"
-	"cind/internal/violation"
 )
 
 func newBackend(t *testing.T) *Backend {
@@ -38,7 +38,7 @@ func newBackend(t *testing.T) *Backend {
 // constraints and tuples of the same database render identically, so the
 // rendered report is a faithful equality check; counts are compared first
 // for a readable failure.
-func assertSameReport(t *testing.T, got, want *violation.Report) {
+func assertSameReport(t *testing.T, got, want *detect.Report) {
 	t.Helper()
 	if got.Total() != want.Total() {
 		t.Fatalf("SQL backend found %d violations, in-memory engine %d\nsql:\n%s\nmemory:\n%s",
@@ -64,13 +64,13 @@ func assertSameReport(t *testing.T, got, want *violation.Report) {
 	}
 }
 
-func detectBoth(t *testing.T, b *Backend, db *instance.Database, cfds []*cfd.CFD, cinds []*cind.CIND) (*violation.Report, *violation.Report) {
+func detectBoth(t *testing.T, b *Backend, db *instance.Database, cfds []*cfd.CFD, cinds []*cind.CIND) (*detect.Report, *detect.Report) {
 	t.Helper()
 	got, err := b.Detect(context.Background(), db, cfds, cinds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, violation.Detect(db, cfds, cinds)
+	return got, detect.Run(db, cfds, cinds, detect.Options{})
 }
 
 func TestDifferentialBank(t *testing.T) {
