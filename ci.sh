@@ -100,7 +100,10 @@ if [ -z "$base" ]; then
 	exit 1
 fi
 curl -sSf "$base/healthz" > /dev/null
-curl -sSf -X PUT --data-binary @testdata/bank/bank.cind "$base/datasets/bank/constraints" > /dev/null
+# parallel=1: the stream's order is exact only without the worker pool (a
+# pool streams the same multiset in a run-dependent order), and every
+# byte comparison below needs that exact order.
+curl -sSf -X PUT --data-binary @testdata/bank/bank.cind "$base/datasets/bank/constraints?parallel=1" > /dev/null
 for rel in interest saving checking account_NYC account_EDI; do
 	curl -sSf -X PUT --data-binary "@testdata/bank/$rel.csv" "$base/datasets/bank?relation=$rel" > /dev/null
 done
@@ -365,10 +368,35 @@ if [ "$bin_rt" != "$ndjson" ]; then
 	printf 'router binary:\n%s\nsingle ndjson:\n%s\n' "$bin_rt" "$ndjson" >&2
 	exit 1
 fi
-curl -sSf "$base/metrics" | grep -q '"rollup"' || {
+# The router answers reasoning itself, through the single node's handlers:
+# the Example 3.3 goal comes back implied with a proof.
+impl_rt="$(printf 'cind ex33: account_EDI[at; nil] <= interest[at; nil] { (_ || _) }\n' \
+	| curl -sSf -X POST --data-binary @- "$base/datasets/bank/implication")"
+case "$impl_rt" in
+*'"verdict":"implied"'*'"proof":'*) ;;
+*)
+	echo "ci: router implication did not answer implied-with-proof: $impl_rt" >&2
+	exit 1
+	;;
+esac
+metrics_rt="$(curl -sSf "$base/metrics")"
+case "$metrics_rt" in
+*'"rollup"'*) ;;
+*)
 	echo "ci: router /metrics carries no per-shard rollup" >&2
 	exit 1
-}
+	;;
+esac
+# The router's own section (keys sorted: "rollup", "router", "shards")
+# carries the shared handlers' latency histograms.
+router_vars="$(printf '%s' "$metrics_rt" | sed -n 's/.*"router":\(.*\),"shards":{.*/\1/p')"
+case "$router_vars" in
+*'"latency_us"'*'"violations"'*) ;;
+*)
+	echo "ci: router /metrics router section carries no latency_us histograms: $metrics_rt" >&2
+	exit 1
+	;;
+esac
 # Kill shard 1: /healthz must degrade to 503 and name the dead shard.
 kill -9 "$s1_pid"
 wait "$s1_pid" 2> /dev/null || true
@@ -393,6 +421,6 @@ if ! wait "$rt_pid"; then
 	exit 1
 fi
 wait "$s0_pid" 2> /dev/null || true
-echo "router smoke: sharded stream == single-node stream, dead shard named in 503"
+echo "router smoke: sharded stream == single-node stream, reasoning served, dead shard named in 503"
 
 echo "ci: all green"

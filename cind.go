@@ -158,10 +158,9 @@
 // shards in the binary wire format and k-way merging them back into the
 // single node's exact report order. Sharded and single-node serving are
 // differentially tested to be byte-identical, violation for violation.
-// Reasoning calls are placed on one shard by consistent hash of the
-// dataset name (every shard holds the full Σ), /healthz fans in and
-// degrades to 503 naming dead shards, and /metrics rolls up per-shard
-// counters. Start each shard with -shard N so a shared -data root
+// The router serves the single node's handlers and answers reasoning
+// calls itself from the full Σ it holds, /healthz fans in and degrades
+// to 503 naming dead shards, and /metrics rolls up per-shard counters. Start each shard with -shard N so a shared -data root
 // namespaces per-shard WALs. See internal/shard and the "Sharding"
 // section of PERFORMANCE.md for the scaling curve.
 //

@@ -76,10 +76,11 @@
 // Datasets are hash-partitioned across the shards with CIND right-hand
 // sides replicated, violation streams are scattered to every shard as
 // binary frames and k-way merged back into the exact single-node order,
-// and reasoning calls proxy to a consistent-hash home shard. Repair
-// answers 501 in router mode. Shards started for a router should pass
-// -shard N (their index in the -route list), which namespaces -data so
-// two shards never share a WAL directory:
+// and the router answers reasoning calls itself from the constraint set
+// it holds. Router endpoints carry the same latency histograms as a
+// single node's. Repair answers 501 in router mode. Shards started for a
+// router should pass -shard N (their index in the -route list), which
+// namespaces -data so two shards never share a WAL directory:
 //
 //	cindserve -addr :8081 -shard 0 -data /var/lib/cind
 //	cindserve -addr :8082 -shard 1 -data /var/lib/cind
@@ -129,27 +130,31 @@ func main() {
 	flag.Var(&load, "load", "relation=file.csv to preload (repeatable; header row required)")
 	flag.Parse()
 
-	if *route != "" {
-		if *constraints != "" || len(load) > 0 || *dataDir != "" || *shardIdx >= 0 || *backend != "" {
-			fmt.Fprintln(os.Stderr, "cindserve: -route is exclusive with -constraints/-load/-data/-shard/-backend")
-			os.Exit(2)
-		}
-		runRouter(*addr, *route)
-		return
-	}
-	if *shardIdx >= 0 && *dataDir != "" {
-		*dataDir = shard.DataDir(*dataDir, *shardIdx)
-	}
-
 	policy, err := wal.ParsePolicy(*fsync)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cindserve:", err)
 		os.Exit(2)
 	}
-	srv, err := server.NewWithOptions(server.Options{DataDir: *dataDir, Fsync: policy, Backend: *backend})
+	var srv *server.Server
+	if *route != "" {
+		if *constraints != "" || len(load) > 0 || *dataDir != "" || *shardIdx >= 0 || *backend != "" {
+			fmt.Fprintln(os.Stderr, "cindserve: -route is exclusive with -constraints/-load/-data/-shard/-backend")
+			os.Exit(2)
+		}
+		shards := strings.FieldsFunc(*route, func(r rune) bool { return r == ',' })
+		srv, err = server.NewRouter(server.RouterOptions{Shards: shards})
+	} else {
+		if *shardIdx >= 0 && *dataDir != "" {
+			*dataDir = shard.DataDir(*dataDir, *shardIdx)
+		}
+		srv, err = server.NewWithOptions(server.Options{DataDir: *dataDir, Fsync: policy, Backend: *backend})
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cindserve:", err)
 		os.Exit(2)
+	}
+	if *route != "" {
+		fmt.Printf("cindserve: routing shards %s\n", *route)
 	}
 	if *dataDir != "" {
 		fmt.Printf("cindserve: durable datasets under %s (fsync=%s)\n", *dataDir, *fsync)
@@ -235,52 +240,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("cindserve: shut down cleanly")
-}
-
-// runRouter serves router mode: the same HTTP surface, scatter-gathered
-// over the given shard fleet. It never returns.
-func runRouter(addr, route string) {
-	var shards []string
-	for _, s := range strings.Split(route, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			shards = append(shards, s)
-		}
-	}
-	rt, err := server.NewRouter(server.RouterOptions{Shards: shards})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cindserve:", err)
-		os.Exit(2)
-	}
-	expvar.Publish("cindserve", rt.Vars())
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cindserve:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("cindserve: routing %d shards (%s)\n", len(rt.Shards()), strings.Join(rt.Shards(), ", "))
-	fmt.Printf("cindserve: listening on http://%s\n", ln.Addr())
-
-	hs := server.NewRouterHTTPServer(rt)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Println("cindserve: shutting down, draining streams")
-		rt.Drain()
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownErr <- hs.Shutdown(sctx)
-	}()
-	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "cindserve:", err)
-		os.Exit(1)
-	}
-	if err := <-shutdownErr; err != nil {
-		fmt.Fprintln(os.Stderr, "cindserve: shutdown:", err)
-		os.Exit(1)
-	}
-	fmt.Println("cindserve: shut down cleanly")
-	os.Exit(0)
 }

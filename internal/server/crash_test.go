@@ -159,10 +159,11 @@ func TestKillNineRecoveryDifferential(t *testing.T) {
 
 	// The surviving markers must form a prefix of the stream: WAL record
 	// order is apply order, and the log is applied whole.
-	d, ok := s2.dataset("crash")
+	ds, ok := s2.dataset("crash")
 	if !ok {
 		t.Fatal("recovered server lost dataset \"crash\"")
 	}
+	d := ds.(*local)
 	present := map[int]bool{}
 	d.mu.Lock()
 	for _, tup := range d.db.Instance("T").Tuples() {

@@ -25,47 +25,32 @@ func (p *trailerProbe) Write(b []byte) (int, error) {
 }
 
 // TestStreamMetricsSettleBeforeTrailer pins that /metrics agrees with any
-// stream a client has finished reading: when the trailer is written, the
-// stream is already counted in violations_streamed, gone from
-// active_streams and observed in the violations latency histogram.
+// stream a client has finished reading, on a single node and on a router's
+// scatter-gather stream alike: when the trailer is written, the stream is
+// already counted in violations_streamed, gone from active_streams and
+// observed in the violations latency histogram.
 func TestStreamMetricsSettleBeforeTrailer(t *testing.T) {
-	s, ts := startServer(t)
-	loadBankHTTP(t, ts.Client(), ts.URL, "bank", "")
-	var streamed, active, observed int64 = -1, -1, -1
-	w := &trailerProbe{ResponseRecorder: httptest.NewRecorder(), probe: func() {
-		streamed, active = s.nStreamed.Value(), s.nActiveStream.Value()
-		observed = s.latency["violations"].total.Load()
-	}}
-	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/datasets/bank/violations", nil))
-	vs, err := stream.DecodeAll(w.Body, stream.NDJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) == 0 {
-		t.Fatal("bank stream carried no violations; the check is vacuous")
-	}
-	if streamed != int64(len(vs)) || active != 0 || observed != 1 {
-		t.Fatalf("at the trailer: violations_streamed=%d active_streams=%d violations latency count=%d; want %d, 0, 1",
-			streamed, active, observed, len(vs))
-	}
-}
-
-// TestRouterStreamMetricsSettleBeforeTrailer is the same pin for the
-// router's scatter-gather stream.
-func TestRouterStreamMetricsSettleBeforeTrailer(t *testing.T) {
-	rt, rts, _ := startFleet(t, 2)
-	loadBankHTTP(t, rts.Client(), rts.URL, "bank", "")
-	streamed := int64(-1)
-	w := &trailerProbe{ResponseRecorder: httptest.NewRecorder(), probe: func() { streamed = rt.nStreamed.Value() }}
-	rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/datasets/bank/violations", nil))
-	vs, err := stream.DecodeAll(w.Body, stream.NDJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) == 0 {
-		t.Fatal("bank stream carried no violations; the check is vacuous")
-	}
-	if streamed != int64(len(vs)) {
-		t.Fatalf("at the trailer: violations_streamed=%d, want %d", streamed, len(vs))
+	for _, mode := range serveModes {
+		t.Run(mode.name, func(t *testing.T) {
+			s, ts := mode.start(t)
+			loadBankHTTP(t, ts.Client(), ts.URL, "bank", "")
+			var streamed, active, observed int64 = -1, -1, -1
+			w := &trailerProbe{ResponseRecorder: httptest.NewRecorder(), probe: func() {
+				streamed, active = s.nStreamed.Value(), s.nActiveStream.Value()
+				observed = s.latency["violations"].total.Load()
+			}}
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/datasets/bank/violations", nil))
+			vs, err := stream.DecodeAll(w.Body, stream.NDJSON)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(vs) == 0 {
+				t.Fatal("bank stream carried no violations; the check is vacuous")
+			}
+			if streamed != int64(len(vs)) || active != 0 || observed != 1 {
+				t.Fatalf("at the trailer: violations_streamed=%d active_streams=%d violations latency count=%d; want %d, 0, 1",
+					streamed, active, observed, len(vs))
+			}
+		})
 	}
 }

@@ -119,21 +119,16 @@ func NewWithOptions(opts Options) (*Server, error) {
 // no Close, but it is safe.
 func (s *Server) Close() error {
 	s.mu.RLock()
-	ds := make([]*dataset, 0, len(s.datasets))
+	ds := make([]dataset, 0, len(s.datasets))
 	for _, d := range s.datasets {
 		ds = append(ds, d)
 	}
 	s.mu.RUnlock()
 	var err error
 	for _, d := range ds {
-		d.writeMu.Lock()
-		if d.pd != nil {
-			if cerr := d.pd.Close(); err == nil {
-				err = cerr
-			}
+		if cerr := d.close(); err == nil {
+			err = cerr
 		}
-		d.writeMu.Unlock()
-		d.closeBackend()
 	}
 	return err
 }
@@ -151,7 +146,7 @@ func (s *Server) recoverDataset(name string) error {
 		pd.Close()
 		return fmt.Errorf("constraint spec: %w", err)
 	}
-	d, err := s.newDataset(name, set, 0)
+	d, err := s.newLocal(name, set, 0)
 	if err != nil {
 		pd.Close()
 		return err
@@ -199,7 +194,7 @@ func (s *Server) recoverDataset(name string) error {
 // the PR-4 delta wire format (a JSON array of {"op","rel","tuple"}
 // objects), chunked under the decode cap, then takes a snapshot if the
 // cadence tripped. Caller holds writeMu; no-op in-memory.
-func (d *dataset) persistDeltas(deltas []cind.Delta) error {
+func (d *local) persistDeltas(deltas []cind.Delta) error {
 	if d.pd == nil || len(deltas) == 0 {
 		return nil
 	}
@@ -221,7 +216,7 @@ func (d *dataset) persistDeltas(deltas []cind.Delta) error {
 // persistInserts is persistDeltas for a direct (pre-checker) CSV load:
 // the rows become insert deltas, the WAL's only record kind, so boot
 // replay reconstructs CSV loads and delta batches through one path.
-func (d *dataset) persistInserts(rel string, tuples []cind.Tuple) error {
+func (d *local) persistInserts(rel string, tuples []cind.Tuple) error {
 	deltas := make([]cind.Delta, len(tuples))
 	for i, t := range tuples {
 		deltas[i] = cind.InsertDelta(rel, t)
@@ -234,7 +229,7 @@ func (d *dataset) persistInserts(rel string, tuples []cind.Tuple) error {
 // race-free; concurrent streams only read. Snapshot failure is counted and
 // swallowed: the WAL already holds the batch durably, a missed snapshot
 // only lengthens the next recovery.
-func (d *dataset) maybeSnapshot() {
+func (d *local) maybeSnapshot() {
 	if d.sinceSnap < d.snapBatches && d.pd.LogSize()-d.snapAtOffset < d.snapBytes {
 		return
 	}

@@ -5,15 +5,14 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	cind "cind"
@@ -24,11 +23,21 @@ import (
 	"cind/internal/stream"
 )
 
-// Router serves the cindserve dataset API over a fleet of shard servers
-// instead of a local Checker. It speaks the same HTTP surface a single
-// node does — same routes, same request and response shapes, same
-// violation stream encodings — so clients cannot tell (and cindviolate
-// does not care) whether a URL names one node or a cluster.
+// RouterOptions configures NewRouter.
+type RouterOptions struct {
+	// Shards are the shard servers' base URLs, e.g. "http://10.0.0.1:8081".
+	// Order matters: shard 0 owns the constraints whose violations every
+	// shard would report identically, and tuple placement hashes modulo
+	// the slice length. At least one is required.
+	Shards []string
+}
+
+// NewRouter returns a Server whose datasets are routed over a fleet of
+// shard servers instead of served by a local Checker. It speaks the same
+// HTTP surface through the same handlers — same routes, same request and
+// response shapes, same violation stream encodings — so clients cannot
+// tell (and cindviolate does not care) whether a URL names one node or a
+// cluster.
 //
 // Per dataset the router computes a shard.Plan once at create time and
 // from then on:
@@ -43,65 +52,12 @@ import (
 //   - mirrors the fleet's tuple insertion order in a shard.Order so every
 //     wire violation's global merge key can be reconstructed router-side.
 //
-// Reasoning calls (implication, consistency, minimize) depend only on the
-// constraint set, which every shard holds in full, so they proxy to the
-// dataset's home shard on a consistent-hash ring. Repair is the one
+// The reasoning endpoints depend only on the constraint set, which the
+// router holds in full, so it answers them itself. Repair is the one
 // endpoint that needs the whole instance on one machine and answers 501.
-//
-// Concurrency: one RWMutex per dataset. A gather holds the read lock for
-// the whole scatter-and-merge, mutations take the write lock — the same
-// reader/writer discipline a single-node Checker documents, so a stream
-// observes one atomic batch boundary, never a half-applied batch.
-type Router struct {
-	shards []string
-	client *http.Client
-	ring   *shard.Ring
-	mux    *http.ServeMux
-
-	baseCtx context.Context
-	drainFn context.CancelFunc
-
-	mu       sync.RWMutex
-	datasets map[string]*routed
-
-	vars      *expvar.Map
-	nDatasets *expvar.Int
-	nRequests *expvar.Int
-	nStreamed *expvar.Int
-	nDeltas   *expvar.Int
-	nProxied  *expvar.Int
-	nScatters *expvar.Int
-	nCopyErrs *expvar.Int
-}
-
-// routed is the router's per-dataset state.
-type routed struct {
-	name string
-	set  *cind.ConstraintSet
-	plan *shard.Plan
-
-	// mu serializes mutations (loads, deltas) against gathers: gathers
-	// hold it shared for the full scatter-and-merge, mutations hold it
-	// exclusively, so order always matches what the shards hold.
-	mu    sync.RWMutex
-	order *shard.Order
-}
-
-// RouterOptions configures NewRouter.
-type RouterOptions struct {
-	// Shards are the shard servers' base URLs, e.g. "http://10.0.0.1:8081".
-	// Order matters: shard 0 owns the constraints whose violations every
-	// shard would report identically, and tuple placement hashes modulo
-	// the slice length. At least one is required.
-	Shards []string
-	// Client overrides the HTTP client used for all shard traffic. The
-	// default has no overall timeout — violation streams are legitimately
-	// long-lived — and relies on per-request contexts for cancellation.
-	Client *http.Client
-}
-
-// NewRouter returns a Router over the given shard fleet.
-func NewRouter(opts RouterOptions) (*Router, error) {
+// A failed fan-out answers 502. /healthz and /metrics fan out to the
+// fleet.
+func NewRouter(opts RouterOptions) (*Server, error) {
 	if len(opts.Shards) == 0 {
 		return nil, fmt.Errorf("server: router needs at least one shard")
 	}
@@ -116,111 +72,37 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		}
 		shards[i] = s
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	rt := &Router{
-		shards:    shards,
-		client:    client,
-		ring:      shard.NewRing(len(shards)),
-		baseCtx:   ctx,
-		drainFn:   cancel,
-		datasets:  make(map[string]*routed),
-		vars:      new(expvar.Map).Init(),
-		nDatasets: new(expvar.Int),
-		nRequests: new(expvar.Int),
-		nStreamed: new(expvar.Int),
-		nDeltas:   new(expvar.Int),
-		nProxied:  new(expvar.Int),
-		nScatters: new(expvar.Int),
-		nCopyErrs: new(expvar.Int),
-	}
-	rt.vars.Set("datasets", rt.nDatasets)
-	rt.vars.Set("requests", rt.nRequests)
-	rt.vars.Set("violations_streamed", rt.nStreamed)
-	rt.vars.Set("deltas_applied", rt.nDeltas)
-	rt.vars.Set("reasoning_proxied", rt.nProxied)
-	rt.vars.Set("scatter_streams", rt.nScatters)
-	rt.vars.Set("proxy_copy_errors", rt.nCopyErrs)
-	rt.vars.Set("shards", expvar.Func(func() any { return len(shards) }))
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", rt.handleHealth)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("GET /datasets", rt.handleList)
-	mux.HandleFunc("PUT /datasets/{name}/constraints", rt.handleCreate)
-	mux.HandleFunc("PUT /datasets/{name}", rt.handlePutData)
-	mux.HandleFunc("GET /datasets/{name}", rt.handleInfo)
-	mux.HandleFunc("DELETE /datasets/{name}", rt.handleDelete)
-	mux.HandleFunc("GET /datasets/{name}/violations", rt.handleViolations)
-	mux.HandleFunc("POST /datasets/{name}/deltas", rt.handleDeltas)
-	mux.HandleFunc("POST /datasets/{name}/repair", rt.handleRepair)
-	mux.HandleFunc("POST /datasets/{name}/implication", rt.handleProxy)
-	mux.HandleFunc("GET /datasets/{name}/consistency", rt.handleProxy)
-	mux.HandleFunc("POST /datasets/{name}/minimize", rt.handleProxy)
-	rt.mux = mux
-	return rt, nil
+	// The client has no overall timeout — violation streams are
+	// legitimately long-lived — and relies on per-request contexts for
+	// cancellation.
+	f := &fleet{shards: shards, client: &http.Client{}, nScatters: new(expvar.Int)}
+	s := newServer()
+	s.create = f.create
+	s.vars.Set("scatter_streams", f.nScatters)
+	s.vars.Set("shards", expvar.Func(func() any { return len(shards) }))
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		f.handleHealth(w, r, s.datasetCount())
+	})
+	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		f.handleMetrics(w, r, s.vars)
+	})
+	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.nRequests.Add(1)
-	rt.mux.ServeHTTP(w, r)
+// NewRouterHTTPServer wraps a router in the http.Server NewHTTPServer
+// gives a single node.
+func NewRouterHTTPServer(s *Server) *http.Server { return NewHTTPServer(s) }
+
+// fleet is a router's shard servers and the client every fan-out uses.
+type fleet struct {
+	shards    []string
+	client    *http.Client
+	nScatters *expvar.Int // violation scatters opened, lifetime
 }
 
-// BaseContext is the value for http.Server.BaseContext, as on Server.
-func (rt *Router) BaseContext(net.Listener) context.Context { return rt.baseCtx }
-
-// Drain cancels the base context: in-flight gathers end with a terminal
-// error record and their scatter requests are cancelled.
-func (rt *Router) Drain() { rt.drainFn() }
-
-// Vars returns the router's metric map.
-func (rt *Router) Vars() expvar.Var { return rt.vars }
-
-// Shards returns the fleet's base URLs, in placement order.
-func (rt *Router) Shards() []string { return append([]string(nil), rt.shards...) }
-
-// NewRouterHTTPServer wraps a Router in an http.Server with the same
-// timeout posture NewHTTPServer gives a single node.
-func NewRouterHTTPServer(rt *Router) *http.Server {
-	return &http.Server{
-		Handler:           rt,
-		BaseContext:       rt.BaseContext,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
-// boundContext mirrors Server.boundContext for the router.
-func (rt *Router) boundContext(r *http.Request) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(r.Context())
-	unbind := context.AfterFunc(rt.baseCtx, cancel)
-	return ctx, func() { unbind(); cancel() }
-}
-
-func (rt *Router) dataset(name string) (*routed, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	d, ok := rt.datasets[name]
-	return d, ok
-}
-
-func (rt *Router) findDataset(w http.ResponseWriter, r *http.Request) (*routed, bool) {
-	name := r.PathValue("name")
-	d, ok := rt.dataset(name)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no dataset %q", name))
-	}
-	return d, ok
-}
-
-// shardDo issues one request to one shard, wrapping transport errors with
-// the shard's address so fan-out failures name the culprit.
-func (rt *Router) shardDo(ctx context.Context, method, base, path string, body []byte, accept string) (*http.Response, error) {
+// do issues one request to one shard, wrapping transport errors with the
+// shard's address so fan-out failures name the culprit.
+func (f *fleet) do(ctx context.Context, method, base, path string, body []byte, accept string) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -232,18 +114,18 @@ func (rt *Router) shardDo(ctx context.Context, method, base, path string, body [
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", base, err)
 	}
 	return resp, nil
 }
 
-// shardJSON issues a request expecting a 2xx JSON response, decodes it
-// into out (may be nil), and turns any other status into an error naming
-// the shard and relaying its error body.
-func (rt *Router) shardJSON(ctx context.Context, method, base, path string, body []byte, out any) error {
-	resp, err := rt.shardDo(ctx, method, base, path, body, "")
+// doJSON issues a request expecting a 2xx JSON response, decodes it into out
+// (may be nil), and turns any other status into an error naming the shard
+// and relaying its error body.
+func (f *fleet) doJSON(ctx context.Context, method, base, path string, body []byte, out any) error {
+	resp, err := f.do(ctx, method, base, path, body, "")
 	if err != nil {
 		return err
 	}
@@ -271,58 +153,55 @@ func shardErrorText(resp *http.Response) string {
 	return fmt.Sprintf("HTTP %d", resp.StatusCode)
 }
 
-// firstError returns the first non-nil error of a fan-out.
-func firstError(errs []error) error {
+// fanOut runs fn against every shard concurrently. The first failure
+// comes back as the 502 every failed fan-out answers, prefixed with what.
+func (f *fleet) fanOut(what string, fn func(i int, base string) error) error {
+	errs := conc.FanOut(len(f.shards), func(i int) error { return fn(i, f.shards[i]) })
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return &statusError{code: http.StatusBadGateway, err: fmt.Errorf("%s: %w", what, err)}
 		}
 	}
 	return nil
 }
 
-// --- control-plane handlers ---
-
 // handleHealth fans /healthz out to every shard. All alive answers 200;
 // any dead shard degrades the fleet to 503 with the dead addresses named,
 // so an operator (or the ci smoke) can tell exactly which node to revive.
-func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (f *fleet) handleHealth(w http.ResponseWriter, r *http.Request, datasets int) {
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	errs := conc.FanOut(len(rt.shards), func(i int) error {
-		return rt.shardJSON(ctx, http.MethodGet, rt.shards[i], "/healthz", nil, nil)
+	errs := conc.FanOut(len(f.shards), func(i int) error {
+		return f.doJSON(ctx, http.MethodGet, f.shards[i], "/healthz", nil, nil)
 	})
 	dead := make([]string, 0)
 	for i, err := range errs {
 		if err != nil {
-			dead = append(dead, rt.shards[i])
+			dead = append(dead, f.shards[i])
 		}
 	}
-	rt.mu.RLock()
-	n := len(rt.datasets)
-	rt.mu.RUnlock()
 	if len(dead) > 0 {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "degraded", "dead": dead, "shards": len(rt.shards), "datasets": n,
+			"status": "degraded", "dead": dead, "shards": len(f.shards), "datasets": datasets,
 		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "shards": len(rt.shards), "datasets": n,
+		"status": "ok", "shards": len(f.shards), "datasets": datasets,
 	})
 }
 
-// handleMetrics reports the router's own counters plus every shard's
+// handleMetrics reports the router's own metric map plus every shard's
 // /metrics verbatim under its address, and a cross-shard roll-up summing
 // every numeric counter — the fleet-wide totals a single node's /metrics
 // would have shown.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (f *fleet) handleMetrics(w http.ResponseWriter, r *http.Request, own *expvar.Map) {
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	perShard := make([]json.RawMessage, len(rt.shards))
-	conc.FanOut(len(rt.shards), func(i int) error {
+	perShard := make([]json.RawMessage, len(f.shards))
+	conc.FanOut(len(f.shards), func(i int) error {
 		var raw json.RawMessage
-		if err := rt.shardJSON(ctx, http.MethodGet, rt.shards[i], "/metrics", nil, &raw); err != nil {
+		if err := f.doJSON(ctx, http.MethodGet, f.shards[i], "/metrics", nil, &raw); err != nil {
 			msg, _ := json.Marshal(map[string]string{"error": err.Error()})
 			raw = msg
 		}
@@ -330,200 +209,147 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	rollup := make(map[string]float64)
-	shardsOut := make(map[string]json.RawMessage, len(rt.shards))
+	shardsOut := make(map[string]json.RawMessage, len(f.shards))
 	for i, raw := range perShard {
-		shardsOut[rt.shards[i]] = raw
+		shardsOut[f.shards[i]] = raw
 		var m map[string]any
 		if json.Unmarshal(raw, &m) != nil {
 			continue
 		}
 		for k, v := range m {
-			if f, ok := v.(float64); ok {
-				rollup[k] += f
+			if n, ok := v.(float64); ok {
+				rollup[k] += n
 			}
 		}
 	}
-	var router json.RawMessage = []byte(rt.vars.String())
+	var router json.RawMessage = []byte(own.String())
 	writeJSON(w, http.StatusOK, map[string]any{
 		"router": router, "shards": shardsOut, "rollup": rollup,
 	})
 }
 
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	rt.mu.RLock()
-	names := make([]string, 0, len(rt.datasets))
-	for name := range rt.datasets {
-		names = append(names, name)
-	}
-	rt.mu.RUnlock()
-	sort.Strings(names)
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": names})
+// routed is a router's dataset: the shard plan and the order tracker that
+// mirrors the fleet's tuple insertion order.
+type routed struct {
+	datasetMeta
+	fleet *fleet
+	plan  *shard.Plan
+
+	// mu serializes mutations (loads, deltas) against gathers: gathers
+	// hold it shared for the full scatter-and-merge, mutations hold it
+	// exclusively, so order always matches what the shards hold — the
+	// reader/writer discipline a single-node Checker documents, so a
+	// stream observes one atomic batch boundary, never a half-applied
+	// batch.
+	mu    sync.RWMutex
+	order *shard.Order
+
+	// sizes is the order tracker's tuple counts, republished by every
+	// mutation before it releases mu: info reads it without taking mu,
+	// which a gather holds for a whole stream and a queued writer then
+	// closes to new readers.
+	sizes atomic.Pointer[map[string]int]
 }
 
-// --- dataset lifecycle ---
-
-// handleCreate parses the constraint set, computes the shard plan, and
-// creates the dataset on every shard — pinned to parallel=1 and primed
-// into incremental mode with an empty delta batch, which is what makes
-// every shard's violation stream deterministically report-ordered, the
-// property the gather's k-way merge rests on. Creation is idempotent
-// (PUT replaces), so a partially failed create is repaired by retrying.
-func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if p := r.URL.Query().Get("parallel"); p != "" {
-		// Accepted for interface parity, but shards always run at
-		// parallel=1: stream determinism is what the merge needs.
-		if n, err := strconv.Atoi(p); err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad parallel %q", p))
-			return
-		}
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxConstraintsBody))
+// create is a router's dataset factory: it computes the shard plan and
+// creates the dataset on every shard — pinned to parallel=1 whatever
+// the request asked, and primed into incremental mode with an empty delta
+// batch, which is what makes every shard's violation stream
+// deterministically report-ordered, the property the gather's k-way merge
+// rests on. Creation is idempotent (PUT replaces), so a partially failed
+// create is repaired by retrying.
+func (f *fleet) create(ctx context.Context, name string, set *cind.ConstraintSet, _ int) (dataset, error) {
+	plan, err := shard.NewPlan(set, len(f.shards))
 	if err != nil {
-		bodyError(w, err)
-		return
+		return nil, &statusError{code: http.StatusBadRequest, err: err}
 	}
-	set, err := cind.ParseConstraints(string(body))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, err := shard.NewPlan(set, len(rt.shards))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	name := r.PathValue("name")
-	ctx, stop := rt.boundContext(r)
-	defer stop()
+	spec := []byte(cind.MarshalConstraints(set))
 	path := "/datasets/" + name
-	errs := conc.FanOut(len(rt.shards), func(i int) error {
-		if err := rt.shardJSON(ctx, http.MethodPut, rt.shards[i], path+"/constraints?parallel=1", body, nil); err != nil {
+	err = f.fanOut(fmt.Sprintf("create dataset %q", name), func(_ int, base string) error {
+		if err := f.doJSON(ctx, http.MethodPut, base, path+"/constraints?parallel=1", spec, nil); err != nil {
 			return err
 		}
-		return rt.shardJSON(ctx, http.MethodPost, rt.shards[i], path+"/deltas", []byte("[]"), nil)
+		return f.doJSON(ctx, http.MethodPost, base, path+"/deltas", []byte("[]"), nil)
 	})
-	if err := firstError(errs); err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Errorf("create dataset %q: %w", name, err))
-		return
+	if err != nil {
+		return nil, err
 	}
-	d := &routed{name: name, set: set, plan: plan, order: shard.NewOrder(plan)}
-	rt.mu.Lock()
-	if _, existed := rt.datasets[name]; !existed {
-		rt.nDatasets.Add(1)
-	}
-	rt.datasets[name] = d
-	rt.mu.Unlock()
-	rels := make([]string, 0, set.Schema().Len())
-	for _, rel := range set.Schema().Relations() {
-		rels = append(rels, rel.Name())
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": name, "constraints": set.Len(), "relations": rels,
-	})
+	d := &routed{datasetMeta: newMeta(name, set), fleet: f, plan: plan, order: shard.NewOrder(plan)}
+	d.publishSizes()
+	return d, nil
 }
 
-func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if _, ok := rt.dataset(name); !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no dataset %q", name))
-		return
+// publishSizes snapshots the order tracker's tuple counts for
+// relationSizes. Caller holds mu exclusively (or owns d outright).
+func (d *routed) publishSizes() {
+	sizes := make(map[string]int, d.set.Schema().Len())
+	for _, rel := range d.set.Schema().Relations() {
+		sizes[rel.Name()] = d.order.Len(rel.Name())
 	}
-	ctx, stop := rt.boundContext(r)
-	defer stop()
-	errs := conc.FanOut(len(rt.shards), func(i int) error {
-		resp, err := rt.shardDo(ctx, http.MethodDelete, rt.shards[i], "/datasets/"+name, nil, "")
+	d.sizes.Store(&sizes)
+}
+
+// relationSizes serves the counts the last mutation published. Shards are
+// primed into incremental mode at create time.
+func (d *routed) relationSizes() (map[string]int, bool) { return *d.sizes.Load(), true }
+
+func (d *routed) remove(ctx context.Context) error {
+	// 404 is fine: a shard that lost the dataset (say, to a partially
+	// failed create) is already where the delete wants it.
+	return d.fleet.fanOut(fmt.Sprintf("delete dataset %q", d.name), func(_ int, base string) error {
+		resp, err := d.fleet.do(ctx, http.MethodDelete, base, "/datasets/"+d.name, nil, "")
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
 		io.Copy(io.Discard, resp.Body)
-		// 404 is fine: a shard that lost the dataset (say, to a partially
-		// failed create) is already where the delete wants it.
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusNotFound {
-			return fmt.Errorf("shard %s: DELETE: HTTP %d", rt.shards[i], resp.StatusCode)
+			return fmt.Errorf("shard %s: DELETE: HTTP %d", base, resp.StatusCode)
 		}
 		return nil
 	})
-	if err := firstError(errs); err != nil {
-		// Keep the dataset routed: the operator retries the delete once
-		// the shard is back, instead of stranding its replicas.
-		httpError(w, http.StatusBadGateway, fmt.Errorf("delete dataset %q: %w", name, err))
-		return
-	}
-	rt.mu.Lock()
-	if _, ok := rt.datasets[name]; ok {
-		delete(rt.datasets, name)
-		rt.nDatasets.Add(-1)
-	}
-	rt.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
 }
 
-func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
-	d, ok := rt.findDataset(w, r)
-	if !ok {
-		return
-	}
-	d.mu.RLock()
-	rels := make(map[string]int, d.set.Schema().Len())
-	for _, rel := range d.set.Schema().Relations() {
-		rels[rel.Name()] = d.order.Len(rel.Name())
-	}
-	d.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":     d.name,
-		"constraints": d.set.Len(),
-		"relations":   rels,
-		// Shards are primed into incremental mode at create time.
-		"incremental": true,
-	})
+func (*routed) close() error { return nil }
+
+// repair chases the whole instance toward a consistent state, a global
+// computation over tuples the router deliberately never holds in one
+// place. Run it against a single node.
+func (*routed) repair(context.Context, cind.RepairOptions) (*cind.RepairResult, error) {
+	return nil, &statusError{code: http.StatusNotImplemented,
+		err: errors.New("repair is not available in router mode: it needs the whole instance on one node")}
 }
 
-// --- data plane: loads and deltas ---
-
-// handlePutData scatter-loads a CSV upload: rows are validated router-side
-// with the same hardened loader a single node uses, committed to the
-// order tracker, then forwarded as per-shard CSV slices (full copies for
-// a replicated relation). Instances are sets, so a retry after a partial
+// loadCSV scatter-loads a CSV upload: rows are validated router-side with
+// the same hardened loader a single node uses, committed to the order
+// tracker, then forwarded as per-shard CSV slices (full copies for a
+// replicated relation). Instances are sets, so a retry after a partial
 // fan-out failure converges: shards that already hold their slice no-op.
-func (rt *Router) handlePutData(w http.ResponseWriter, r *http.Request) {
-	d, ok := rt.findDataset(w, r)
-	if !ok {
-		return
-	}
-	rel := r.URL.Query().Get("relation")
-	if rel == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing ?relation= query parameter"))
-		return
-	}
+func (d *routed) loadCSV(ctx context.Context, rel string, r io.Reader) error {
 	relSchema, ok := d.set.Schema().Relation(rel)
 	if !ok {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("dataset %q has no relation %q", d.name, rel))
-		return
+		return fmt.Errorf("dataset %q has no relation %q", d.name, rel)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCSVBody))
+	body, err := io.ReadAll(r)
 	if err != nil {
-		bodyError(w, err)
-		return
+		return err
 	}
 	scratch := cind.NewDatabase(d.set.Schema())
 	if err := cind.LoadCSV(scratch, rel, bytes.NewReader(body), true); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	tuples := scratch.Instance(rel).Tuples()
 
-	ctx, stop := rt.boundContext(r)
-	defer stop()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	defer d.publishSizes()
 	// Commit insertion ranks before the fan-out: if a shard fails and the
 	// client retries, the surviving shards' insertion order already agrees
 	// with these ranks, and re-inserts are no-ops on both sides.
 	for _, t := range tuples {
 		d.order.Insert(rel, t)
 	}
-	parts := make([][]cind.Tuple, len(rt.shards))
+	parts := make([][]cind.Tuple, len(d.fleet.shards))
 	if pl := d.plan.Placement(rel); pl.Partitioned {
 		for _, t := range tuples {
 			sh := d.plan.ShardOf(rel, t)
@@ -535,47 +361,67 @@ func (rt *Router) handlePutData(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	path := "/datasets/" + d.name + "?relation=" + rel
-	durable := true
-	sawDurable := false
-	var storageErrs []string
-	var respMu sync.Mutex
-	errs := conc.FanOut(len(rt.shards), func(i int) error {
+	var dur durabilityFold
+	err = d.fleet.fanOut(fmt.Sprintf("load %q into %q", rel, d.name), func(i int, base string) error {
 		if len(parts[i]) == 0 {
 			return nil
 		}
 		csvBody, err := marshalCSV(relSchema.AttrNames(), parts[i])
 		if err != nil {
-			return fmt.Errorf("shard %s: %w", rt.shards[i], err)
+			return fmt.Errorf("shard %s: %w", base, err)
 		}
 		var out struct {
 			Durable      *bool  `json:"durable"`
 			StorageError string `json:"storage_error"`
 		}
-		if err := rt.shardJSON(ctx, http.MethodPut, rt.shards[i], path, csvBody, &out); err != nil {
+		if err := d.fleet.doJSON(ctx, http.MethodPut, base, path, csvBody, &out); err != nil {
 			return err
 		}
-		respMu.Lock()
-		defer respMu.Unlock()
-		if out.Durable != nil {
-			sawDurable = true
-			durable = durable && *out.Durable
-		}
-		if out.StorageError != "" {
-			storageErrs = append(storageErrs, fmt.Sprintf("shard %s: %s", rt.shards[i], out.StorageError))
-		}
+		dur.add(base, out.Durable, out.StorageError)
 		return nil
 	})
-	if err := firstError(errs); err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Errorf("load %q into %q: %w", rel, d.name, err))
-		return
+	if err != nil {
+		return err
 	}
-	resp := map[string]any{"dataset": d.name, "relation": rel, "tuples": d.order.Len(rel)}
-	if sawDurable && (!durable || len(storageErrs) > 0) {
-		resp["durable"] = false
-		resp["storage_error"] = strings.Join(storageErrs, "; ")
-		w.Header().Set("X-Applied", "true")
+	_, err = dur.result()
+	return err
+}
+
+// durabilityFold folds the shards' answers to one mutation into the
+// single-node durability contract: durable is reported when any shard
+// reports it, and any shard's storage failure makes the whole mutation
+// live but not durably logged.
+type durabilityFold struct {
+	mu          sync.Mutex
+	persisted   bool // some shard reported durable at all
+	notDurable  bool // some shard reported durable: false
+	storageErrs []string
+}
+
+func (f *durabilityFold) add(base string, durable *bool, storageErr string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if durable != nil {
+		f.persisted = true
+		f.notDurable = f.notDurable || !*durable
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if storageErr != "" {
+		f.storageErrs = append(f.storageErrs, fmt.Sprintf("shard %s: %s", base, storageErr))
+	}
+}
+
+// result returns the folded durable member (nil when no shard persists)
+// and a *notDurableError when any shard's storage failed.
+func (f *durabilityFold) result() (*bool, error) {
+	var durable *bool
+	if f.persisted {
+		ok := !f.notDurable
+		durable = &ok
+	}
+	if len(f.storageErrs) > 0 {
+		return durable, &notDurableError{err: errors.New(strings.Join(f.storageErrs, "; "))}
+	}
+	return durable, nil
 }
 
 // marshalCSV renders tuples as a header-first CSV document, the format
@@ -595,32 +441,16 @@ func marshalCSV(header []string, tuples []cind.Tuple) ([]byte, error) {
 	return buf.Bytes(), cw.Error()
 }
 
-// handleDeltas splits one atomic batch into per-shard sub-batches, fans
+// applyDeltas splits one atomic batch into per-shard sub-batches, fans
 // them out, and merges the per-shard diffs back into the exact diff a
 // single node would have returned: removed violations keyed against the
 // pre-batch order, added violations against the post-batch order, each
 // side k-way merged with the same comparator the violation gather uses.
-func (rt *Router) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	d, ok := rt.findDataset(w, r)
-	if !ok {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDeltasBody))
-	if err != nil {
-		bodyError(w, err)
-		return
-	}
-	deltas, err := decodeDeltas(body, d.set)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, stop := rt.boundContext(r)
-	defer stop()
+func (d *routed) applyDeltas(ctx context.Context, deltas []cind.Delta) (diffWire, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	parts := make([][]cind.Delta, len(rt.shards))
+	parts := make([][]cind.Delta, len(d.fleet.shards))
 	for _, dl := range deltas {
 		if sh := d.plan.ShardOf(dl.Rel, dl.Tuple); sh >= 0 {
 			parts[sh] = append(parts[sh], dl)
@@ -630,26 +460,30 @@ func (rt *Router) handleDeltas(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	diffs := make([]diffWire, len(rt.shards))
-	touched := make([]bool, len(rt.shards))
+	diffs := make([]diffWire, len(d.fleet.shards))
+	touched := make([]bool, len(d.fleet.shards))
 	path := "/datasets/" + d.name + "/deltas"
-	errs := conc.FanOut(len(rt.shards), func(i int) error {
+	var dur durabilityFold
+	err := d.fleet.fanOut(fmt.Sprintf("apply deltas to %q", d.name), func(i int, base string) error {
 		if len(parts[i]) == 0 {
 			return nil
 		}
 		touched[i] = true
 		sub, err := json.Marshal(map[string]any{"deltas": encodeDeltas(parts[i])})
 		if err != nil {
-			return fmt.Errorf("shard %s: %w", rt.shards[i], err)
+			return fmt.Errorf("shard %s: %w", base, err)
 		}
-		return rt.shardJSON(ctx, http.MethodPost, rt.shards[i], path, sub, &diffs[i])
+		if err := d.fleet.doJSON(ctx, http.MethodPost, base, path, sub, &diffs[i]); err != nil {
+			return err
+		}
+		dur.add(base, diffs[i].Durable, diffs[i].StorageError)
+		return nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		// The order tracker was not advanced: a client retry re-sends the
 		// batch, shards that already applied it no-op (set semantics), and
 		// the tracker catches up then.
-		httpError(w, http.StatusBadGateway, fmt.Errorf("apply deltas to %q: %w", d.name, err))
-		return
+		return diffWire{}, err
 	}
 
 	// Removed violations existed before the batch: key them against the
@@ -658,43 +492,19 @@ func (rt *Router) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	// diff's two sides are ordered by.
 	removed, err := d.mergeDiffSide(diffs, touched, func(dw *diffWire) []violationWire { return dw.Removed })
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("merge removed diff: %w", err))
-		return
+		return diffWire{}, fmt.Errorf("merge removed diff: %w", err)
 	}
 	for _, dl := range deltas {
 		d.order.Apply(dl)
 	}
+	d.publishSizes()
 	added, err := d.mergeDiffSide(diffs, touched, func(dw *diffWire) []violationWire { return dw.Added })
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("merge added diff: %w", err))
-		return
+		return diffWire{}, fmt.Errorf("merge added diff: %w", err)
 	}
-	rt.nDeltas.Add(int64(len(deltas)))
-
-	resp := diffWire{Applied: len(deltas), Added: added, Removed: removed}
-	durable := true
-	sawDurable := false
-	var storageErrs []string
-	for i := range diffs {
-		if !touched[i] {
-			continue
-		}
-		if diffs[i].Durable != nil {
-			sawDurable = true
-			durable = durable && *diffs[i].Durable
-		}
-		if diffs[i].StorageError != "" {
-			storageErrs = append(storageErrs, fmt.Sprintf("shard %s: %s", rt.shards[i], diffs[i].StorageError))
-		}
-	}
-	if sawDurable {
-		resp.Durable = &durable
-	}
-	if len(storageErrs) > 0 {
-		resp.StorageError = strings.Join(storageErrs, "; ")
-		w.Header().Set("X-Applied", "true")
-	}
-	writeJSON(w, http.StatusOK, resp)
+	out := diffWire{Added: added, Removed: removed}
+	out.Durable, err = dur.result()
+	return out, err
 }
 
 // sliceSource adapts an in-memory diff side to the gather's Source.
@@ -747,78 +557,51 @@ func (d *routed) mergeDiffSide(diffs []diffWire, touched []bool, side func(*diff
 	return merged, nil
 }
 
-// --- data plane: the violation gather ---
+// gather is an opened scatter: one binary-encoded stream per shard, all
+// taken under the dataset's read lock, which release gives back. Binary
+// frames are the inter-node wire format regardless of what the client
+// asked for — they decode fastest and round-trip values exactly.
+type gather struct {
+	d      *routed
+	resps  []*http.Response
+	cancel context.CancelFunc
+}
 
-// handleViolations is the scatter-gather read path: one binary-encoded
-// stream per shard, k-way merged into the single-node global order and
-// re-encoded in whatever encoding the client negotiated. Binary frames are
-// the inter-node wire format regardless of what the client asked for —
-// they decode fastest and round-trip values exactly.
-func (rt *Router) handleViolations(w http.ResponseWriter, r *http.Request) {
-	d, ok := rt.findDataset(w, r)
-	if !ok {
-		return
-	}
-	limit := 0
-	if l := r.URL.Query().Get("limit"); l != "" {
-		n, err := strconv.Atoi(l)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("bad limit %q (want a non-negative integer; 0 streams unlimited)", l))
-			return
-		}
-		limit = n
-	}
-	enc := stream.Negotiate(r.Header.Get("Accept"))
-
-	ctx, stop := rt.boundContext(r)
-	defer stop()
-	scatterCtx, cancelScatter := context.WithCancel(ctx)
-	defer cancelScatter()
-
+func (d *routed) violations(ctx context.Context) (violationStream, error) {
+	scatterCtx, cancel := context.WithCancel(ctx)
 	// The read lock spans the entire scatter and merge: every shard's
 	// stream is taken at the same batch boundary, so the merge sees one
 	// consistent snapshot — the single-node atomicity contract.
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-
+	g := &gather{d: d, resps: make([]*http.Response, len(d.fleet.shards)), cancel: cancel}
 	path := "/datasets/" + d.name + "/violations"
-	resps := make([]*http.Response, len(rt.shards))
-	errs := conc.FanOut(len(rt.shards), func(i int) error {
-		resp, err := rt.shardDo(scatterCtx, http.MethodGet, rt.shards[i], path, nil, stream.Binary.ContentType())
+	err := d.fleet.fanOut(fmt.Sprintf("scatter violations of %q", d.name), func(i int, base string) error {
+		resp, err := d.fleet.do(scatterCtx, http.MethodGet, base, path, nil, stream.Binary.ContentType())
 		if err != nil {
 			return err
 		}
 		if resp.StatusCode != http.StatusOK {
 			defer resp.Body.Close()
-			return fmt.Errorf("shard %s: GET %s: %s", rt.shards[i], path, shardErrorText(resp))
+			return fmt.Errorf("shard %s: GET %s: %s", base, path, shardErrorText(resp))
 		}
-		resps[i] = resp
+		g.resps[i] = resp
 		return nil
 	})
-	defer func() {
-		cancelScatter()
-		for _, resp := range resps {
-			if resp != nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-				resp.Body.Close()
-			}
-		}
-	}()
-	if err := firstError(errs); err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Errorf("scatter violations of %q: %w", d.name, err))
-		return
+	if err != nil {
+		g.release()
+		return nil, err
 	}
+	d.fleet.nScatters.Add(1)
+	return g, nil
+}
 
-	w.Header().Set("Content-Type", enc.ContentType())
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	rt.nScatters.Add(1)
-
-	ww := stream.NewWireWriter(w, fl, enc)
-
-	sources := make([]shard.Source, len(resps))
-	for i, resp := range resps {
+// run k-way merges the shard streams into the single-node global order and
+// re-encodes them in the client's encoding.
+func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
+	d := g.d
+	ww := stream.NewWireWriter(out, fl, enc)
+	sources := make([]shard.Source, len(g.resps))
+	for i, resp := range g.resps {
 		sources[i] = stream.NewDecoder(resp.Body, stream.Binary)
 	}
 	writeFailed := false
@@ -839,74 +622,26 @@ func (rt *Router) handleViolations(w http.ResponseWriter, r *http.Request) {
 			n++
 			return limit <= 0 || n < limit
 		})
-	// Count the stream before its terminal record goes out, so /metrics
-	// agrees with any stream a client has finished reading.
-	rt.nStreamed.Add(ww.Count())
 	switch {
-	case err == nil:
-		ww.Close()
-	case err == shard.ErrStopped && !writeFailed:
-		// The client's limit: a clean end, trailer and all, exactly like
-		// the single-node limit break.
-		ww.Close()
 	case writeFailed:
-		ww.CloseError("client write failed")
+		return ww, ww.Count(), "client write failed"
+	case err == nil || err == shard.ErrStopped:
+		// ErrStopped without a write failure is the client's limit: a
+		// clean end, trailer and all, exactly like the single-node limit
+		// break.
+		return ww, ww.Count(), ""
 	default:
-		ww.CloseError(err.Error())
+		return ww, ww.Count(), err.Error()
 	}
 }
 
-// --- proxied endpoints ---
-
-// handleProxy forwards a reasoning call to the dataset's home shard on
-// the consistent-hash ring. Reasoning depends only on the constraint set,
-// which every shard holds in full, so any shard answers identically; the
-// ring spreads concurrent reasoning over the fleet and keeps a dataset's
-// calls on one node's warm caches.
-func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	d, ok := rt.findDataset(w, r)
-	if !ok {
-		return
+func (g *gather) release() {
+	g.cancel()
+	for _, resp := range g.resps {
+		if resp != nil {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+			resp.Body.Close()
+		}
 	}
-	base := rt.shards[rt.ring.Pick(d.name)]
-	ctx, stop := rt.boundContext(r)
-	defer stop()
-	url := base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, url, r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", base, err))
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Errorf("shard %s: %w", base, err))
-		return
-	}
-	defer resp.Body.Close()
-	rt.nProxied.Add(1)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	// The status line is on the wire; a copy failure cannot change it, but
-	// a silently truncated proxy body is the exact failure mode the
-	// stream-framing work exists to catch — count it so operators can see
-	// shard links dropping mid-response.
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		rt.nCopyErrs.Add(1)
-	}
-}
-
-// handleRepair: repair chases the whole instance toward a consistent
-// state, a global computation over tuples the router deliberately never
-// holds in one place. Run it against a single node.
-func (rt *Router) handleRepair(w http.ResponseWriter, r *http.Request) {
-	httpError(w, http.StatusNotImplemented,
-		fmt.Errorf("repair is not available in router mode: it needs the whole instance on one node"))
+	g.d.mu.RUnlock()
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cind/internal/shard"
@@ -19,7 +20,7 @@ import (
 
 // startFleet launches n in-process shard servers plus a router over them,
 // all with BaseContext wired the way cindserve wires it.
-func startFleet(t testing.TB, n int) (*Router, *httptest.Server, []*httptest.Server) {
+func startFleet(t testing.TB, n int) (*Server, *httptest.Server, []*httptest.Server) {
 	t.Helper()
 	urls := make([]string, n)
 	shards := make([]*httptest.Server, n)
@@ -28,15 +29,18 @@ func startFleet(t testing.TB, n int) (*Router, *httptest.Server, []*httptest.Ser
 		urls[i] = ts.URL
 		shards[i] = ts
 	}
+	rt, ts := startRouter(t, urls)
+	return rt, ts, shards
+}
+
+// startRouter launches a router over the given shard URLs.
+func startRouter(t testing.TB, urls []string) (*Server, *httptest.Server) {
+	t.Helper()
 	rt, err := NewRouter(RouterOptions{Shards: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(rt)
-	ts.Config.BaseContext = rt.BaseContext
-	ts.Start()
-	t.Cleanup(ts.Close)
-	return rt, ts, shards
+	return rt, startHTTPServer(t, rt)
 }
 
 // startPrimedTwin launches a single-node server holding the bank dataset
@@ -224,7 +228,7 @@ func TestRouterConcurrentDeltas(t *testing.T) {
 // TestRouterHealthDegraded kills one shard and expects /healthz to degrade
 // to 503 naming exactly the dead shard.
 func TestRouterHealthDegraded(t *testing.T) {
-	rt, rts, shards := startFleet(t, 2)
+	_, rts, shards := startFleet(t, 2)
 	rc := rts.Client()
 
 	body := do(t, rc, http.MethodGet, rts.URL+"/healthz", nil, http.StatusOK)
@@ -239,7 +243,7 @@ func TestRouterHealthDegraded(t *testing.T) {
 		t.Fatalf("healthy fleet reported %+v", ok)
 	}
 
-	deadURL := rt.Shards()[1]
+	deadURL := shards[1].URL
 	shards[1].Close()
 
 	body = do(t, rc, http.MethodGet, rts.URL+"/healthz", nil, http.StatusServiceUnavailable)
@@ -261,7 +265,7 @@ func TestRouterHealthDegraded(t *testing.T) {
 // TestRouterMetricsRollup checks the /metrics shape: router-level counters,
 // per-shard raw blobs, and numeric sums across shards.
 func TestRouterMetricsRollup(t *testing.T) {
-	rt, rts, _ := startFleet(t, 2)
+	_, rts, shards := startFleet(t, 2)
 	rc := rts.Client()
 	loadBankHTTP(t, rc, rts.URL, "bank", "")
 	_ = rawStream(t, rc, rts.URL+"/datasets/bank/violations", stream.NDJSON)
@@ -278,9 +282,9 @@ func TestRouterMetricsRollup(t *testing.T) {
 	if len(m.Shards) != 2 {
 		t.Fatalf("shards section has %d entries, want 2", len(m.Shards))
 	}
-	for _, addr := range rt.Shards() {
-		if _, found := m.Shards[addr]; !found {
-			t.Errorf("shard %s missing from metrics", addr)
+	for _, sh := range shards {
+		if _, found := m.Shards[sh.URL]; !found {
+			t.Errorf("shard %s missing from metrics", sh.URL)
 		}
 	}
 	var streamed float64
@@ -289,14 +293,19 @@ func TestRouterMetricsRollup(t *testing.T) {
 	} else if json.Unmarshal(raw, &streamed) != nil || streamed <= 0 {
 		t.Errorf("router.violations_streamed = %s, want > 0", raw)
 	}
+	var lat map[string]json.RawMessage
+	if err := json.Unmarshal(m.Router["latency_us"], &lat); err != nil || lat["violations"] == nil {
+		t.Errorf("router.latency_us = %s, want a violations histogram", m.Router["latency_us"])
+	}
 	if m.Rollup["datasets"] != 2 {
 		t.Errorf("rollup.datasets = %v, want 2 (bank on both shards)", m.Rollup["datasets"])
 	}
 }
 
-// TestRouterReasoningParity: implication, consistency and minimize are
-// proxied to one consistently-hashed shard; every shard holds the full
-// constraint set, so the answers must equal a single node's.
+// TestRouterReasoningParity: the router answers implication, consistency
+// and minimize from the full constraint set it holds, through the same
+// handlers a single node runs, so the answers must equal a single node's
+// byte for byte.
 func TestRouterReasoningParity(t *testing.T) {
 	_, rts, _ := startFleet(t, 2)
 	rc := rts.Client()
@@ -332,24 +341,81 @@ func TestRouterRepairUnavailable(t *testing.T) {
 	}
 }
 
-// TestRouterErrorPaths covers the router's own validation layer.
-func TestRouterErrorPaths(t *testing.T) {
-	_, rts, _ := startFleet(t, 2)
+// dropSwitch fronts a shard's handler: while down is set it drops every
+// connection without answering — to the router, a shard gone from the
+// network.
+type dropSwitch struct {
+	h    http.Handler
+	down atomic.Bool
+}
+
+func (d *dropSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !d.down.Load() {
+		d.h.ServeHTTP(w, r)
+		return
+	}
+	if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+		conn.Close()
+	}
+}
+
+// TestRouterShardOutageRetryConverges injects a shard outage into the
+// router's fan-out. A delta batch sent while shard 1 drops connections
+// answers 502 (shard 0 may already have applied its part); so does a
+// stream. Once the shard is back, retrying the same batch answers 200 —
+// shards that already hold it no-op, set semantics — and the router's
+// NDJSON stream is byte-identical to a single node fed the batch once.
+func TestRouterShardOutageRetryConverges(t *testing.T) {
+	_, healthy := startServer(t)
+	flakySrv := New()
+	flaky := &dropSwitch{h: flakySrv}
+	fts := httptest.NewUnstartedServer(flaky)
+	fts.Config.BaseContext = flakySrv.BaseContext
+	fts.Start()
+	t.Cleanup(fts.Close)
+	_, rts := startRouter(t, []string{healthy.URL, fts.URL})
 	rc := rts.Client()
-
-	do(t, rc, http.MethodGet, rts.URL+"/datasets/nope/violations", nil, http.StatusNotFound)
-	do(t, rc, http.MethodGet, rts.URL+"/datasets/nope", nil, http.StatusNotFound)
-	do(t, rc, http.MethodDelete, rts.URL+"/datasets/nope", nil, http.StatusNotFound)
-	do(t, rc, http.MethodPut, rts.URL+"/datasets/bad/constraints", []byte("cfd oops"), http.StatusBadRequest)
-
 	loadBankHTTP(t, rc, rts.URL, "bank", "")
-	do(t, rc, http.MethodGet, rts.URL+"/datasets/bank/violations?limit=x", nil, http.StatusBadRequest)
-	do(t, rc, http.MethodPut, rts.URL+"/datasets/bank?relation=missing", []byte("a,b\n1,2\n"), http.StatusBadRequest)
-	do(t, rc, http.MethodPut, rts.URL+"/datasets/bank", []byte("a,b\n1,2\n"), http.StatusBadRequest)
-	do(t, rc, http.MethodPost, rts.URL+"/datasets/bank/deltas", []byte(`{"deltas":[{"op":"warp"}]}`), http.StatusBadRequest)
+	tc, turl := startPrimedTwin(t, "bank")
 
-	do(t, rc, http.MethodDelete, rts.URL+"/datasets/bank", nil, http.StatusNoContent)
-	do(t, rc, http.MethodGet, rts.URL+"/datasets/bank/violations", nil, http.StatusNotFound)
+	// Three deltas on replicated relations, so both shards take part: the
+	// repair of the 10.5% EDI rate and a new account in a branch with no
+	// interest rows.
+	wire, _ := bankDeltaBatches(t)
+	var batch []deltaWire
+	for _, b := range wire[:3] {
+		batch = append(batch, b...)
+	}
+	routerURL := rts.URL + "/datasets/bank/violations"
+	twinURL := turl + "/datasets/bank/violations"
+
+	flaky.down.Store(true)
+	body, err := json.Marshal(deltasRequest{Deltas: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := do(t, rc, http.MethodPost, rts.URL+"/datasets/bank/deltas", body, http.StatusBadGateway)
+	if !bytes.Contains(failed, []byte(fts.URL)) {
+		t.Errorf("502 does not name the dead shard %s: %s", fts.URL, failed)
+	}
+	do(t, rc, http.MethodGet, routerURL, nil, http.StatusBadGateway)
+
+	flaky.down.Store(false)
+	postDeltas(t, rc, rts.URL+"/datasets/bank/deltas", batch, http.StatusOK)
+	postDeltas(t, tc, turl+"/datasets/bank/deltas", batch, http.StatusOK)
+	got := rawStream(t, rc, routerURL, stream.NDJSON)
+	want := rawStream(t, tc, twinURL, stream.NDJSON)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("retried batch: NDJSON bytes diverge from single node:\nrouter: %s\nsingle: %s", got, want)
+	}
+
+	// The fleet keeps converging: the next batch's diff and stream match.
+	gd := postDeltas(t, rc, rts.URL+"/datasets/bank/deltas", wire[3], http.StatusOK)
+	wd := postDeltas(t, tc, turl+"/datasets/bank/deltas", wire[3], http.StatusOK)
+	assertSameDiff(t, "post-outage batch", gd, wd)
+	if got, want := rawStream(t, rc, routerURL, stream.NDJSON), rawStream(t, tc, twinURL, stream.NDJSON); !bytes.Equal(got, want) {
+		t.Fatalf("post-outage NDJSON bytes diverge:\nrouter: %s\nsingle: %s", got, want)
+	}
 }
 
 // TestRouterDeleteRemovesEverywhere: after a router delete the dataset is
@@ -430,9 +496,16 @@ func TestShardDataDirNoCollision(t *testing.T) {
 // startHTTP wraps an existing *Server in an httptest server.
 func startHTTP(t testing.TB, srv *Server) (*http.Client, string) {
 	t.Helper()
+	ts := startHTTPServer(t, srv)
+	return ts.Client(), ts.URL
+}
+
+// startHTTPServer serves srv behind httptest with its BaseContext wired.
+func startHTTPServer(t testing.TB, srv *Server) *httptest.Server {
+	t.Helper()
 	ts := httptest.NewUnstartedServer(srv)
 	ts.Config.BaseContext = srv.BaseContext
 	ts.Start()
 	t.Cleanup(ts.Close)
-	return ts.Client(), ts.URL
+	return ts
 }

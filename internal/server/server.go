@@ -27,6 +27,13 @@
 //	GET  /metrics                       this server's expvar metric map
 //	GET  /debug/vars                    process-wide expvar
 //
+// NewRouter serves the same endpoints, through the same handlers, over a
+// fleet of shard servers instead of local Checkers: its datasets are
+// routed (router.go). Only the per-dataset mechanics differ — behind the
+// dataset interface — plus /healthz and /metrics, which fan out to the
+// fleet. The router holds every dataset's full constraint set, so it
+// answers the reasoning endpoints itself.
+//
 // The reasoning endpoints (implication, consistency, minimize) run the
 // Section 3 / Section 5 engines with the request context: a client
 // disconnect — or Drain — cancels the case-split branches, the chase and
@@ -97,27 +104,88 @@ const (
 	maxGoalsBody       = 4 << 20   // 4 MiB of implication goal clauses
 )
 
-// dataset pairs one database instance with its constraint set and the
-// lazily-built Checker serving it. set, db and parallel are immutable after
-// construction (re-PUTting constraints swaps in a whole new dataset); mu
-// guards chk construction and every direct database write (CSV loads), so
-// raw reads of db elsewhere also hold mu. Streams never hold mu — they
-// rely on the Checker's own lock discipline.
+// dataset is the seam between the handlers and the two ways a dataset is
+// served: *local, a Checker over an in-process database (in memory,
+// durable or SQL-backed), and *routed, a shard plan and order tracker over
+// a fleet of shard servers. Its methods are only the operations whose
+// mechanics differ; the handlers own everything else.
+//
+// A method's error answers through fail: a *statusError carries its own
+// status, a cancellation is 503. From loadCSV and applyDeltas a
+// *notDurableError instead means the mutation is live but not logged.
+type dataset interface {
+	meta() *datasetMeta
+	// loadCSV loads CSV rows (header required) into relation rel.
+	loadCSV(ctx context.Context, rel string, r io.Reader) error
+	// applyDeltas applies one atomic batch and returns its net report
+	// change, with Durable set when the dataset persists mutations.
+	applyDeltas(ctx context.Context, deltas []cind.Delta) (diffWire, error)
+	// relationSizes reports per-relation tuple counts and whether the
+	// dataset serves incrementally, never queueing behind a writer.
+	relationSizes() (map[string]int, bool)
+	// violations opens the dataset's violation stream.
+	violations(ctx context.Context) (violationStream, error)
+	repair(ctx context.Context, opts cind.RepairOptions) (*cind.RepairResult, error)
+	// remove deletes the dataset's state wherever it lives; the handler
+	// unregisters the dataset only once remove succeeds.
+	remove(ctx context.Context) error
+	// close releases the dataset's handles once it is displaced or the
+	// server closes.
+	close() error
+}
+
+// datasetMeta is what every dataset carries, whatever serves it: its name
+// and the immutable constraint set that delta validation, info and the
+// reasoning endpoints read.
+type datasetMeta struct {
+	name string
+	set  *cind.ConstraintSet
+	// goalPrefix is the schema preamble implication goals parse under,
+	// rendered once (the set is immutable).
+	goalPrefix string
+}
+
+func newMeta(name string, set *cind.ConstraintSet) datasetMeta {
+	return datasetMeta{name: name, set: set, goalPrefix: goalPrefix(set)}
+}
+
+func (m *datasetMeta) meta() *datasetMeta { return m }
+
+// violationStream is an opened violation stream. run drives the mode's hot
+// loop into a writer over out until the stream ends or limit violations
+// (0 = all) went out, and returns the writer still open, the number of
+// violations handed to it and the terminal error ("" for a clean end).
+// release frees what opening the stream took.
+type violationStream interface {
+	run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (sw streamWriter, sent int64, endErr string)
+	release()
+}
+
+// streamWriter is the end of stream.Writer and stream.WireWriter the
+// handler drives once the hot loop is done.
+type streamWriter interface {
+	Close() error
+	CloseError(msg string) error
+	Count() int64
+}
+
+// local serves a dataset from this process: one database instance with its
+// constraint set and the lazily-built Checker serving it. db and parallel
+// are immutable after construction (re-PUTting constraints swaps in a
+// whole new dataset); mu guards chk construction and every direct database
+// write (CSV loads), so raw reads of db elsewhere also hold mu. Streams
+// never hold mu — they rely on the Checker's own lock discipline.
 //
 // In durable mode every mutation additionally holds writeMu for the whole
 // {apply, WAL append, maybe snapshot} sequence, so the WAL's record order
 // is exactly the order mutations were applied in — the invariant boot
 // replay depends on. writeMu is ordered outside mu and outside the
 // checker's locks; nothing that holds writeMu takes the registry lock.
-type dataset struct {
-	name string
+type local struct {
+	datasetMeta
 
-	set      *cind.ConstraintSet
 	db       *cind.Database
 	parallel int
-	// goalPrefix is the schema preamble implication goals parse under,
-	// rendered once (the set is immutable).
-	goalPrefix string
 
 	mu          sync.Mutex
 	chk         *cind.Checker
@@ -131,8 +199,10 @@ type dataset struct {
 	// private per dataset.
 	sqlDB *sql.DB
 
-	// Durable-mode state, all guarded by writeMu; pd is nil in-memory.
+	// Durable-mode state, all guarded by writeMu; store and pd are nil
+	// in-memory.
 	writeMu      sync.Mutex
+	store        *wal.Store
 	pd           *wal.Dataset
 	snapBatches  int   // snapshot after this many WAL appends…
 	snapBytes    int64 // …or this much WAL growth, whichever first
@@ -142,13 +212,13 @@ type dataset struct {
 }
 
 // checker returns the dataset's Checker, building it on first use.
-func (d *dataset) checker() *cind.Checker {
+func (d *local) checker() *cind.Checker {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.checkerLocked()
 }
 
-func (d *dataset) checkerLocked() *cind.Checker {
+func (d *local) checkerLocked() *cind.Checker {
 	if d.chk == nil {
 		opts := []cind.CheckerOption{cind.WithParallelism(d.parallel)}
 		if d.sqlDB != nil {
@@ -167,9 +237,14 @@ func (d *dataset) checkerLocked() *cind.Checker {
 
 // Server is the HTTP service: a registry of named datasets plus the
 // handler mux and per-server expvar metrics. It implements http.Handler.
+// New serves local datasets, NewRouter routed ones.
 type Server struct {
 	mu       sync.RWMutex
-	datasets map[string]*dataset
+	datasets map[string]dataset
+
+	// create builds a dataset of this server's mode, ready to install:
+	// createLocal on a single node, fleet.create on a router.
+	create func(ctx context.Context, name string, set *cind.ConstraintSet, parallel int) (dataset, error)
 
 	// store is the durability layer (nil = in-memory mode): per-dataset
 	// directories under Options.DataDir holding the constraint spec, CSV
@@ -206,7 +281,7 @@ type Server struct {
 	lastRecovery  *expvar.Int // last boot recovery duration, milliseconds
 
 	// latency holds one histogram per instrumented endpoint, published as
-	// "latency_us". Populated in New, read-only after.
+	// "latency_us". Populated at construction, read-only after.
 	latency map[string]*latencyHistogram
 }
 
@@ -214,9 +289,19 @@ type Server struct {
 // durable datasets (WAL + snapshot persistence under a data directory) use
 // NewWithOptions.
 func New() *Server {
+	s := newServer()
+	s.create = s.createLocal
+	s.mux.HandleFunc("GET /healthz", s.handleHealth)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return s
+}
+
+// newServer returns a Server with the shared dataset routes registered;
+// the constructors add the dataset factory, /healthz and /metrics.
+func newServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		datasets:      make(map[string]*dataset),
+		datasets:      make(map[string]dataset),
 		baseCtx:       ctx,
 		drainFn:       cancel,
 		vars:          new(expvar.Map).Init(),
@@ -245,8 +330,6 @@ func New() *Server {
 	s.vars.Set("latency_us", expvar.Func(s.latencySnapshot))
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /datasets", s.instrument("list", s.handleList))
 	mux.HandleFunc("PUT /datasets/{name}/constraints", s.instrument("put_constraints", s.handlePutConstraints))
@@ -291,32 +374,50 @@ func (s *Server) Vars() expvar.Var { return s.vars }
 // staged and renamed into place before the registry swap: a failed create
 // leaves no on-disk residue, and replacing a dataset atomically replaces
 // its on-disk state too. Names must satisfy wal.ValidName. In-memory mode
-// never fails.
+// never fails. A router creates the dataset on every shard first.
 func (s *Server) CreateDataset(name string, set *cind.ConstraintSet, parallel int) error {
-	d, err := s.newDataset(name, set, parallel)
+	return s.createDataset(context.Background(), name, set, parallel)
+}
+
+func (s *Server) createDataset(ctx context.Context, name string, set *cind.ConstraintSet, parallel int) error {
+	d, err := s.create(ctx, name, set, parallel)
 	if err != nil {
 		return err
-	}
-	if s.store != nil {
-		if err := s.store.Create(name, cind.MarshalConstraints(set)); err != nil {
-			d.closeBackend()
-			return err
-		}
-		pd, err := s.store.Open(name)
-		if err != nil {
-			s.store.Remove(name)
-			d.closeBackend()
-			return err
-		}
-		d.pd = pd
 	}
 	s.installDataset(d)
 	return nil
 }
 
-func (s *Server) newDataset(name string, set *cind.ConstraintSet, parallel int) (*dataset, error) {
-	d := &dataset{name: name, set: set, db: cind.NewDatabase(set.Schema()),
-		parallel: parallel, goalPrefix: goalPrefix(set),
+// createLocal is a single node's dataset factory.
+func (s *Server) createLocal(_ context.Context, name string, set *cind.ConstraintSet, parallel int) (dataset, error) {
+	d, err := s.newLocal(name, set, parallel)
+	if err != nil {
+		return nil, err
+	}
+	if s.store != nil {
+		if err := s.store.Create(name, cind.MarshalConstraints(set)); err != nil {
+			d.closeBackend()
+			if !wal.ValidName(name) {
+				// The dataset name doubles as a directory name: one the
+				// store rejects is the client's fault.
+				err = &statusError{code: http.StatusBadRequest, err: err}
+			}
+			return nil, err
+		}
+		pd, err := s.store.Open(name)
+		if err != nil {
+			s.store.Remove(name)
+			d.closeBackend()
+			return nil, err
+		}
+		d.pd = pd
+	}
+	return d, nil
+}
+
+func (s *Server) newLocal(name string, set *cind.ConstraintSet, parallel int) (*local, error) {
+	d := &local{datasetMeta: newMeta(name, set), db: cind.NewDatabase(set.Schema()),
+		parallel: parallel, store: s.store,
 		snapBatches: s.snapBatches, snapBytes: s.snapBytes, snapErrs: s.nSnapErrs}
 	d.lastSizes = make(map[string]int, set.Schema().Len())
 	for _, rel := range set.Schema().Relations() {
@@ -332,48 +433,70 @@ func (s *Server) newDataset(name string, set *cind.ConstraintSet, parallel int) 
 	return d, nil
 }
 
-// installDataset swaps d into the registry. A displaced dataset's WAL
-// handle is closed so a writer still in flight on the old value fails fast
-// instead of appending to a directory that was renamed away.
-func (s *Server) installDataset(d *dataset) {
+// installDataset swaps d into the registry. A displaced dataset is closed
+// so a writer still in flight on the old value fails fast instead of
+// appending to a directory that was renamed away.
+func (s *Server) installDataset(d dataset) {
+	name := d.meta().name
 	s.mu.Lock()
-	old, existed := s.datasets[d.name]
-	s.datasets[d.name] = d
+	old, existed := s.datasets[name]
+	s.datasets[name] = d
 	s.mu.Unlock()
 	if !existed {
 		s.nDatasets.Add(1)
 	} else {
-		old.closePersist()
-		old.closeBackend()
+		_ = old.close() // nobody is left to report a displaced log's close error to
 	}
 }
 
 // closePersist waits out any in-flight mutation and closes the dataset's
 // WAL handle; later persisted writes fail with a closed-log error. No-op
 // in-memory and idempotent.
-func (d *dataset) closePersist() {
+func (d *local) closePersist() error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
 	if d.pd != nil {
-		d.pd.Close()
+		return d.pd.Close()
 	}
+	return nil
 }
 
 // closeBackend closes the dataset's SQL backend handle, if any: a stream
 // still running on a displaced dataset fails fast instead of querying a
 // mirror nobody maintains. No-op in-memory and idempotent (sql.DB.Close
 // is).
-func (d *dataset) closeBackend() {
+func (d *local) closeBackend() {
 	if d.sqlDB != nil {
 		d.sqlDB.Close()
 	}
 }
 
+func (d *local) close() error {
+	err := d.closePersist()
+	d.closeBackend()
+	return err
+}
+
+// remove closes the dataset and, in durable mode, removes its directory
+// atomically (renamed out of the namespace before deletion) — no crash
+// instant leaves a half-deleted dataset for recovery to trip over.
+func (d *local) remove(context.Context) error {
+	d.closeBackend()
+	if d.store == nil {
+		return nil
+	}
+	_ = d.closePersist() // the directory goes next; a flush error changes nothing
+	if err := d.store.Remove(d.name); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
 // LoadCSV loads CSV rows (header required) into relation rel of the named
 // dataset — the programmatic form of PUT /datasets/{name}?relation=rel.
-// Before the dataset's checker exists the rows are loaded directly; after,
-// they are converted to insert deltas and absorbed through Checker.Apply so
-// concurrent streams never observe a half-loaded relation.
+// Before a local dataset's checker exists the rows are loaded directly;
+// after, they are converted to insert deltas and absorbed through
+// Checker.Apply so concurrent streams never observe a half-loaded relation.
 func (s *Server) LoadCSV(name, rel string, r io.Reader) error {
 	d, ok := s.dataset(name)
 	if !ok {
@@ -382,14 +505,20 @@ func (s *Server) LoadCSV(name, rel string, r io.Reader) error {
 	return d.loadCSV(context.Background(), rel, r)
 }
 
-func (s *Server) dataset(name string) (*dataset, bool) {
+func (s *Server) dataset(name string) (dataset, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.datasets[name]
 	return d, ok
 }
 
-func (d *dataset) loadCSV(ctx context.Context, rel string, r io.Reader) error {
+func (s *Server) datasetCount() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.datasets)
+}
+
+func (d *local) loadCSV(ctx context.Context, rel string, r io.Reader) error {
 	if _, ok := d.set.Schema().Relation(rel); !ok {
 		return fmt.Errorf("dataset %q has no relation %q", d.name, rel)
 	}
@@ -452,10 +581,37 @@ func (d *dataset) loadCSV(ctx context.Context, rel string, r io.Reader) error {
 	return nil
 }
 
-// notDurableError marks a mutation that is live in memory but failed to
-// reach the WAL: the handler must not answer with an error status (a
-// retrying client would double-apply) — it reports success with
-// "durable": false instead.
+// applyDeltas runs Apply outside the dataset mutex: it can legitimately
+// wait behind an in-flight pre-Apply stream (the Checker's documented
+// write-after-reader ordering), and the rest of the dataset's endpoints
+// must stay live meanwhile. writeMu keeps the WAL append adjacent to the
+// apply so log order equals apply order; in-memory mode writers are
+// already serialized by the checker's write lock, so the extra mutex costs
+// no concurrency.
+func (d *local) applyDeltas(ctx context.Context, deltas []cind.Delta) (diffWire, error) {
+	d.writeMu.Lock()
+	diff, err := d.checker().Apply(ctx, deltas...)
+	if err != nil {
+		d.writeMu.Unlock()
+		return diffWire{}, err
+	}
+	perr := d.persistDeltas(deltas)
+	d.writeMu.Unlock()
+	d.markIncremental()
+	out := diffWire{Added: encodeReport(&diff.Added), Removed: encodeReport(&diff.Removed)}
+	if d.pd != nil {
+		durable := perr == nil
+		out.Durable = &durable
+	}
+	if perr != nil {
+		return out, &notDurableError{err: perr}
+	}
+	return out, nil
+}
+
+// notDurableError marks a mutation that is live but failed to reach the
+// WAL: the handler must not answer with an error status (a retrying client
+// would double-apply) — it reports success with "durable": false instead.
 type notDurableError struct{ err error }
 
 func (e *notDurableError) Error() string {
@@ -464,6 +620,18 @@ func (e *notDurableError) Error() string {
 
 func (e *notDurableError) Unwrap() error { return e.err }
 
+// statusError is an error that carries the status it answers: a routed
+// fan-out failure (502), a request the serving mode refuses (400), an
+// endpoint the mode cannot serve (501).
+type statusError struct {
+	code int
+	err  error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+
+func (e *statusError) Unwrap() error { return e.err }
+
 // relationSizes reports per-relation tuple counts without racing writers
 // and without stalling: raw reads under the dataset mutex while no checker
 // exists (every checker-less write path holds it), the checker's
@@ -471,7 +639,7 @@ func (e *notDurableError) Unwrap() error { return e.err }
 // checker lock the last-known snapshot is served instead — an info probe
 // must not queue behind a delta batch that is itself queued behind a
 // long-lived stream.
-func (d *dataset) relationSizes() (map[string]int, bool) {
+func (d *local) relationSizes() (map[string]int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.chk == nil {
@@ -492,10 +660,55 @@ func (d *dataset) relationSizes() (map[string]int, bool) {
 // markIncremental records that an Apply-path write succeeded, so info can
 // report the mode without taking the checker's (possibly writer-queued)
 // lock.
-func (d *dataset) markIncremental() {
+func (d *local) markIncremental() {
 	d.mu.Lock()
 	d.incremental = true
 	d.mu.Unlock()
+}
+
+func (d *local) violations(ctx context.Context) (violationStream, error) {
+	return &localStream{ctx: ctx, chk: d.checker()}, nil
+}
+
+// localStream is Checker.Violations feeding a batching stream.Writer.
+type localStream struct {
+	ctx context.Context
+	chk *cind.Checker
+}
+
+func (ls *localStream) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
+	sw := stream.NewWriter(out, fl, enc, stream.Options{})
+	n := 0
+	endErr := ""
+	for v, err := range ls.chk.Violations(ls.ctx) {
+		if err != nil {
+			// Cancellation (client gone, or Drain): end with the terminal
+			// error record — a disconnected client simply won't read it —
+			// and unwind the iterator, which stops the workers before
+			// Violations hands control back.
+			endErr = err.Error()
+			break
+		}
+		if !sw.Send(v) {
+			// The response writer failed: the client is gone. CloseError
+			// keeps the writer's bookkeeping exact; nothing reaches the
+			// socket.
+			endErr = "client write failed"
+			break
+		}
+		if n++; limit > 0 && n >= limit {
+			break
+		}
+	}
+	return sw, int64(n), endErr
+}
+
+func (*localStream) release() {}
+
+// repair never mutates the dataset's database — it reports the repaired
+// copy's actions; feed them back as deltas to apply them.
+func (d *local) repair(ctx context.Context, opts cind.RepairOptions) (*cind.RepairResult, error) {
+	return d.checker().Repair(ctx, opts)
 }
 
 // --- handlers ---
@@ -515,19 +728,28 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorWire{Error: err.Error()})
 }
 
-// bodyError maps a request-body read failure: over-cap bodies become 413,
-// everything else 400.
-func bodyError(w http.ResponseWriter, err error) {
+// fail answers err with its error body. A *statusError answers its own
+// status, an over-cap request body 413, a cancellation — the client gone,
+// or Drain — 503, a retryable server condition; anything else answers
+// fallback: 400 where the request content can be at fault, 500 where it
+// cannot.
+func fail(w http.ResponseWriter, err error, fallback int) {
+	var se *statusError
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		httpError(w, http.StatusRequestEntityTooLarge, err)
-		return
+	code := fallback
+	switch {
+	case errors.As(err, &se):
+		code = se.code
+	case errors.As(err, &mbe):
+		code = http.StatusRequestEntityTooLarge
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		code = http.StatusServiceUnavailable
 	}
-	httpError(w, http.StatusBadRequest, err)
+	httpError(w, code, err)
 }
 
 // findDataset resolves {name} or writes a 404.
-func (s *Server) findDataset(w http.ResponseWriter, r *http.Request) (*dataset, bool) {
+func (s *Server) findDataset(w http.ResponseWriter, r *http.Request) (dataset, bool) {
 	name := r.PathValue("name")
 	d, ok := s.dataset(name)
 	if !ok {
@@ -538,10 +760,7 @@ func (s *Server) findDataset(w http.ResponseWriter, r *http.Request) (*dataset, 
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	n := len(s.datasets)
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "datasets": n})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "datasets": s.datasetCount()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -574,7 +793,7 @@ func (s *Server) handlePutConstraints(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxConstraintsBody))
 	if err != nil {
-		bodyError(w, err)
+		fail(w, err, http.StatusBadRequest)
 		return
 	}
 	set, err := cind.ParseConstraints(string(body))
@@ -583,15 +802,10 @@ func (s *Server) handlePutConstraints(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	if err := s.CreateDataset(name, set, parallel); err != nil {
-		// In durable mode the dataset name doubles as a directory name; a
-		// name the store rejects is the client's fault, any other create
-		// failure is the server's storage.
-		code := http.StatusInternalServerError
-		if s.store != nil && !wal.ValidName(name) {
-			code = http.StatusBadRequest
-		}
-		httpError(w, code, err)
+	ctx, stop := s.boundContext(r)
+	defer stop()
+	if err := s.createDataset(ctx, name, set, parallel); err != nil {
+		fail(w, err, http.StatusInternalServerError)
 		return
 	}
 	rels := make([]string, 0, set.Schema().Len())
@@ -613,29 +827,26 @@ func (s *Server) handlePutData(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("missing ?relation= query parameter"))
 		return
 	}
-	err := d.loadCSV(r.Context(), rel, http.MaxBytesReader(w, r.Body, maxCSVBody))
+	ctx, stop := s.boundContext(r)
+	defer stop()
+	err := d.loadCSV(ctx, rel, http.MaxBytesReader(w, r.Body, maxCSVBody))
 	var nde *notDurableError
-	if errors.As(err, &nde) {
+	if err != nil && !errors.As(err, &nde) {
+		fail(w, err, http.StatusBadRequest)
+		return
+	}
+	sizes, _ := d.relationSizes()
+	resp := map[string]any{"dataset": d.meta().name, "relation": rel, "tuples": sizes[rel]}
+	if nde != nil {
 		// The rows are live; only the WAL append failed. Same contract as
 		// deltas: success with "durable": false, never a retry-inviting
 		// error status.
 		s.nWALErrs.Add(1)
-		sizes, _ := d.relationSizes()
+		resp["durable"] = false
+		resp["storage_error"] = nde.Error()
 		w.Header().Set("X-Applied", "true")
-		writeJSON(w, http.StatusOK, map[string]any{
-			"dataset": d.name, "relation": rel, "tuples": sizes[rel],
-			"durable": false, "storage_error": nde.Error(),
-		})
-		return
 	}
-	if err != nil {
-		bodyError(w, err)
-		return
-	}
-	sizes, _ := d.relationSizes()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": d.name, "relation": rel, "tuples": sizes[rel],
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -645,46 +856,42 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	rels, incremental := d.relationSizes()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":     d.name,
-		"constraints": d.set.Len(),
+		"dataset":     d.meta().name,
+		"constraints": d.meta().set.Len(),
 		"relations":   rels,
 		"incremental": incremental,
 	})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	s.mu.Lock()
-	d, ok := s.datasets[name]
-	delete(s.datasets, name)
-	s.mu.Unlock()
+	d, ok := s.findDataset(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no dataset %q", name))
 		return
 	}
-	s.nDatasets.Add(-1)
-	d.closeBackend()
-	if s.store != nil {
-		// Wait out any in-flight mutation and close the WAL handle, then
-		// remove the directory atomically (renamed out of the namespace
-		// before deletion) — no crash instant leaves a half-deleted
-		// dataset for recovery to trip over.
-		d.closePersist()
-		if err := s.store.Remove(name); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
+	ctx, stop := s.boundContext(r)
+	defer stop()
+	if err := d.remove(ctx); err != nil {
+		// Keep the dataset registered: the delete is retried once storage
+		// (or the failed shard) is back.
+		fail(w, err, http.StatusInternalServerError)
+		return
 	}
+	name := d.meta().name
+	s.mu.Lock()
+	if s.datasets[name] == d {
+		delete(s.datasets, name)
+		s.nDatasets.Add(-1)
+	}
+	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleViolations streams the dataset's violations in the
-// Accept-negotiated encoding (see internal/stream; NDJSON is the default),
-// batching and flushing off the iterator loop through a stream.Writer. The
-// stream context is the request context (client disconnect cancels the
-// engine's worker pool) additionally bound to the server's base context
-// (Drain ends the stream). ?limit=n stops after n violations by breaking
-// the iterator, which also stops the pool; ?limit=0, like WithLimit(0),
+// Accept-negotiated encoding (see internal/stream; NDJSON is the default).
+// The stream context is the request context (client disconnect cancels the
+// engine's worker pool, or a router's scatter) additionally bound to the
+// server's base context (Drain ends the stream). ?limit=n stops after n
+// violations by breaking the hot loop; ?limit=0, like WithLimit(0),
 // streams unlimited — the rejected values are negative or non-numeric.
 //
 // Every exit path emits the encoding's terminal record: the trailer after
@@ -707,45 +914,28 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, observ
 		limit = n
 	}
 	enc := stream.Negotiate(r.Header.Get("Accept"))
-	chk := d.checker()
 
 	ctx, stop := s.boundContext(r)
 	defer stop()
+	vs, err := d.violations(ctx)
+	if err != nil {
+		fail(w, err, http.StatusInternalServerError)
+		return
+	}
+	defer vs.release()
 
 	w.Header().Set("Content-Type", enc.ContentType())
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 
 	s.nActiveStream.Add(1)
-	sw := stream.NewWriter(w, fl, enc, stream.Options{})
-	n := 0
-	endErr := ""
-	for v, err := range chk.Violations(ctx) {
-		if err != nil {
-			// Cancellation (client gone, or Drain): end with the terminal
-			// error record — a disconnected client simply won't read it —
-			// and unwind the iterator, which stops the workers before
-			// Violations hands control back.
-			endErr = err.Error()
-			break
-		}
-		if !sw.Send(v) {
-			// The response writer failed: the client is gone. CloseError
-			// keeps the writer's bookkeeping exact; nothing reaches the
-			// socket.
-			endErr = "client write failed"
-			break
-		}
-		if n++; limit > 0 && n >= limit {
-			break
-		}
-	}
+	sw, n, endErr := vs.run(w, fl, enc, limit)
 	// Settle the stream's metrics before its terminal record goes out, so
 	// /metrics agrees with any stream a client has finished reading. The
 	// writer writes every violation it was handed unless the client is
 	// gone; then nobody reads the terminal record, and Count corrects the
 	// total afterwards.
-	s.nStreamed.Add(int64(n))
+	s.nStreamed.Add(n)
 	s.nActiveStream.Add(-1)
 	observe()
 	if endErr != "" {
@@ -753,15 +943,15 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, observ
 	} else {
 		sw.Close()
 	}
-	if c := sw.Count(); c != int64(n) {
-		s.nStreamed.Add(c - int64(n))
+	if c := sw.Count(); c != n {
+		s.nStreamed.Add(c - n)
 	}
 }
 
-// handleDeltas applies one atomic batch of tuple deltas through
-// Checker.Apply and returns the net report change. Malformed batches —
-// bad JSON, unknown ops or relations, arity mismatches, out-of-domain
-// values — are domain-validation failures and answer 400, never 500.
+// handleDeltas applies one atomic batch of tuple deltas and returns the
+// net report change. Malformed batches — bad JSON, unknown ops or
+// relations, arity mismatches, out-of-domain values — are
+// domain-validation failures and answer 400, never 500.
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.findDataset(w, r)
 	if !ok {
@@ -769,61 +959,43 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDeltasBody))
 	if err != nil {
-		bodyError(w, err)
+		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	deltas, err := decodeDeltas(body, d.set)
+	deltas, err := decodeDeltas(body, d.meta().set)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Apply runs outside the dataset mutex: it can legitimately wait
-	// behind an in-flight pre-Apply stream (the Checker's documented
-	// write-after-reader ordering), and the rest of the dataset's
-	// endpoints must stay live meanwhile. writeMu keeps the WAL append
-	// adjacent to the apply so log order equals apply order; in-memory
-	// mode writers are already serialized by the checker's write lock, so
-	// the extra mutex costs no concurrency.
-	d.writeMu.Lock()
-	diff, err := d.checker().Apply(r.Context(), deltas...)
-	if err != nil {
-		d.writeMu.Unlock()
+	ctx, stop := s.boundContext(r)
+	defer stop()
+	resp, err := d.applyDeltas(ctx, deltas)
+	var nde *notDurableError
+	if err != nil && !errors.As(err, &nde) {
 		// decodeDeltas screened every validation failure, so what reaches
-		// here is cancellation: the client going away, or Drain during
-		// shutdown — a server condition, so tell the client to retry.
-		httpError(w, http.StatusServiceUnavailable, err)
+		// here is cancellation — the client going away, or Drain during
+		// shutdown: retry — or a failed shard fan-out.
+		fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	perr := d.persistDeltas(deltas)
-	d.writeMu.Unlock()
-	d.markIncremental()
 	s.nDeltas.Add(int64(len(deltas)))
-	resp := diffWire{
-		Applied: len(deltas),
-		Added:   encodeReport(&diff.Added),
-		Removed: encodeReport(&diff.Removed),
-	}
-	if d.pd != nil {
-		durable := perr == nil
-		resp.Durable = &durable
-	}
-	if perr != nil {
-		// The batch is live in memory but not durably logged: the server's
-		// storage is failing, not the request. This must NOT be an error
-		// status — a retrying client would double-apply a batch that is
-		// already live — so the diff is returned with "durable": false (and
-		// an X-Applied header, for clients that only look at headers) and
-		// the storage failure is reported alongside, not instead.
+	resp.Applied = len(deltas)
+	if nde != nil {
+		// The batch is live but not durably logged: the server's storage
+		// is failing, not the request. This must NOT be an error status — a
+		// retrying client would double-apply a batch that is already live —
+		// so the diff is returned with "durable": false (and an X-Applied
+		// header, for clients that only look at headers) and the storage
+		// failure is reported alongside, not instead.
 		s.nWALErrs.Add(1)
-		resp.StorageError = fmt.Sprintf("delta batch applied but not durably logged: %v", perr)
+		resp.StorageError = fmt.Sprintf("delta batch applied but not durably logged: %v", nde.err)
 		w.Header().Set("X-Applied", "true")
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleRepair runs Checker.Repair and returns the change log. The
-// dataset's database is never mutated — the endpoint reports the repaired
-// copy's actions; feed them back as deltas to apply them.
+// handleRepair computes a repair and returns the change log. The dataset
+// itself is never mutated.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.findDataset(w, r)
 	if !ok {
@@ -831,7 +1003,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRepairBody))
 	if err != nil {
-		bodyError(w, err)
+		fail(w, err, http.StatusBadRequest)
 		return
 	}
 	var req repairRequest
@@ -847,10 +1019,13 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad max_passes %d", req.MaxPasses))
 		return
 	}
-	res, err := d.checker().Repair(r.Context(), cind.RepairOptions{MaxPasses: req.MaxPasses})
+	ctx, stop := s.boundContext(r)
+	defer stop()
+	res, err := d.repair(ctx, cind.RepairOptions{MaxPasses: req.MaxPasses})
 	if err != nil {
-		// Repair only fails on cancellation (disconnect or shutdown).
-		httpError(w, http.StatusServiceUnavailable, err)
+		// A local repair only fails on cancellation (disconnect or
+		// shutdown); a router refuses with its own status.
+		fail(w, err, http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, http.StatusOK, encodeRepair(res))
@@ -865,18 +1040,6 @@ func (s *Server) boundContext(r *http.Request) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(r.Context())
 	unbind := context.AfterFunc(s.baseCtx, cancel)
 	return ctx, func() { unbind(); cancel() }
-}
-
-// cancelAware maps a reasoning-engine error: cancellation (client gone, or
-// Drain) is a retryable server condition (503); anything else answers
-// fallback — 400 where the request content can be at fault, 500 where it
-// cannot.
-func cancelAware(w http.ResponseWriter, err error, fallback int) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	httpError(w, fallback, err)
 }
 
 // implicationOptions reads the reasoning budget knobs from the query —
@@ -933,21 +1096,22 @@ func (s *Server) handleImplication(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxGoalsBody))
 	if err != nil {
-		bodyError(w, err)
+		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	goals, err := decodeGoals(body, d.goalPrefix)
+	m := d.meta()
+	goals, err := decodeGoals(body, m.goalPrefix)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, stop := s.boundContext(r)
 	defer stop()
-	outcomes, err := d.set.ImplyAll(ctx, goals, opts)
+	outcomes, err := m.set.ImplyAll(ctx, goals, opts)
 	if err != nil {
 		// Non-cancellation errors here are goal-validation failures — the
 		// client's clauses.
-		cancelAware(w, err, http.StatusBadRequest)
+		fail(w, err, http.StatusBadRequest)
 		return
 	}
 	s.nImplication.Add(int64(len(goals)))
@@ -1006,9 +1170,9 @@ func (s *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, stop := s.boundContext(r)
 	defer stop()
-	ans, err := d.set.CheckConsistencyContext(ctx, opts)
+	ans, err := d.meta().set.CheckConsistencyContext(ctx, opts)
 	if err != nil {
-		cancelAware(w, err, http.StatusBadRequest)
+		fail(w, err, http.StatusBadRequest)
 		return
 	}
 	s.nConsistency.Add(1)
@@ -1037,11 +1201,11 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, stop := s.boundContext(r)
 	defer stop()
-	res, err := d.set.Minimize(ctx, opts)
+	res, err := d.meta().set.Minimize(ctx, opts)
 	if err != nil {
 		// Minimize takes no request content: a non-cancellation failure is
 		// the server's own invariant breaking, never the client's fault.
-		cancelAware(w, err, http.StatusInternalServerError)
+		fail(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.nMinimize.Add(1)

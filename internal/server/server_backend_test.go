@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	cind "cind"
 )
 
 // startBackendServer is startServer with Options.Backend set: every dataset
@@ -30,7 +32,9 @@ func TestBackendServerParity(t *testing.T) {
 	c := ts.Client()
 	loadBankHTTP(t, c, ts.URL, "bank", "")
 
-	chk, _ := bankChecker(t)
+	// The reference runs at one worker: the default pool streams the same
+	// multiset in a run-dependent order.
+	chk, _ := bankChecker(t, cind.WithParallelism(1))
 	want := collectDirect(t, chk)
 	if len(want) == 0 {
 		t.Fatal("bank fixture is clean; the parity test needs violations")
@@ -65,7 +69,7 @@ func TestBackendServerReplaceAndDelete(t *testing.T) {
 	loadBankHTTP(t, c, ts.URL, "other", "")
 	do(t, c, "DELETE", ts.URL+"/datasets/bank", nil, http.StatusNoContent)
 	// The surviving dataset's backend still serves.
-	chk, _ := bankChecker(t)
+	chk, _ := bankChecker(t, cind.WithParallelism(1))
 	assertSameOrder(t, "after delete", streamViolations(t, c, ts.URL+"/datasets/other/violations"), collectDirect(t, chk))
 }
 

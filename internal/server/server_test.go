@@ -46,11 +46,21 @@ func bankSpec(t testing.TB) string {
 func startServer(t testing.TB) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New()
-	ts := httptest.NewUnstartedServer(s)
-	ts.Config.BaseContext = s.BaseContext
-	ts.Start()
-	t.Cleanup(ts.Close)
-	return s, ts
+	return s, startHTTPServer(t, s)
+}
+
+// serveModes are the two ways a Server serves datasets — local, and
+// routed over a 2-shard fleet — for the suites that pin the shared
+// handlers in both.
+var serveModes = []struct {
+	name  string
+	start func(testing.TB) (*Server, *httptest.Server)
+}{
+	{"single", startServer},
+	{"router", func(t testing.TB) (*Server, *httptest.Server) {
+		rt, ts, _ := startFleet(t, 2)
+		return rt, ts
+	}},
 }
 
 // do issues one request and checks the status code, returning the body.
@@ -516,58 +526,73 @@ func TestHTTPDifferentialGeneratedWorkloads(t *testing.T) {
 	}
 }
 
-// TestHTTPErrors pins the failure surface: wrong names are 404, malformed
-// input — constraint text, CSV, delta batches, query parameters — is 400
-// with the domain-validation error in the body, wrong methods are 405, and
-// nothing is ever a 500.
+// TestHTTPErrors pins the failure surface, on a single node and on a
+// router alike: wrong names are 404, malformed input — constraint text,
+// CSV, delta batches, query parameters — is 400 with the
+// domain-validation error in the body, wrong methods are 405, and nothing
+// is ever a 500. A row whose router status differs by design says so.
 func TestHTTPErrors(t *testing.T) {
-	_, ts := startServer(t)
-	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
-	base := ts.URL + "/datasets/bank"
+	for _, mode := range serveModes {
+		t.Run(mode.name, func(t *testing.T) {
+			_, ts := mode.start(t)
+			c := ts.Client()
+			loadBankHTTP(t, c, ts.URL, "bank", "")
+			testHTTPErrors(t, c, ts.URL, mode.name == "router")
+		})
+	}
+}
 
+func testHTTPErrors(t *testing.T, c *http.Client, root string, router bool) {
+	base := root + "/datasets/bank"
 	checks := []struct {
 		label  string
 		method string
 		url    string
 		body   string
 		want   int
+		router int // the router's status, where it differs by design
 	}{
-		{"violations of unknown dataset", "GET", ts.URL + "/datasets/nope/violations", "", 404},
-		{"data to unknown dataset", "PUT", ts.URL + "/datasets/nope?relation=checking", "an,cn,ca,cp,ab\n", 404},
-		{"deltas to unknown dataset", "POST", ts.URL + "/datasets/nope/deltas", `{"deltas":[]}`, 404},
-		{"repair of unknown dataset", "POST", ts.URL + "/datasets/nope/repair", "", 404},
-		{"info of unknown dataset", "GET", ts.URL + "/datasets/nope", "", 404},
-		{"delete of unknown dataset", "DELETE", ts.URL + "/datasets/nope", "", 404},
-		{"bad constraint text", "PUT", ts.URL + "/datasets/x/constraints", "relation r(", 400},
-		{"bad parallel", "PUT", ts.URL + "/datasets/x/constraints?parallel=lots", bankSpec(t), 400},
-		{"data without relation", "PUT", base, "an,cn,ca,cp,ab\n", 400},
-		{"data to unknown relation", "PUT", base + "?relation=nope", "a,b\n", 400},
-		{"unknown CSV header", "PUT", base + "?relation=checking", "an,cn,ca,cp,bogus\n1,2,3,4,5\n", 400},
-		{"duplicate CSV header", "PUT", base + "?relation=checking", "an,an,ca,cp,ab\n1,2,3,4,5\n", 400},
-		{"out-of-domain CSV value", "PUT", base + "?relation=account_NYC", "an,cn,ca,cp,at\n1,2,3,4,money-market\n", 400},
-		{"bad limit", "GET", base + "/violations?limit=all", "", 400},
-		{"negative limit", "GET", base + "/violations?limit=-1", "", 400},
-		{"zero limit streams unlimited", "GET", base + "/violations?limit=0", "", 200},
-		{"delta garbage", "POST", base + "/deltas", "{", 400},
-		{"delta bad op", "POST", base + "/deltas", `{"deltas":[{"op":"*","rel":"checking","tuple":["1","2","3","4","5"]}]}`, 400},
-		{"delta unknown relation", "POST", base + "/deltas", `{"deltas":[{"op":"+","rel":"nope","tuple":["1"]}]}`, 400},
-		{"delta arity mismatch", "POST", base + "/deltas", `{"deltas":[{"op":"+","rel":"checking","tuple":["1"]}]}`, 400},
-		{"delta out-of-domain value", "POST", base + "/deltas", `{"deltas":[{"op":"+","rel":"account_NYC","tuple":["1","2","3","4","money-market"]}]}`, 400},
-		{"delta unknown field", "POST", base + "/deltas", `{"deltas":[{"op":"+","rel":"checking","tuple":["1","2","3","4","5"],"extra":1}]}`, 400},
-		{"delta trailing data", "POST", base + "/deltas", `{"deltas":[]}{"deltas":[]}`, 400},
-		{"repair bad body", "POST", base + "/repair", "nope", 400},
-		{"repair negative passes", "POST", base + "/repair", `{"max_passes":-1}`, 400},
-		{"repair unknown option", "POST", base + "/repair", `{"passes":3}`, 400},
-		{"wrong method on violations", "POST", base + "/violations", "", 405},
-		{"wrong method on deltas", "GET", base + "/deltas", "", 405},
+		{label: "violations of unknown dataset", method: "GET", url: root + "/datasets/nope/violations", want: 404},
+		{label: "data to unknown dataset", method: "PUT", url: root + "/datasets/nope?relation=checking", body: "an,cn,ca,cp,ab\n", want: 404},
+		{label: "deltas to unknown dataset", method: "POST", url: root + "/datasets/nope/deltas", body: `{"deltas":[]}`, want: 404},
+		{label: "repair of unknown dataset", method: "POST", url: root + "/datasets/nope/repair", want: 404},
+		{label: "info of unknown dataset", method: "GET", url: root + "/datasets/nope", want: 404},
+		{label: "delete of unknown dataset", method: "DELETE", url: root + "/datasets/nope", want: 404},
+		{label: "bad constraint text", method: "PUT", url: root + "/datasets/x/constraints", body: "relation r(", want: 400},
+		{label: "bad parallel", method: "PUT", url: root + "/datasets/x/constraints?parallel=lots", body: bankSpec(t), want: 400},
+		{label: "data without relation", method: "PUT", url: base, body: "an,cn,ca,cp,ab\n", want: 400},
+		{label: "data to unknown relation", method: "PUT", url: base + "?relation=nope", body: "a,b\n", want: 400},
+		{label: "unknown CSV header", method: "PUT", url: base + "?relation=checking", body: "an,cn,ca,cp,bogus\n1,2,3,4,5\n", want: 400},
+		{label: "duplicate CSV header", method: "PUT", url: base + "?relation=checking", body: "an,an,ca,cp,ab\n1,2,3,4,5\n", want: 400},
+		{label: "out-of-domain CSV value", method: "PUT", url: base + "?relation=account_NYC", body: "an,cn,ca,cp,at\n1,2,3,4,money-market\n", want: 400},
+		{label: "bad limit", method: "GET", url: base + "/violations?limit=all", want: 400},
+		{label: "negative limit", method: "GET", url: base + "/violations?limit=-1", want: 400},
+		{label: "zero limit streams unlimited", method: "GET", url: base + "/violations?limit=0", want: 200},
+		{label: "delta garbage", method: "POST", url: base + "/deltas", body: "{", want: 400},
+		{label: "delta bad op", method: "POST", url: base + "/deltas", body: `{"deltas":[{"op":"*","rel":"checking","tuple":["1","2","3","4","5"]}]}`, want: 400},
+		{label: "delta unknown relation", method: "POST", url: base + "/deltas", body: `{"deltas":[{"op":"+","rel":"nope","tuple":["1"]}]}`, want: 400},
+		{label: "delta arity mismatch", method: "POST", url: base + "/deltas", body: `{"deltas":[{"op":"+","rel":"checking","tuple":["1"]}]}`, want: 400},
+		{label: "delta out-of-domain value", method: "POST", url: base + "/deltas", body: `{"deltas":[{"op":"+","rel":"account_NYC","tuple":["1","2","3","4","money-market"]}]}`, want: 400},
+		{label: "delta unknown field", method: "POST", url: base + "/deltas", body: `{"deltas":[{"op":"+","rel":"checking","tuple":["1","2","3","4","5"],"extra":1}]}`, want: 400},
+		{label: "delta trailing data", method: "POST", url: base + "/deltas", body: `{"deltas":[]}{"deltas":[]}`, want: 400},
+		{label: "repair bad body", method: "POST", url: base + "/repair", body: "nope", want: 400},
+		{label: "repair negative passes", method: "POST", url: base + "/repair", body: `{"max_passes":-1}`, want: 400},
+		{label: "repair unknown option", method: "POST", url: base + "/repair", body: `{"passes":3}`, want: 400},
+		// Repair needs the whole instance on one node.
+		{label: "repair", method: "POST", url: base + "/repair", want: 200, router: 501},
+		{label: "wrong method on violations", method: "POST", url: base + "/violations", want: 405},
+		{label: "wrong method on deltas", method: "GET", url: base + "/deltas", want: 405},
 	}
 	for _, tc := range checks {
-		body := do(t, c, tc.method, tc.url, []byte(tc.body), tc.want)
-		if tc.want == 400 {
+		want := tc.want
+		if router && tc.router != 0 {
+			want = tc.router
+		}
+		body := do(t, c, tc.method, tc.url, []byte(tc.body), want)
+		if want >= 400 && want != 405 {
 			var e errorWire
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-				t.Fatalf("%s: 400 body must carry the validation error, got %q", tc.label, body)
+				t.Fatalf("%s: %d body must carry the error, got %q", tc.label, want, body)
 			}
 		}
 	}
@@ -579,14 +604,15 @@ func TestHTTPErrors(t *testing.T) {
 	var list struct {
 		Datasets []string `json:"datasets"`
 	}
-	if err := json.Unmarshal(do(t, c, http.MethodGet, ts.URL+"/datasets", nil, 200), &list); err != nil {
+	if err := json.Unmarshal(do(t, c, http.MethodGet, root+"/datasets", nil, 200), &list); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(list.Datasets, []string{"bank"}) {
 		t.Fatalf("datasets = %v, want [bank]", list.Datasets)
 	}
-	do(t, c, http.MethodDelete, ts.URL+"/datasets/bank", nil, http.StatusNoContent)
+	do(t, c, http.MethodDelete, root+"/datasets/bank", nil, http.StatusNoContent)
 	do(t, c, http.MethodGet, base, nil, http.StatusNotFound)
+	do(t, c, http.MethodGet, base+"/violations", nil, http.StatusNotFound)
 }
 
 // TestMetricsAndHealth exercises /healthz and the per-server expvar map:
@@ -731,20 +757,48 @@ func denseDirtyCSV(n, groups int) []byte {
 }
 
 // TestInfoStaysLiveBehindBlockedWriter pins the liveness of the dataset's
-// read-only endpoints: a pre-Apply stream holds the checker's read lock, a
-// delta writer queues behind it on the write lock — and dataset info must
-// still answer promptly, because handlers only hold the per-dataset mutex
-// for pointer work, never across Apply.
+// read-only endpoints, on a single node and on a router: a stream the
+// client stopped reading holds the dataset's read side — the checker's
+// read lock pre-Apply, a router's gather lock — a delta writer queues
+// behind it on the write side, and dataset info must still answer
+// promptly.
 func TestInfoStaysLiveBehindBlockedWriter(t *testing.T) {
-	_, ts := startServer(t)
+	for _, mode := range serveModes {
+		t.Run(mode.name, func(t *testing.T) {
+			s, ts := mode.start(t)
+			testInfoStaysLive(t, s, ts)
+		})
+	}
+}
+
+func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 	c := ts.Client()
 	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
 	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 		denseDirtyCSV(3000, 30), http.StatusOK)
 	base := ts.URL + "/datasets/bank"
+	d, ok := s.dataset("bank")
+	if !ok {
+		t.Fatal("no dataset")
+	}
+	// writerQueued reports whether a writer holds or awaits the write side
+	// the stream's read side blocks.
+	writerQueued := func() bool {
+		switch d := d.(type) {
+		case *local:
+			_, ok := d.checker().TryRelationSizes()
+			return !ok
+		case *routed:
+			if !d.mu.TryRLock() {
+				return true
+			}
+			d.mu.RUnlock()
+		}
+		return false
+	}
 
 	// A slow reader: open the stream, take one line, then stop reading so
-	// the handler stays mid-iteration holding the checker's read lock.
+	// the handler stays mid-stream holding the read side.
 	resp, err := c.Get(base + "/violations")
 	if err != nil {
 		t.Fatal(err)
@@ -765,8 +819,13 @@ func TestInfoStaysLiveBehindBlockedWriter(t *testing.T) {
 		}
 		writerDone <- err
 	}()
+	for deadline := time.Now().Add(10 * time.Second); !writerQueued(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the delta writer never queued behind the stream")
+		}
+	}
 
-	// Info (and a fresh checker grab) must answer while the writer waits.
+	// Info must answer while the writer waits.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base, nil)
@@ -783,7 +842,7 @@ func TestInfoStaysLiveBehindBlockedWriter(t *testing.T) {
 	}
 
 	// Unblock: dropping the stream cancels its request context, the read
-	// lock is released, the writer completes.
+	// side is released, the writer completes.
 	resp.Body.Close()
 	if err := <-writerDone; err != nil {
 		t.Fatalf("writer never completed: %v", err)

@@ -201,7 +201,7 @@ func TestDeltasNotDurableIsNotAnError(t *testing.T) {
 	if !ok {
 		t.Fatal("no dataset")
 	}
-	d.closePersist()
+	d.(*local).closePersist()
 
 	body, err := json.Marshal(deltasRequest{Deltas: []deltaWire{
 		{Op: "+", Rel: "interest", Tuple: []string{"EDI", "UK", "checking", "10.5%"}},
@@ -262,7 +262,7 @@ func TestPutDataNotDurableIsNotAnError(t *testing.T) {
 	if !ok {
 		t.Fatal("no dataset")
 	}
-	d.closePersist()
+	d.(*local).closePersist()
 
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 		bytes.NewReader(denseDirtyCSV(10, 2)))

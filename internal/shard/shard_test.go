@@ -400,36 +400,3 @@ func TestMergeKeyOfError(t *testing.T) {
 		t.Fatalf("err = %v, want keyOf error", err)
 	}
 }
-
-func TestRingPick(t *testing.T) {
-	r := NewRing(4)
-	seen := make(map[int]int)
-	for i := 0; i < 512; i++ {
-		key := fmt.Sprintf("dataset-%d", i)
-		sh := r.Pick(key)
-		if sh < 0 || sh >= 4 {
-			t.Fatalf("Pick = %d, out of range", sh)
-		}
-		if again := r.Pick(key); again != sh {
-			t.Fatalf("Pick not deterministic: %d then %d", sh, again)
-		}
-		seen[sh]++
-	}
-	for sh := 0; sh < 4; sh++ {
-		if seen[sh] == 0 {
-			t.Errorf("ring never picked shard %d over 512 keys", sh)
-		}
-	}
-	// Consistency: growing the fleet moves only a fraction of the keys.
-	bigger := NewRing(5)
-	moved := 0
-	for i := 0; i < 512; i++ {
-		key := fmt.Sprintf("dataset-%d", i)
-		if bigger.Pick(key) != r.Pick(key) {
-			moved++
-		}
-	}
-	if moved > 256 {
-		t.Errorf("growing 4->5 shards moved %d/512 keys, want a minority", moved)
-	}
-}
