@@ -122,6 +122,17 @@ case "$(printf '%s\n' "$ndjson" | tail -n 1)" in
 	exit 1
 	;;
 esac
+# The JSON-array document of the same stream, kept for the router smoke's
+# byte comparison.
+json="$(curl -sSf -H 'Accept: application/json' "$base/datasets/bank/violations")"
+case "$json" in
+*'"done":true,"count":2}') ;;
+*)
+	echo "ci: JSON stream did not end with its done member:" >&2
+	printf '%s\n' "$json" >&2
+	exit 1
+	;;
+esac
 # Binary stream format: fetch the same endpoint as CRC-framed batches
 # through cindviolate's converter; its NDJSON output must be byte-identical
 # to the served NDJSON (exit 1 = violations found, the expected status).
@@ -356,6 +367,14 @@ if [ "$ndjson_rt" != "$ndjson" ]; then
 	printf 'router:\n%s\nsingle:\n%s\n' "$ndjson_rt" "$ndjson" >&2
 	exit 1
 fi
+# The router's JSON-array document must be byte-identical to the single
+# node's as well.
+json_rt="$(curl -sSf -H 'Accept: application/json' "$base/datasets/bank/violations")"
+if [ "$json_rt" != "$json" ]; then
+	echo "ci: router JSON stream differs from single-node JSON stream:" >&2
+	printf 'router:\n%s\nsingle:\n%s\n' "$json_rt" "$json" >&2
+	exit 1
+fi
 # cindviolate against the router URL, binary wire format end to end.
 bin_status=0
 bin_rt="$("$violate_bin" -from "$base/datasets/bank/violations" -encoding binary)" || bin_status=$?
@@ -421,6 +440,6 @@ if ! wait "$rt_pid"; then
 	exit 1
 fi
 wait "$s0_pid" 2> /dev/null || true
-echo "router smoke: sharded stream == single-node stream, reasoning served, dead shard named in 503"
+echo "router smoke: sharded NDJSON and JSON == single-node streams, reasoning served, dead shard named in 503"
 
 echo "ci: all green"

@@ -128,14 +128,16 @@
 // batched document, or application/x-cind-frames for CRC-framed binary
 // batches, the fastest transfer (~2.8x NDJSON; cindviolate -from
 // converts it back to NDJSON). Encoding runs off the detection hot loop
-// on a batching writer that flushes by size (~32KiB) or deadline
-// (~50ms), first violation eagerly — so time-to-first-violation is
-// engine latency, throughput is not bounded by per-line flushes, and a
-// bounded batch backlog keeps a fast engine from buffering an entire
-// stream ahead of a slow client. A client disconnect cancels the engine
-// exactly like breaking out of a Violations loop; ?limit=n is the
-// stream form of WithLimit (0 streams everything). See internal/server,
-// internal/stream and the "Serving" section of PERFORMANCE.md.
+// on a writer goroutine that flushes by size (32KiB) or deadline (50ms),
+// first violation eagerly — so time-to-first-violation is engine
+// latency, throughput is not bounded by per-line flushes, and a bounded
+// backlog of 1024 pending violations keeps a fast engine from buffering
+// an entire stream ahead of a slow client. A router's merged stream goes
+// through the same writer, with the same flush promises. A client
+// disconnect cancels the engine exactly like breaking out of a
+// Violations loop; ?limit=n is the stream form of WithLimit (0 streams
+// everything). See internal/server, internal/stream and the "Serving"
+// section of PERFORMANCE.md.
 //
 // Datasets are in-memory by default; cindserve -data DIR makes them
 // durable. Each dataset then owns a directory holding its constraint spec,

@@ -596,10 +596,11 @@ func (d *routed) violations(ctx context.Context) (violationStream, error) {
 }
 
 // run k-way merges the shard streams into the single-node global order and
-// re-encodes them in the client's encoding.
+// hands them to a relay writer, which re-encodes them in the client's
+// encoding off the merge loop.
 func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
 	d := g.d
-	ww := stream.NewWireWriter(out, fl, enc)
+	sw := stream.NewRelayWriter(out, fl, enc)
 	sources := make([]shard.Source, len(g.resps))
 	for i, resp := range g.resps {
 		sources[i] = stream.NewDecoder(resp.Body, stream.Binary)
@@ -615,24 +616,23 @@ func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limi
 			return k, err == nil, err
 		},
 		func(v *stream.Violation) bool {
-			if !ww.Send(v) {
+			if !sw.Send(*v) {
 				writeFailed = true
 				return false
 			}
 			n++
 			return limit <= 0 || n < limit
 		})
+	// ErrStopped without a write failure is the client's limit: a clean
+	// end, trailer and all, exactly like the single-node limit break.
+	endErr := ""
 	switch {
 	case writeFailed:
-		return ww, ww.Count(), "client write failed"
-	case err == nil || err == shard.ErrStopped:
-		// ErrStopped without a write failure is the client's limit: a
-		// clean end, trailer and all, exactly like the single-node limit
-		// break.
-		return ww, ww.Count(), ""
-	default:
-		return ww, ww.Count(), err.Error()
+		endErr = "client write failed"
+	case err != nil && err != shard.ErrStopped:
+		endErr = err.Error()
 	}
+	return sw, int64(n), endErr
 }
 
 func (g *gather) release() {

@@ -45,15 +45,18 @@
 // internal/stream: the Accept header selects the encoding (NDJSON stays the
 // default; application/json buys one parseable document,
 // application/x-cind-frames the CRC-framed binary batches), and a
-// per-stream encoder goroutine batches and flushes by size or deadline
-// (32KiB / 50ms, first violation eagerly) so the detection hot loop never
-// blocks on encoding or the socket. Every encoding ends with an explicit
-// terminal record — the NDJSON trailer line {"done":true,"count":N}, the
-// JSON document's "done" member, the binary 'Z' frame — or, after a
-// cancellation, a terminal error record, so a complete stream is always
-// distinguishable from a truncated one. A client disconnect cancels the
-// request context, which stops the engine's worker pool; the handler does
-// not return until every worker has exited, so a broken connection leaks no
+// per-stream stream.Writer encodes on its own goroutine and flushes by
+// size or deadline (32KiB / 50ms, first violation eagerly), so neither
+// the detection hot loop nor a router's merge loop blocks on encoding or
+// the socket. A local dataset sends engine violations, a routed one the
+// merged wire violations; the two writers differ only in that
+// conversion. Every encoding ends with an explicit terminal record — the
+// NDJSON trailer line {"done":true,"count":N}, the JSON document's "done"
+// member, the binary 'Z' frame — or, after a cancellation, a terminal
+// error record, so a complete stream is always distinguishable from a
+// truncated one. A client disconnect cancels the request context, which
+// stops the engine's worker pool; the handler does not return until every
+// worker and the encoder have exited, so a broken connection leaks no
 // goroutines. ?limit=n ends the stream after n violations by breaking out
 // of the iterator — the documented equivalent of WithLimit(n) on the
 // stream, which the differential tests pin; ?limit=0 (like WithLimit(0))
@@ -161,8 +164,8 @@ type violationStream interface {
 	release()
 }
 
-// streamWriter is the end of stream.Writer and stream.WireWriter the
-// handler drives once the hot loop is done.
+// streamWriter is the end of a stream.Writer, of either instantiation,
+// that the handler drives once the hot loop is done.
 type streamWriter interface {
 	Close() error
 	CloseError(msg string) error
@@ -670,7 +673,7 @@ func (d *local) violations(ctx context.Context) (violationStream, error) {
 	return &localStream{ctx: ctx, chk: d.checker()}, nil
 }
 
-// localStream is Checker.Violations feeding a batching stream.Writer.
+// localStream is Checker.Violations feeding an engine stream.Writer.
 type localStream struct {
 	ctx context.Context
 	chk *cind.Checker

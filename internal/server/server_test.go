@@ -131,7 +131,7 @@ func collectDirect(t testing.TB, chk *cind.Checker) []violationWire {
 		if err != nil {
 			t.Fatalf("direct Violations: %v", err)
 		}
-		out = append(out, encodeViolation(v))
+		out = append(out, stream.Convert(v))
 	}
 	return out
 }

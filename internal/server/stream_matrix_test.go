@@ -121,59 +121,86 @@ func TestStreamLimitZero(t *testing.T) {
 }
 
 // TestStreamDisconnectPerEncoding is the goroutine-leak test across the
-// encoding matrix: a client that breaks mid-stream in any encoding must
-// leave no engine workers or handler goroutines behind, and the server
-// must serve complete streams afterwards.
+// encoding matrix, on a single node and through a 2-shard router: a client
+// that breaks mid-stream in any encoding must leave no engine workers,
+// encoder or handler goroutines behind, and the server must serve
+// complete streams afterwards.
 func TestStreamDisconnectPerEncoding(t *testing.T) {
-	_, ts := startServer(t)
-	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
-	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
-		denseDirtyCSV(4000, 100), http.StatusOK)
-	url := ts.URL + "/datasets/bank/violations"
+	type served struct {
+		name string
+		c    *http.Client
+		url  string
+	}
+	var modes []served
+	for _, mode := range serveModes {
+		_, ts := mode.start(t)
+		c := ts.Client()
+		loadBankHTTP(t, c, ts.URL, "bank", "")
+		do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
+			denseDirtyCSV(4000, 100), http.StatusOK)
+		modes = append(modes, served{mode.name, c, ts.URL + "/datasets/bank/violations"})
+	}
 
 	for _, enc := range streamEncodings {
 		t.Run(enc.String(), func(t *testing.T) {
-			// Warm up the transport, then take the goroutine baseline.
-			if got := streamViolationsEnc(t, c, url+"?limit=1", enc); len(got) != 1 {
-				t.Fatalf("warm-up stream yielded %d violations, want 1", len(got))
-			}
-			before := runtime.NumGoroutine()
+			for _, m := range modes {
+				t.Run(m.name, func(t *testing.T) {
+					c, url := m.c, m.url
+					// Warm up the transport, then take the goroutine baseline.
+					if got := streamViolationsEnc(t, c, url+"?limit=1", enc); len(got) != 1 {
+						t.Fatalf("warm-up stream yielded %d violations, want 1", len(got))
+					}
+					before := runtime.NumGoroutine()
 
-			ctx, cancel := context.WithCancel(context.Background())
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("Accept", enc.ContentType())
-			resp, err := c.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Read one chunk mid-stream, then break the connection while
-			// the engine is still enumerating pairs.
-			br := bufio.NewReader(resp.Body)
-			if _, err := br.ReadByte(); err != nil {
-				t.Fatalf("no first byte before the disconnect: %v", err)
-			}
-			cancel()
-			resp.Body.Close()
-			c.CloseIdleConnections()
+					ctx, cancel := context.WithCancel(context.Background())
+					req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Header.Set("Accept", enc.ContentType())
+					resp, err := c.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Read one chunk mid-stream, then break the connection
+					// while the engine is still enumerating pairs.
+					br := bufio.NewReader(resp.Body)
+					if _, err := br.ReadByte(); err != nil {
+						t.Fatalf("no first byte before the disconnect: %v", err)
+					}
+					cancel()
+					resp.Body.Close()
+					c.CloseIdleConnections()
 
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if g := runtime.NumGoroutine(); g > before {
-				t.Fatalf("%s disconnect leaked goroutines: %d before, %d after", enc, before, g)
-			}
+					// The total alone can hide a leak behind the connections
+					// the disconnect closed, so count encoders by name too.
+					deadline := time.Now().Add(5 * time.Second)
+					for (runtime.NumGoroutine() > before || streamEncoders() > 0) && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					if g := runtime.NumGoroutine(); g > before {
+						t.Fatalf("%s disconnect leaked goroutines: %d before, %d after", enc, before, g)
+					}
+					if n := streamEncoders(); n > 0 {
+						t.Fatalf("%s disconnect leaked %d stream encoder goroutines", enc, n)
+					}
 
-			// The server must still serve this encoding completely.
-			if got := streamViolationsEnc(t, c, url+"?limit=3", enc); len(got) != 3 {
-				t.Fatalf("post-disconnect stream yielded %d violations, want 3", len(got))
+					// The server must still serve this encoding completely.
+					if got := streamViolationsEnc(t, c, url+"?limit=3", enc); len(got) != 3 {
+						t.Fatalf("post-disconnect stream yielded %d violations, want 3", len(got))
+					}
+				})
 			}
 		})
 	}
+}
+
+// streamEncoders counts the goroutines running a stream.Writer's encoder;
+// with no stream in flight there are none.
+func streamEncoders() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("internal/stream.(*Writer[...]).run("))
 }
 
 // TestDeltasNotDurableIsNotAnError is the double-apply regression test: a

@@ -26,15 +26,11 @@ type errorWire struct {
 	Error string `json:"error"`
 }
 
-func encodeViolation(v cind.Violation) violationWire {
-	return stream.Convert(v)
-}
-
 func encodeReport(r *cind.Report) []violationWire {
 	vs := r.Violations()
 	out := make([]violationWire, len(vs))
 	for i, v := range vs {
-		out[i] = encodeViolation(v)
+		out[i] = stream.Convert(v)
 	}
 	return out
 }

@@ -49,7 +49,7 @@ func appendBinaryViolation(dst []byte, v detect.Violation) []byte {
 // violation — the relay path: a router re-encoding frames it decoded from
 // a shard emits bodies in exactly the format above, so the two producers
 // are indistinguishable to the Decoder.
-func appendBinaryWire(dst []byte, v *Violation) []byte {
+func appendBinaryWire(dst []byte, v Violation) []byte {
 	dst = appendStr(dst, v.Kind)
 	dst = appendStr(dst, v.Constraint)
 	dst = appendStr(dst, v.Relation)

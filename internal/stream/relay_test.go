@@ -1,0 +1,94 @@
+package stream
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// wireFixture builds wire-form violations directly, without the engine:
+// the relay writer's input is whatever a shard decoded, so its tests need
+// not go through Convert.
+func wireFixture(n int) []Violation {
+	out := make([]Violation, n)
+	for i := range out {
+		out[i] = Violation{
+			Kind:       []string{"cfd", "cind"}[i%2],
+			Constraint: fmt.Sprintf("phi%d", i%5),
+			Relation:   "checking",
+			Row:        i % 3,
+			Witness:    [][]string{{fmt.Sprintf("%03d", i), "Cust", "Addr", "555", "NYC"}},
+		}
+	}
+	return out
+}
+
+func TestWireWriterRoundTrip(t *testing.T) {
+	for _, enc := range allEncodings {
+		t.Run(enc.String(), func(t *testing.T) {
+			vs := wireFixture(7)
+			var buf bytes.Buffer
+			w := NewRelayWriter(&buf, nil, enc)
+			for i := range vs {
+				if !w.Send(vs[i]) {
+					t.Fatalf("Send %d = false", i)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w.Count() != 7 {
+				t.Fatalf("Count = %d, want 7", w.Count())
+			}
+			got, err := DecodeAll(&buf, enc)
+			if err != nil {
+				t.Fatalf("DecodeAll: %v", err)
+			}
+			if !reflect.DeepEqual(got, vs) {
+				t.Fatalf("round trip diverged:\ngot  %+v\nwant %+v", got, vs)
+			}
+		})
+	}
+}
+
+func TestWireWriterEmptyStream(t *testing.T) {
+	for _, enc := range allEncodings {
+		var buf bytes.Buffer
+		w := NewRelayWriter(&buf, nil, enc)
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: %v", enc, err)
+		}
+		got, err := DecodeAll(&buf, enc)
+		if err != nil {
+			t.Fatalf("%s: DecodeAll: %v", enc, err)
+		}
+		if len(got) != 0 {
+			t.Fatalf("%s: empty stream decoded %d violations", enc, len(got))
+		}
+	}
+}
+
+func TestWireWriterCloseError(t *testing.T) {
+	for _, enc := range allEncodings {
+		var buf bytes.Buffer
+		w := NewRelayWriter(&buf, nil, enc)
+		vs := wireFixture(2)
+		for i := range vs {
+			w.Send(vs[i])
+		}
+		w.CloseError("shard 1 went away")
+		got, err := DecodeAll(&buf, enc)
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: DecodeAll err = %v, want RemoteError", enc, err)
+		}
+		if re.Msg != "shard 1 went away" {
+			t.Fatalf("%s: relayed message %q", enc, re.Msg)
+		}
+		if !reflect.DeepEqual(got, vs) {
+			t.Fatalf("%s: violations before the error diverged:\ngot  %+v\nwant %+v", enc, got, vs)
+		}
+	}
+}

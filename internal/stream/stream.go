@@ -1,7 +1,11 @@
 // Package stream is the violations wire layer: the negotiated response
-// encodings of GET /datasets/{name}/violations, a batching writer that
-// keeps encoding and flushing off the detection hot loop, and the decoder
-// clients and tests consume streams through.
+// encodings of GET /datasets/{name}/violations, one Writer that keeps
+// encoding and flushing off the caller's loop, and the decoder clients and
+// tests consume streams through. The Writer has two instantiations: over
+// engine violations (a single node's detection loop) and over decoded
+// wire violations (a router relaying merged shard streams). Both flush
+// the first violation eagerly and later bytes at 32KiB or 50ms, and for
+// the same violations both write the same NDJSON and JSON bytes.
 //
 // Three encodings are served, selected by the request's Accept header
 // (Negotiate); NDJSON stays the default so existing clients see no change:

@@ -69,14 +69,47 @@ func testViolations(t testing.TB, rows int) []detect.Violation {
 	return out
 }
 
-// encodeStream drives a Writer over the violations and returns the raw
-// stream bytes.
-func encodeStream(t testing.TB, vs []detect.Violation, enc Encoding, endErr string, opts Options) []byte {
+// closer is the end of a Writer of either instantiation.
+type closer interface {
+	Close() error
+	CloseError(msg string) error
+	Count() int64
+}
+
+// testWriter is an open Writer of either instantiation, fed engine
+// violations.
+type testWriter struct {
+	send func(detect.Violation) bool
+	closer
+}
+
+// writerKind is one Writer instantiation: the engine writer takes engine
+// violations as they are, the relay writer their Convert forms.
+type writerKind struct {
+	name string
+	open func(out io.Writer, enc Encoding) testWriter
+}
+
+var (
+	engineWriter = writerKind{"engine", func(out io.Writer, enc Encoding) testWriter {
+		w := NewWriter(out, nil, enc, Options{})
+		return testWriter{w.Send, w}
+	}}
+	relayWriter = writerKind{"relay", func(out io.Writer, enc Encoding) testWriter {
+		w := NewRelayWriter(out, nil, enc)
+		return testWriter{func(v detect.Violation) bool { return w.Send(Convert(v)) }, w}
+	}}
+	writerKinds = []writerKind{engineWriter, relayWriter}
+)
+
+// encodeStream drives a Writer of the given kind over the violations and
+// returns the raw stream bytes.
+func encodeStream(t testing.TB, kind writerKind, vs []detect.Violation, enc Encoding, endErr string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, nil, enc, opts)
+	w := kind.open(&buf, enc)
 	for _, v := range vs {
-		if !w.Send(v) {
+		if !w.send(v) {
 			t.Fatal("Send reported failure on a healthy buffer")
 		}
 	}
@@ -119,78 +152,118 @@ func assertSameViolations(t testing.TB, label string, got, want []Violation) {
 
 var allEncodings = []Encoding{NDJSON, JSONArray, Binary}
 
-// TestRoundTrip: for every encoding, a written stream decodes back to the
-// identical violations, in order, with the trailer count intact — the
-// core differential property the server suite then pins over HTTP.
+// TestRoundTrip: for every encoding and both writers, a written stream
+// decodes back to the identical violations, in order, with the trailer
+// count intact — the core differential property the server suite then
+// pins over HTTP.
 func TestRoundTrip(t *testing.T) {
 	vs := testViolations(t, 200)
 	want := wantWire(vs)
 	for _, enc := range allEncodings {
 		t.Run(enc.String(), func(t *testing.T) {
-			raw := encodeStream(t, vs, enc, "", Options{})
-			got, err := DecodeAll(bytes.NewReader(raw), enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			assertSameViolations(t, enc.String(), got, want)
+			for _, kind := range writerKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					raw := encodeStream(t, kind, vs, enc, "")
+					got, err := DecodeAll(bytes.NewReader(raw), enc)
+					if err != nil {
+						t.Fatalf("decode: %v", err)
+					}
+					assertSameViolations(t, enc.String(), got, want)
 
-			d := NewDecoder(bytes.NewReader(raw), enc)
-			n := 0
-			for {
-				_, err := d.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("Next: %v", err)
-				}
-				n++
-			}
-			if d.Count() != int64(n) || n != len(want) {
-				t.Fatalf("trailer count %d, decoded %d, want %d", d.Count(), n, len(want))
+					d := NewDecoder(bytes.NewReader(raw), enc)
+					n := 0
+					for {
+						_, err := d.Next()
+						if err == io.EOF {
+							break
+						}
+						if err != nil {
+							t.Fatalf("Next: %v", err)
+						}
+						n++
+					}
+					if d.Count() != int64(n) || n != len(want) {
+						t.Fatalf("trailer count %d, decoded %d, want %d", d.Count(), n, len(want))
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestRoundTripEmpty: a violation-free stream still carries its terminal
-// record in every encoding — an empty stream and a dead connection must
-// never look alike.
+// record in every encoding, from both writers — an empty stream and a
+// dead connection must never look alike.
 func TestRoundTripEmpty(t *testing.T) {
 	for _, enc := range allEncodings {
 		t.Run(enc.String(), func(t *testing.T) {
-			raw := encodeStream(t, nil, enc, "", Options{})
-			if len(raw) == 0 {
-				t.Fatal("empty stream wrote no terminal record")
-			}
-			got, err := DecodeAll(bytes.NewReader(raw), enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if len(got) != 0 {
-				t.Fatalf("decoded %d violations from an empty stream", len(got))
+			for _, kind := range writerKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					raw := encodeStream(t, kind, nil, enc, "")
+					if len(raw) == 0 {
+						t.Fatal("empty stream wrote no terminal record")
+					}
+					got, err := DecodeAll(bytes.NewReader(raw), enc)
+					if err != nil {
+						t.Fatalf("decode: %v", err)
+					}
+					if len(got) != 0 {
+						t.Fatalf("decoded %d violations from an empty stream", len(got))
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestErrorTerminal: a CloseError stream yields every violation sent, then
-// *RemoteError with the message — in every encoding.
+// *RemoteError with the message — in every encoding, from both writers.
 func TestErrorTerminal(t *testing.T) {
 	vs := testViolations(t, 30)
 	for _, enc := range allEncodings {
 		t.Run(enc.String(), func(t *testing.T) {
-			raw := encodeStream(t, vs, enc, "drain: context canceled", Options{})
-			got, err := DecodeAll(bytes.NewReader(raw), enc)
-			var re *RemoteError
-			if !errors.As(err, &re) {
-				t.Fatalf("decode error = %v, want *RemoteError", err)
+			for _, kind := range writerKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					raw := encodeStream(t, kind, vs, enc, "drain: context canceled")
+					got, err := DecodeAll(bytes.NewReader(raw), enc)
+					var re *RemoteError
+					if !errors.As(err, &re) {
+						t.Fatalf("decode error = %v, want *RemoteError", err)
+					}
+					if re.Msg != "drain: context canceled" {
+						t.Fatalf("remote error %q", re.Msg)
+					}
+					assertSameViolations(t, enc.String(), got, wantWire(vs))
+				})
 			}
-			if re.Msg != "drain: context canceled" {
-				t.Fatalf("remote error %q", re.Msg)
-			}
-			assertSameViolations(t, enc.String(), got, wantWire(vs))
 		})
+	}
+}
+
+// TestRelayMatchesEngine pins the relay promise: the relay writer fed the
+// Convert forms of engine violations writes what the engine writer fed
+// the violations writes — the same NDJSON and JSON bytes, and binary that
+// decodes to the same violations and terminal record (binary batch
+// boundaries follow flush timing, which the Decoder is indifferent to).
+func TestRelayMatchesEngine(t *testing.T) {
+	vs := testViolations(t, 200)
+	for _, enc := range allEncodings {
+		for _, endErr := range []string{"", "shard 1 went away"} {
+			engine := encodeStream(t, engineWriter, vs, enc, endErr)
+			relay := encodeStream(t, relayWriter, vs, enc, endErr)
+			if enc != Binary {
+				if !bytes.Equal(relay, engine) {
+					t.Fatalf("%s (end %q): relay bytes diverge:\nrelay  %q\nengine %q", enc, endErr, relay, engine)
+				}
+				continue
+			}
+			gotR, errR := DecodeAll(bytes.NewReader(relay), enc)
+			gotE, errE := DecodeAll(bytes.NewReader(engine), enc)
+			if fmt.Sprint(errR) != fmt.Sprint(errE) {
+				t.Fatalf("%s (end %q): relay ends with %v, engine with %v", enc, endErr, errR, errE)
+			}
+			assertSameViolations(t, fmt.Sprintf("%s (end %q)", enc, endErr), gotR, gotE)
+		}
 	}
 }
 
@@ -202,7 +275,7 @@ func TestTruncationDetected(t *testing.T) {
 	vs := testViolations(t, 12)
 	for _, enc := range allEncodings {
 		t.Run(enc.String(), func(t *testing.T) {
-			raw := encodeStream(t, vs, enc, "", Options{})
+			raw := encodeStream(t, engineWriter, vs, enc, "")
 			end := len(raw)
 			if enc != Binary {
 				end-- // without the trailing newline the stream is still complete
@@ -226,7 +299,7 @@ func TestTruncationDetected(t *testing.T) {
 // corruption into an error.
 func TestBinaryCorruption(t *testing.T) {
 	vs := testViolations(t, 12)
-	raw := encodeStream(t, vs, Binary, "", Options{})
+	raw := encodeStream(t, engineWriter, vs, Binary, "")
 	want, err := DecodeAll(bytes.NewReader(raw), Binary)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +319,7 @@ func TestBinaryCorruption(t *testing.T) {
 // a shortened validEnd, exactly the torn-tail discipline the WAL pins.
 func TestWALFrameCompatibility(t *testing.T) {
 	vs := testViolations(t, 50)
-	raw := encodeStream(t, vs, Binary, "", Options{})
+	raw := encodeStream(t, engineWriter, vs, Binary, "")
 	records, validEnd := wal.Decode(raw)
 	if validEnd != int64(len(raw)) {
 		t.Fatalf("wal.Decode validEnd = %d, want %d", validEnd, len(raw))
@@ -308,68 +381,78 @@ func TestParseEncoding(t *testing.T) {
 	}
 }
 
-// timedWriter records each Write's instant, for flush-policy assertions.
+// timedWriter records each Write's instant and the bytes written, for
+// flush-policy assertions.
 type timedWriter struct {
 	mu     sync.Mutex
 	writes []time.Time
-	sizes  []int
+	buf    bytes.Buffer
 }
 
 func (w *timedWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.writes = append(w.writes, time.Now())
-	w.sizes = append(w.sizes, len(p))
-	return len(p), nil
+	return w.buf.Write(p)
 }
 
-func (w *timedWriter) snapshot() []time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]time.Time(nil), w.writes...)
+// await waits up to a second for the n-th write and returns its instant
+// and the bytes written so far.
+func (w *timedWriter) await(t *testing.T, n int) (time.Time, string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		w.mu.Lock()
+		if len(w.writes) >= n {
+			defer w.mu.Unlock()
+			return w.writes[n-1], w.buf.String()
+		}
+		w.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("write %d never reached the sink while the producer sat idle", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
-// TestFlushPolicy: the first violation is flushed eagerly (first-violation
-// latency), later buffered bytes reach the writer within the flush
-// interval even when the size threshold is never hit, and nothing is lost
-// at Close.
+// TestFlushPolicy pins the flush promises at the production constants,
+// for both writers: a violation sent right after the stream opens reaches
+// the sink with no further Send or Close (the eager first flush), and a
+// second one sent right after it, far below the size threshold, reaches
+// the sink by the deadline flush while the producer sits idle. The
+// deadline check allows scheduling slack past flushInterval.
 func TestFlushPolicy(t *testing.T) {
 	vs := testViolations(t, 10)
-	out := &timedWriter{}
-	w := NewWriter(out, nil, NDJSON, Options{
-		FlushBytes:    1 << 30, // size flushing out of the picture
-		FlushInterval: 25 * time.Millisecond,
-		BatchSize:     1, // push every Send
-		PushInterval:  time.Millisecond,
-	})
-	start := time.Now()
-	w.Send(vs[0])
-	deadline := time.Now().Add(2 * time.Second)
-	for len(out.snapshot()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first violation never flushed")
-		}
-		time.Sleep(time.Millisecond)
+	line := func(v detect.Violation) string {
+		b, _ := json.Marshal(Convert(v))
+		return string(b) + "\n"
 	}
-	if d := out.snapshot()[0].Sub(start); d > 500*time.Millisecond {
-		t.Fatalf("first flush after %v, want eager", d)
-	}
-
-	// A second violation is below every size threshold; only the deadline
-	// can flush it.
-	w.Send(vs[1])
-	for len(out.snapshot()) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("interval flush never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	for _, v := range vs[2:] {
-		w.Send(v)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	for _, kind := range writerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			out := &timedWriter{}
+			w := kind.open(out, NDJSON)
+			w.send(vs[0])
+			if _, got := out.await(t, 1); got != line(vs[0]) {
+				t.Fatalf("first flush wrote %q, want the first violation", got)
+			}
+			sent := time.Now()
+			w.send(vs[1])
+			at, got := out.await(t, 2)
+			if got != line(vs[0])+line(vs[1]) {
+				t.Fatalf("deadline flush left %q, want both violations", got)
+			}
+			if d := at.Sub(sent); d > flushInterval+500*time.Millisecond {
+				t.Fatalf("second violation reached the sink %v after Send, want about %v", d, flushInterval)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			all, err := DecodeAll(&out.buf, NDJSON)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameViolations(t, "after Close", all, wantWire(vs[:2]))
+		})
 	}
 }
 
@@ -387,30 +470,54 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriterFailure: once the sink fails, Send reports it (within the
-// micro-batch bound) and Close surfaces the write error.
+// TestWriterFailure: once the sink fails, a later Send reports it — the
+// encoder writes asynchronously, so not necessarily the Send whose
+// violation met the failure — and Close surfaces the write error, for
+// both writers.
 func TestWriterFailure(t *testing.T) {
 	vs := testViolations(t, 50)
-	w := NewWriter(&failAfterWriter{n: 1}, nil, NDJSON, Options{
-		BatchSize:    1,
-		PushInterval: time.Millisecond,
-	})
-	sawFalse := false
-	deadline := time.Now().Add(5 * time.Second)
-	for !sawFalse && time.Now().Before(deadline) {
-		for _, v := range vs {
-			if !w.Send(v) {
-				sawFalse = true
-				break
+	for _, kind := range writerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			w := kind.open(&failAfterWriter{n: 1}, NDJSON)
+			sawFalse := false
+			deadline := time.Now().Add(5 * time.Second)
+			for !sawFalse && time.Now().Before(deadline) {
+				for _, v := range vs {
+					if !w.send(v) {
+						sawFalse = true
+						break
+					}
+				}
+				time.Sleep(time.Millisecond)
 			}
-		}
-		time.Sleep(time.Millisecond)
+			if !sawFalse {
+				t.Fatal("Send never reported the dead sink")
+			}
+			if err := w.Close(); err == nil {
+				t.Fatal("Close returned nil after write failures")
+			}
+		})
 	}
-	if !sawFalse {
-		t.Fatal("Send never reported the dead sink")
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close returned nil after write failures")
+}
+
+// TestSendAfterCloseRefused: a closed stream refuses further violations
+// and does not count them, for both writers.
+func TestSendAfterCloseRefused(t *testing.T) {
+	vs := testViolations(t, 5)
+	for _, kind := range writerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := kind.open(&buf, NDJSON)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w.send(vs[0]) {
+				t.Fatal("Send after Close = true")
+			}
+			if w.Count() != 0 {
+				t.Fatalf("Count after refused Send = %d", w.Count())
+			}
+		})
 	}
 }
 
@@ -428,7 +535,7 @@ func TestDecodeAllRejectsGarbage(t *testing.T) {
 // violations on the wire is corruption, not a clean end.
 func TestTrailerCountMismatch(t *testing.T) {
 	vs := testViolations(t, 5)
-	raw := encodeStream(t, vs, NDJSON, "", Options{})
+	raw := encodeStream(t, engineWriter, vs, NDJSON, "")
 	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
 	lines[len(lines)-1] = []byte(`{"done":true,"count":999}`)
 	_, err := DecodeAll(bytes.NewReader(bytes.Join(lines, []byte("\n"))), NDJSON)

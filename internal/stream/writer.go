@@ -17,32 +17,18 @@ import (
 // flushing (plain buffers in tests and benchmarks).
 type Flusher interface{ Flush() }
 
-// Options tunes the Writer's batching and flush policy. The zero value
-// selects the defaults below.
-type Options struct {
-	// FlushBytes flushes the encode buffer to the client once it holds this
-	// many bytes.
-	FlushBytes int
-	// FlushInterval flushes buffered bytes this long after the first one
-	// arrived, bounding how stale a partially-filled buffer may get on a
-	// slow violation stream.
-	FlushInterval time.Duration
-	// BatchSize is the producer micro-batch: Send hands violations to the
-	// encoder goroutine in groups of this size, so the detection hot loop
-	// pays one mutex handoff per batch, not per violation.
-	BatchSize int
-	// PushInterval bounds how long a violation may sit in a partially
-	// filled micro-batch before Send pushes it anyway.
-	PushInterval time.Duration
-}
+// Options has no fields: the flush policy is the constants below. The
+// type remains only because cmd/cindbench passes Options{} to NewWriter.
+type Options struct{}
 
-// Defaults: flush at 32KiB or 50ms, whichever first; micro-batches of 256
-// pushed at least every 5ms.
+// The flush policy: the first violation is flushed eagerly, later bytes
+// at flushBytes or flushInterval after the first of them was buffered,
+// whichever comes first. Send blocks while maxPending violations await the
+// encoder.
 const (
-	DefaultFlushBytes    = 32 << 10
-	DefaultFlushInterval = 50 * time.Millisecond
-	defaultBatchSize     = 256
-	defaultPushInterval  = 5 * time.Millisecond
+	flushBytes    = 32 << 10
+	flushInterval = 50 * time.Millisecond
+	maxPending    = 1024
 )
 
 // maxPooledBuf caps the encode buffers returned to the pool, so one stream
@@ -51,31 +37,35 @@ const maxPooledBuf = 1 << 20
 
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Writer streams violations to out in one negotiated encoding, moving all
-// conversion, encoding and flushing off the caller's loop: Send appends to
-// a micro-batch and hands full batches to a per-stream encoder goroutine;
-// the goroutine encodes, flushes at FlushBytes or FlushInterval (whichever
-// first, with the very first violation flushed eagerly so first-violation
-// latency stays one detection group), and writes the encoding's terminal
-// record when the stream closes.
+// Writer streams violations of type V to out in one negotiated encoding,
+// moving all conversion, encoding and flushing off the caller's loop. Send
+// appends to a pending slice under the writer's mutex and wakes the
+// per-stream encoder goroutine when that slice goes from empty to
+// non-empty; the goroutine swaps the whole slice out, encodes it, flushes
+// the first violation eagerly (first-violation latency stays one detection
+// group) and later bytes at 32KiB or 50ms, whichever first, and writes the
+// encoding's terminal record when the stream closes. The encoder sees
+// every violation as soon as it is sent, so both flush promises hold
+// however slowly the caller produces.
+//
+// The two instantiations differ only in how a value becomes its JSON form
+// and its binary body: NewWriter's takes engine violations, NewRelayWriter's
+// already-decoded wire violations. Fed the same violations, they write the
+// same NDJSON and JSON bytes and binary that decodes identically.
 //
 // Send and Close/CloseError must be called from one goroutine (the
-// iterator loop). Close and CloseError are idempotent; the first call wins.
-type Writer struct {
+// iterator or merge loop). Close and CloseError are idempotent; the first
+// call wins.
+type Writer[V any] struct {
 	out  io.Writer
 	fl   Flusher
 	enc  Encoding
-	opts Options
-
-	// Producer-side state, guarded by the single-caller contract.
-	micro    []detect.Violation
-	lastPush time.Time
-	okCached bool
+	wire func(V) Violation      // the JSON form
+	body func([]byte, V) []byte // appends the binary 'V' body
 
 	mu      sync.Mutex
-	full    sync.Cond            // producer waits here while pending is at capacity
-	pending [][]detect.Violation // full micro-batches awaiting encode
-	spare   [][]detect.Violation // spent batch buffers for the producer to reuse
+	room    sync.Cond // Send waits here while maxPending violations are pending
+	pending []V
 	closed  bool
 	endErr  string
 	werr    error
@@ -83,95 +73,72 @@ type Writer struct {
 	wake chan struct{}
 	done chan struct{}
 
-	scratch []byte // encoder-goroutine scratch for binary violation bodies
-
 	count int64 // violations written; read via Count after Close
 }
 
-// NewWriter starts a stream writer over out. fl may be nil; opts zero
-// fields take the defaults.
-func NewWriter(out io.Writer, fl Flusher, enc Encoding, opts Options) *Writer {
-	if opts.FlushBytes <= 0 {
-		opts.FlushBytes = DefaultFlushBytes
+// NewWriter starts a writer of engine violations over out. fl may be nil.
+func NewWriter(out io.Writer, fl Flusher, enc Encoding, _ Options) *Writer[detect.Violation] {
+	return newWriter(out, fl, enc, Convert, appendBinaryViolation)
+}
+
+// NewRelayWriter starts a writer of already-decoded wire violations over
+// out: the router's half, re-encoding the violations it merged from shard
+// streams exactly as a single node's NewWriter would. fl may be nil.
+func NewRelayWriter(out io.Writer, fl Flusher, enc Encoding) *Writer[Violation] {
+	return newWriter(out, fl, enc, func(v Violation) Violation { return v }, appendBinaryWire)
+}
+
+func newWriter[V any](out io.Writer, fl Flusher, enc Encoding, wire func(V) Violation, body func([]byte, V) []byte) *Writer[V] {
+	w := &Writer[V]{
+		out: out, fl: fl, enc: enc, wire: wire, body: body,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = DefaultFlushInterval
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = defaultBatchSize
-	}
-	if opts.PushInterval <= 0 {
-		opts.PushInterval = defaultPushInterval
-	}
-	w := &Writer{
-		out: out, fl: fl, enc: enc, opts: opts,
-		micro:    make([]detect.Violation, 0, opts.BatchSize),
-		lastPush: time.Now(),
-		okCached: true,
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
-	w.full.L = &w.mu
+	w.room.L = &w.mu
 	go w.run()
 	return w
 }
 
-// Send queues one violation. It returns false once the underlying writer
-// has failed (the client is gone) — the caller should stop iterating. The
-// report is conservative by up to one micro-batch: a failure is observed at
-// the next batch handoff, which PushInterval bounds.
-func (w *Writer) Send(v detect.Violation) bool {
-	w.micro = append(w.micro, v)
-	if len(w.micro) >= w.opts.BatchSize || time.Since(w.lastPush) >= w.opts.PushInterval {
-		return w.push()
-	}
-	return w.okCached
-}
-
-// maxPendingBatches bounds the encode backlog: once the encoder is this
-// many micro-batches behind, push blocks until it catches up. This is the
-// writer's backpressure — a fast engine cannot buffer an entire stream
-// ahead of a slow client, memory per stream stays bounded, and
-// cancellation (Drain, disconnect) still reaches a stream mid-flight
-// instead of finding it already fully buffered.
-const maxPendingBatches = 4
-
-// push hands the micro-batch slice itself to the encoder goroutine — no
-// per-violation copy — takes a recycled buffer for the next batch, and
-// samples writer health. It blocks while the encode backlog is full.
-func (w *Writer) push() bool {
-	w.lastPush = time.Now()
+// Send queues one violation. It returns false once the stream is closed or
+// the underlying writer has failed (the client is gone) — the caller
+// should stop. Writes happen on the encoder goroutine, so a failure is
+// reported by a later Send than the one whose violation met it. Send
+// blocks while maxPending violations are pending: a fast producer cannot
+// buffer a whole stream ahead of a slow client, memory per stream stays
+// bounded, and cancellation (Drain, disconnect) still reaches a stream
+// mid-flight.
+func (w *Writer[V]) Send(v V) bool {
 	w.mu.Lock()
-	for len(w.pending) >= maxPendingBatches && !w.closed && w.werr == nil {
-		w.full.Wait()
-	}
-	if len(w.micro) > 0 && !w.closed {
-		w.pending = append(w.pending, w.micro)
-		if n := len(w.spare); n > 0 {
-			w.micro = w.spare[n-1][:0]
-			w.spare = w.spare[:n-1]
-		} else {
-			w.micro = make([]detect.Violation, 0, w.opts.BatchSize)
-		}
+	for len(w.pending) >= maxPending && w.werr == nil && !w.closed {
+		w.room.Wait()
 	}
 	ok := w.werr == nil && !w.closed
+	if ok {
+		w.pending = append(w.pending, v)
+	}
+	wake := ok && len(w.pending) == 1
 	w.mu.Unlock()
-	w.okCached = ok
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	if wake {
+		w.signal()
 	}
 	return ok
 }
 
-// Close pushes any buffered violations, writes the encoding's clean
-// end-of-stream trailer, flushes, and waits for the encoder goroutine to
-// exit. It returns the first write error the stream hit, if any.
-func (w *Writer) Close() error { return w.finish("") }
+func (w *Writer[V]) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Close writes the encoding's clean end-of-stream trailer after every
+// violation sent, flushes, and waits for the encoder goroutine to exit. It
+// returns the first write error the stream hit, if any.
+func (w *Writer[V]) Close() error { return w.finish("") }
 
 // CloseError ends the stream with the encoding's terminal error record —
 // the signal that the stream is truncated by cancellation, not complete.
-func (w *Writer) CloseError(msg string) error {
+func (w *Writer[V]) CloseError(msg string) error {
 	if msg == "" {
 		msg = "stream aborted"
 	}
@@ -180,43 +147,32 @@ func (w *Writer) CloseError(msg string) error {
 
 // Count returns the number of violations written; valid after Close or
 // CloseError has returned.
-func (w *Writer) Count() int64 { return w.count }
+func (w *Writer[V]) Count() int64 { return w.count }
 
-func (w *Writer) finish(endErr string) error {
+func (w *Writer[V]) finish(endErr string) error {
 	w.mu.Lock()
 	if !w.closed {
 		w.closed = true
 		w.endErr = endErr
-		if len(w.micro) > 0 {
-			w.pending = append(w.pending, w.micro)
-			w.micro = nil
-		}
 	}
 	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
+	w.signal()
 	<-w.done
-	w.okCached = false
-	w.mu.Lock()
-	err := w.werr
-	w.mu.Unlock()
-	return err
+	return w.werr // the encoder, its only writer, has exited
 }
 
-func (w *Writer) setWerr(err error) {
+func (w *Writer[V]) setWerr(err error) {
 	w.mu.Lock()
 	if w.werr == nil {
 		w.werr = err
 	}
 	w.mu.Unlock()
-	w.full.Broadcast() // a blocked producer must see the failure, not wait
+	w.room.Broadcast() // a blocked producer must see the failure, not wait
 }
 
-// run is the encoder goroutine: drain pending batches, encode, flush by
-// size or deadline, emit the terminal record on close.
-func (w *Writer) run() {
+// run is the encoder goroutine: swap out the pending violations, encode,
+// flush by size or deadline, emit the terminal record on close.
+func (w *Writer[V]) run() {
 	defer close(w.done)
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -233,70 +189,42 @@ func (w *Writer) run() {
 	if w.enc == NDJSON {
 		jenc = json.NewEncoder(buf)
 	}
-	var timer *time.Timer
+	timer := time.NewTimer(flushInterval)
+	timer.Stop()
+	defer timer.Stop()
 	var flushC <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	var batch []V
 	failed := false
-	started := false // JSONArray prologue written
 	var count int64
 	for {
 		w.mu.Lock()
-		batches := w.pending
-		w.pending = nil
-		closed := w.closed
-		endErr := w.endErr
+		batch, w.pending = w.pending, batch[:0]
+		closed, endErr := w.closed, w.endErr
 		w.mu.Unlock()
-		if len(batches) > 0 {
-			w.full.Broadcast()
+		if len(batch) >= maxPending {
+			w.room.Broadcast()
 		}
-		for _, batch := range batches {
-			for i := range batch {
-				if failed {
-					break
-				}
-				if err := w.encodeOne(buf, jenc, &batch[i], &started); err != nil {
-					w.setWerr(err)
-					failed = true
-					break
-				}
-				count++
-				// The first violation is flushed eagerly: first-violation
-				// latency stays one detection group, not one fill of the
-				// buffer; after that, size governs.
-				if count == 1 || w.buffered(buf) >= w.opts.FlushBytes {
-					failed = w.flush(buf)
-					flushC = nil
-				}
+		for i := 0; i < len(batch) && !failed; i++ {
+			if err := w.encode(buf, jenc, batch[i], count); err != nil {
+				w.setWerr(err)
+				failed = true
+				break
 			}
-		}
-		if len(batches) > 0 {
-			// Recycle the spent batch buffers; the bound keeps a stalled
-			// producer from accumulating arbitrarily many.
-			w.mu.Lock()
-			for _, b := range batches {
-				if len(w.spare) < 4 && cap(b) > 0 {
-					w.spare = append(w.spare, b[:0])
-				}
+			count++
+			if count == 1 || w.buffered(buf) >= flushBytes {
+				failed = w.flush(buf)
+				flushC = nil
 			}
-			w.mu.Unlock()
 		}
 		if closed {
 			w.count = count
 			if !failed {
-				w.writeTerminal(buf, endErr, count, started)
+				w.writeTerminal(buf, endErr, count)
 			}
 			return
 		}
-		if !failed && w.buffered(buf) > 0 && flushC == nil {
-			if timer == nil {
-				timer = time.NewTimer(w.opts.FlushInterval)
-			} else {
-				timer.Reset(w.opts.FlushInterval)
-			}
+		if !failed && flushC == nil && w.buffered(buf) > 0 {
+			timer.Reset(flushInterval)
 			flushC = timer.C
 		}
 		select {
@@ -311,42 +239,41 @@ func (w *Writer) run() {
 }
 
 // buffered is the number of payload bytes awaiting a flush.
-func (w *Writer) buffered(buf *bytes.Buffer) int {
+func (w *Writer[V]) buffered(buf *bytes.Buffer) int {
 	if w.enc == Binary {
 		return buf.Len() - 1 // the standing 'V' tag is not payload
 	}
 	return buf.Len()
 }
 
-// encodeOne appends one violation to the encode buffer.
-func (w *Writer) encodeOne(buf *bytes.Buffer, jenc *json.Encoder, v *detect.Violation, started *bool) error {
+// encode appends one violation, the stream's count-th, to the encode
+// buffer.
+func (w *Writer[V]) encode(buf *bytes.Buffer, jenc *json.Encoder, v V, count int64) error {
 	switch w.enc {
 	case JSONArray:
-		if !*started {
+		if count == 0 {
 			buf.WriteString(`{"violations":[`)
-			*started = true
 		} else {
 			buf.WriteByte(',')
 		}
-		b, err := json.Marshal(Convert(*v))
+		b, err := json.Marshal(w.wire(v))
 		if err != nil {
 			return err
 		}
 		buf.Write(b)
 		return nil
 	case Binary:
-		w.scratch = appendBinaryViolation(w.scratch[:0], *v)
-		buf.Write(w.scratch)
+		buf.Write(w.body(buf.AvailableBuffer(), v))
 		return nil
 	default:
-		return jenc.Encode(Convert(*v))
+		return jenc.Encode(w.wire(v))
 	}
 }
 
 // flush sends the buffered payload to the client and reports failure. For
 // Binary the buffer is one 'V' batch payload, framed exactly like a WAL
 // record; the buffer is re-seeded with the tag for the next batch.
-func (w *Writer) flush(buf *bytes.Buffer) bool {
+func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 	var err error
 	switch w.enc {
 	case Binary:
@@ -375,46 +302,33 @@ func (w *Writer) flush(buf *bytes.Buffer) bool {
 
 // writeTerminal flushes what remains and writes the encoding's terminal
 // record: the trailer (clean end, with the count) or the error record.
-func (w *Writer) writeTerminal(buf *bytes.Buffer, endErr string, count int64, started bool) {
+func (w *Writer[V]) writeTerminal(buf *bytes.Buffer, endErr string, count int64) {
+	var err error
 	switch w.enc {
 	case Binary:
 		if w.flush(buf) {
 			return
 		}
-		var payload []byte
+		buf.Reset()
 		if endErr != "" {
-			if len(endErr) > wal.MaxRecord-1 {
-				endErr = endErr[:wal.MaxRecord-1]
-			}
-			payload = append([]byte{'E'}, endErr...)
+			buf.WriteByte('E')
+			buf.WriteString(endErr[:min(len(endErr), wal.MaxRecord-1)])
 		} else {
-			var tmp [binary.MaxVarintLen64]byte
-			n := binary.PutUvarint(tmp[:], uint64(count))
-			payload = append([]byte{'Z'}, tmp[:n]...)
+			buf.WriteByte('Z')
+			buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), uint64(count)))
 		}
-		if _, err := wal.AppendFrame(w.out, payload); err != nil {
-			w.setWerr(err)
-			return
-		}
+		_, err = wal.AppendFrame(w.out, buf.Bytes())
 	case JSONArray:
-		if !started {
+		if count == 0 {
 			buf.WriteString(`{"violations":[`)
 		}
-		buf.WriteByte(']')
 		if endErr != "" {
 			b, _ := json.Marshal(endErr)
-			buf.WriteString(`,"error":`)
-			buf.Write(b)
-			buf.WriteString("}\n")
+			fmt.Fprintf(buf, `],"error":%s}`+"\n", b)
 		} else {
-			fmt.Fprintf(buf, `,"done":true,"count":%d}`+"\n", count)
+			fmt.Fprintf(buf, `],"done":true,"count":%d}`+"\n", count)
 		}
-		if _, err := w.out.Write(buf.Bytes()); err != nil {
-			buf.Reset()
-			w.setWerr(err)
-			return
-		}
-		buf.Reset()
+		_, err = w.out.Write(buf.Bytes())
 	default: // NDJSON: trailer line, or the errorWire-shaped error line
 		if endErr != "" {
 			b, _ := json.Marshal(endErr)
@@ -422,14 +336,12 @@ func (w *Writer) writeTerminal(buf *bytes.Buffer, endErr string, count int64, st
 		} else {
 			fmt.Fprintf(buf, `{"done":true,"count":%d}`+"\n", count)
 		}
-		if _, err := w.out.Write(buf.Bytes()); err != nil {
-			buf.Reset()
-			w.setWerr(err)
-			return
-		}
-		buf.Reset()
+		_, err = w.out.Write(buf.Bytes())
 	}
-	if w.fl != nil {
+	buf.Reset()
+	if err != nil {
+		w.setWerr(err)
+	} else if w.fl != nil {
 		w.fl.Flush()
 	}
 }
