@@ -231,8 +231,13 @@ func WithSQLBackend(db *sql.DB) CheckerOption {
 // ConstraintSet.
 //
 // Until the first Apply, Detect and Violations evaluate the database
-// through the batched engine on every call. The first Apply builds the
-// resident incremental session (the PR-2 engine: interned projection
+// through the batched engine, over a resident detection plan: the
+// referenced relations coded once and the constraint groups compiled
+// against those codes (detect.Plan). The plan is keyed on each referenced
+// relation's Instance.Version, so repeat reads of an unchanged database
+// skip coding, and the first read after a direct write to the database
+// codes it afresh. The first Apply drops the plan and builds the resident
+// incremental session (the PR-2 engine: interned projection
 // indexes kept resident, violations maintained in O(affected-group) time
 // per delta); from then on the Checker owns the database — do not mutate it
 // directly — and Detect/Violations serve the maintained report, which
@@ -256,6 +261,14 @@ type Checker struct {
 	// be scanning — so reads hold mu.RLock for their whole run.
 	mu   sync.RWMutex
 	sess *detect.Session
+
+	// planMu guards plan, the batch engine's resident plan for reads
+	// before the first Apply. It is held only while the plan is checked
+	// against the database or rebuilt, never while the engine evaluates
+	// it: a plan is immutable once built, so concurrent readers share one
+	// build and evaluate it without locks.
+	planMu sync.Mutex
+	plan   *detect.Plan
 
 	// backend, when non-nil, serves pre-session batch detection through
 	// SQL (WithSQLBackend). It has its own mutex; the checker's read lock
@@ -305,8 +318,9 @@ func (c *Checker) Set() *ConstraintSet { return c.set }
 
 // Incremental reports whether the resident incremental session has been
 // built (i.e. Apply has run at least once). Before that, Detect and
-// Violations evaluate the database through the batch engine on every call;
-// after, they serve the maintained report.
+// Violations evaluate the database through the batch engine, reusing its
+// coded relations while the database is unchanged; after, they serve the
+// maintained report.
 func (c *Checker) Incremental() bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -352,6 +366,19 @@ func (c *Checker) engineOpts() detect.Options {
 	return detect.Options{Parallel: c.cfg.parallel, Limit: c.cfg.limit}
 }
 
+// detectPlan returns the resident plan, rebuilding it first when a
+// referenced relation changed since it was built. Callers hold c.mu's read
+// lock, so no Apply runs meanwhile.
+func (c *Checker) detectPlan() *detect.Plan {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	if c.plan == nil || !c.plan.Current(c.db) {
+		c.plan = nil // let a stale plan's codes go before coding anew
+		c.plan = detect.NewPlan(c.db, c.set.cfds, c.set.cinds)
+	}
+	return c.plan
+}
+
 // Detect evaluates every constraint and returns the violation report:
 // violations grouped per constraint in set order, CFDs' pair semantics and
 // CINDs' inclusion semantics exactly as the per-constraint reference
@@ -373,7 +400,7 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 	if c.backend != nil {
 		return c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
 	}
-	return detect.RunContext(ctx, c.db, c.set.cfds, c.set.cinds, c.engineOpts())
+	return c.detectPlan().Run(ctx, c.engineOpts())
 }
 
 // Violations streams violations as the engine finds them, instead of
@@ -382,9 +409,10 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 // quadratic pair of a dirty instance — first-violation latency instead of
 // full-report latency. Breaking out of the loop stops the workers promptly;
 // the iterator does not return until they have exited, so no engine
-// goroutine outlives the loop. Arrival order interleaves across detection
-// groups (use Detect for the deterministic report); WithLimit(n) ends the
-// stream after n violations.
+// goroutine outlives the loop. At WithParallelism(1) the stream is the
+// report, violation for violation; under a worker pool arrival order
+// interleaves across detection groups (use Detect for the deterministic
+// report). WithLimit(n) ends the stream after n violations.
 //
 // Each iteration yields a violation with a nil error. If ctx is cancelled
 // before the stream completes, one final (zero Violation, ctx.Err()) pair
@@ -428,7 +456,7 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 		}
 		n := 0
 		broke := false
-		err := detect.Each(ctx, c.db, c.set.cfds, c.set.cinds, c.engineOpts(), func(v Violation) bool {
+		err := c.detectPlan().Each(ctx, c.engineOpts(), func(v Violation) bool {
 			if !yield(v, nil) {
 				broke = true
 				return false
@@ -492,6 +520,9 @@ func (c *Checker) Apply(ctx context.Context, deltas ...Delta) (*ReportDiff, erro
 			return nil, err
 		}
 		c.sess = sess
+		c.planMu.Lock()
+		c.plan = nil // the session serves every read from now on
+		c.planMu.Unlock()
 	}
 	return c.sess.Apply(deltas...)
 }

@@ -29,6 +29,17 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# gofmt -l lists every file whose formatting differs from gofmt's; any
+# output fails the gate. The file list is git's, tracked plus untracked
+# but not ignored, so git-ignored build trees are never walked.
+echo "== gofmt -l"
+unformatted="$(git ls-files -co --exclude-standard '*.go' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "ci: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # cindlint prints its summary line (packages, diagnostics, bare ignores,
 # active ignores) and exits non-zero on any diagnostic or reason-less
 # ignore directive. See LINT.md for the invariants it enforces.

@@ -73,20 +73,20 @@ func Schema() *schema.Schema {
 func Data(sch *schema.Schema) *instance.Database {
 	db := instance.NewDatabase(sch)
 	nyc := db.Instance(AccountRel("NYC"))
-	nyc.InsertConsts("01", "J. Smith", "NYC, 19087", "212-5820844", "saving")   // t1
-	nyc.InsertConsts("02", "G. King", "NYC, 19022", "212-3963455", "checking")  // t2
-	nyc.InsertConsts("03", "J. Lee", "NYC, 02284", "212-5679844", "checking")   // t3
+	nyc.InsertConsts("01", "J. Smith", "NYC, 19087", "212-5820844", "saving")  // t1
+	nyc.InsertConsts("02", "G. King", "NYC, 19022", "212-3963455", "checking") // t2
+	nyc.InsertConsts("03", "J. Lee", "NYC, 02284", "212-5679844", "checking")  // t3
 	edi := db.Instance(AccountRel("EDI"))
-	edi.InsertConsts("01", "S. Bundy", "EDI, EH8 9LE", "131-6516501", "saving") // t4
+	edi.InsertConsts("01", "S. Bundy", "EDI, EH8 9LE", "131-6516501", "saving")   // t4
 	edi.InsertConsts("02", "I. Stark", "EDI, EH1 4FE", "131-6693423", "checking") // t5
 
 	sav := db.Instance("saving")
-	sav.InsertConsts("01", "J. Smith", "NYC, 19087", "212-5820844", "NYC")  // t6
+	sav.InsertConsts("01", "J. Smith", "NYC, 19087", "212-5820844", "NYC")   // t6
 	sav.InsertConsts("01", "S. Bundy", "EDI, EH8 9LE", "131-6516501", "EDI") // t7
 
 	chk := db.Instance("checking")
-	chk.InsertConsts("02", "G. King", "NYC, 19022", "212-3963455", "NYC")   // t8
-	chk.InsertConsts("03", "J. Lee", "NYC, 02284", "212-5679844", "NYC")    // t9
+	chk.InsertConsts("02", "G. King", "NYC, 19022", "212-3963455", "NYC")    // t8
+	chk.InsertConsts("03", "J. Lee", "NYC, 02284", "212-5679844", "NYC")     // t9
 	chk.InsertConsts("02", "I. Stark", "EDI, EH1 4FE", "131-6693423", "EDI") // t10
 
 	intr := db.Instance("interest")

@@ -332,4 +332,3 @@ func SatisfiedAll(cfds []*CFD, db *instance.Database) bool {
 	}
 	return true
 }
-

@@ -103,4 +103,3 @@ func ViolationsAll(sigma []*CIND, db *instance.Database) []Violation {
 	}
 	return out
 }
-

@@ -89,31 +89,28 @@ func planCFDs(db *instance.Database, cfds []*cfd.CFD, it *types.Interner) []*cfd
 	return groups
 }
 
-// stream builds the shared X index once and emits every violation of every
-// member against it, as it is found. It reproduces the Section 4 semantics
-// exactly as the reference cfd.CFD.Violations does, including its
+// stream builds the shared X index over cr once and emits every violation
+// of every member against it, as it is found. It reproduces the Section 4
+// semantics exactly as the reference cfd.CFD.Violations does, including its
 // deterministic order: members in input order; per member, rows in tableau
 // order; X groups in first-seen order; within a group, Y partitions in
 // first-seen order, equal-Y pairs (i ≤ j) before cross-partition pairs. The
 // LHS pattern is checked once per group — all tuples of an X group share
 // their X projection, so matching the representative decides the whole
-// group. emit receives the member's position in the Run input with each
-// violation; returning false — the consumer broke, hit its limit, or saw
-// cancellation — aborts the whole group. stream reports whether it ran to
-// completion.
-func (g *cfdGroup) stream(coded map[string]*codedRel, stop func() bool, emit func(idx int, v cfd.Violation) bool) bool {
-	cr := coded[g.rel]
+// group. emit receives the member's position in the group and the
+// violation as row ids into cr; returning false — the consumer broke, hit
+// its limit, or saw cancellation — aborts the whole group. stream reports
+// whether it ran to completion.
+func (g *cfdGroup) stream(cr *codedRel, stop func() bool, emit func(mi int, h hit) bool) bool {
 	ix := buildProjIndex(cr, g.xCols, stop)
 	if ix == nil {
 		return false
 	}
-	for i := range g.m {
-		m := &g.m[i]
+	for mi := range g.m {
+		m := &g.m[mi]
 		for ri := range m.rows {
 			row := &m.rows[ri]
-			e := func(r1, r2 int32) bool {
-				return emit(m.idx, cfd.Violation{CFD: m.c, RowIdx: ri, T1: cr.tuples[r1], T2: cr.tuples[r2]})
-			}
+			e := func(r1, r2 int32) bool { return emit(mi, hit{row: int32(ri), t1: r1, t2: r2}) }
 			for gi := 0; gi < ix.size(); gi++ {
 				if gi&1023 == 0 && stop() {
 					return false

@@ -72,6 +72,7 @@ func planCINDs(db *instance.Database, cinds []*core.CIND, it *types.Interner) []
 // tuples matching the row's LHS pattern, each with the slot of its demanded
 // X projection.
 type rowWork struct {
+	mi   int // member position in the group
 	m    *cindMember
 	ri   int
 	tups []int32 // matching LHS tuple indices, in insertion order
@@ -89,31 +90,49 @@ type rowWork struct {
 // projections are slot-uniform, so the row's Y pattern and the per-tuple
 // Yp pattern decide each (slot, work) pair.
 //
+// rhs is the coded RHS instance, lhs[mi] member mi's coded LHS instance.
 // Both scans poll stop; a stopped anti-join reports ok == false and the
 // caller discards the partial state. A CIND violation is only known after
 // the full RHS scan (absence of a match), so this is the earliest the
 // engine can emit anything for the group.
-func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (works []rowWork, satisfied []uint64, stride int, ok bool) {
-	crR := coded[g.rhsRel]
-	slots := newKeyGroups(0)
+func (g *cindGroup) antiJoin(rhs *codedRel, lhs []*codedRel, stop func() bool) (works []rowWork, satisfied []uint64, stride int, ok bool) {
+	// Count each (member, row)'s matching LHS tuples first, so its two
+	// lists are one allocation at their final size — a pattern match costs
+	// less than a trail of outgrown copies — and the demand table can be
+	// sized: a satisfiable demand equals some RHS tuple's Y projection, so
+	// on mostly clean data the distinct demands number about the smaller
+	// of the matches and the RHS size.
+	total := 0
 	for mi := range g.m {
 		m := &g.m[mi]
-		crL := coded[m.lhsRel]
 		for ri := range m.rows {
-			row := &m.rows[ri]
-			w := rowWork{m: m, ri: ri}
-			for i := range crL.tuples {
+			n := 0
+			for i := range lhs[mi].tuples {
 				if i&8191 == 0 && stop() {
 					return nil, nil, 0, false
 				}
-				if !matchCoded(crL, i, m.lhsCols, row.lhs) {
-					continue
+				if matchCoded(lhs[mi], i, m.lhsCols, m.rows[ri].lhs) {
+					n++
 				}
-				si := slots.findOrAdd(crL, i, m.xCols)
-				w.tups = append(w.tups, int32(i))
-				w.slot = append(w.slot, si)
 			}
-			works = append(works, w)
+			buf := make([]int32, 2*n)
+			works = append(works, rowWork{mi: mi, m: m, ri: ri, tups: buf[:0:n], slot: buf[n:n]})
+			total += n
+		}
+	}
+	slots := newKeyGroups(min(total, len(rhs.tuples)))
+	for wi := range works {
+		w := &works[wi]
+		crL, row := lhs[w.mi], &w.m.rows[w.ri]
+		for i := range crL.tuples {
+			if i&8191 == 0 && stop() {
+				return nil, nil, 0, false
+			}
+			if !matchCoded(crL, i, w.m.lhsCols, row.lhs) {
+				continue
+			}
+			w.tups = append(w.tups, int32(i))
+			w.slot = append(w.slot, slots.findOrAdd(crL, i, w.m.xCols))
 		}
 	}
 
@@ -121,11 +140,11 @@ func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (work
 	nw := len(works)
 	stride = (nw + 63) / 64
 	satisfied = make([]uint64, slots.size()*stride)
-	for i := range crR.tuples {
+	for i := range rhs.tuples {
 		if i&8191 == 0 && stop() {
 			return nil, nil, 0, false
 		}
-		si := slots.find(crR, i, g.yCols)
+		si := slots.find(rhs, i, g.yCols)
 		if si < 0 {
 			continue
 		}
@@ -136,7 +155,7 @@ func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (work
 				continue
 			}
 			row := &w.m.rows[w.ri]
-			if matchCoded(crR, i, g.yCols, row.y) && matchCoded(crR, i, w.m.ypCols, row.yp) {
+			if matchCoded(rhs, i, g.yCols, row.y) && matchCoded(rhs, i, w.m.ypCols, row.yp) {
 				satisfied[base+wi/64] |= 1 << (wi % 64)
 			}
 		}
@@ -152,17 +171,17 @@ func (g *cindGroup) antiJoin(coded map[string]*codedRel, stop func() bool) (work
 // This reproduces the Section 2 semantics of the reference
 // core.CIND.Violations exactly: an LHS tuple t1 matching tp[X, Xp]
 // violates iff no RHS tuple t2 has t2[Y] = t1[X] with t2[Y] ≍ tp[Y] and
-// t2[Yp] ≍ tp[Yp]. emit receives the member's position in the Run input
-// with each violation; returning false aborts the whole group. stream
-// reports whether it ran to completion.
-func (g *cindGroup) stream(coded map[string]*codedRel, stop func() bool, emit func(idx int, v core.Violation) bool) bool {
-	works, satisfied, stride, ok := g.antiJoin(coded, stop)
+// t2[Yp] ≍ tp[Yp]. emit receives the member's position in the group and
+// the violation, with t1 its row id in the member's LHS instance; returning
+// false aborts the whole group. stream reports whether it ran to
+// completion.
+func (g *cindGroup) stream(rhs *codedRel, lhs []*codedRel, stop func() bool, emit func(mi int, h hit) bool) bool {
+	works, satisfied, stride, ok := g.antiJoin(rhs, lhs, stop)
 	if !ok {
 		return false
 	}
 	for wi := range works {
 		w := &works[wi]
-		crL := coded[w.m.lhsRel]
 		for k, ti := range w.tups {
 			if k&8191 == 0 && stop() {
 				return false
@@ -170,7 +189,7 @@ func (g *cindGroup) stream(coded map[string]*codedRel, stop func() bool, emit fu
 			if satisfied[int(w.slot[k])*stride+wi/64]&(1<<(wi%64)) != 0 {
 				continue
 			}
-			if !emit(w.m.idx, core.Violation{CIND: w.m.c, RowIdx: w.ri, T: crL.tuples[ti]}) {
+			if !emit(w.mi, hit{row: int32(w.ri), t1: ti}) {
 				return false
 			}
 		}

@@ -89,21 +89,56 @@ func projEq(a *codedRel, ra int, ca []int, b *codedRel, rb int, cb []int) bool {
 // order, without materialising key strings: lookups go through a
 // hash-of-codes map and collisions (different projections, same 64-bit
 // hash) are resolved by comparing code sequences against each group's
-// recorded representative. Representatives may live in different coded
+// recorded representative. Representatives may come from different coded
 // relations — a CIND compares LHS X projections against RHS Y projections.
 type keyGroups struct {
 	byHash map[uint64]int32   // hash -> first group with that hash
 	over   map[uint64][]int32 // colliding further groups, lazily allocated
-	crs    []*codedRel        // group -> representative relation
-	rows   []int32            // group -> representative tuple index
-	colss  [][]int            // group -> representative column list
+	srcs   []keySrc           // the projections representatives come from
+	reps   []keyRep           // group -> representative
 }
 
+// keySrc is one projection representatives come from: a coded relation and
+// the column list projected out of it.
+type keySrc struct {
+	cr   *codedRel
+	cols []int
+}
+
+// keyRep is a group's representative: row row of srcs[src]. It is
+// pointer-free, so a table of a million groups costs the garbage collector
+// nothing to scan.
+type keyRep struct{ src, row int32 }
+
+// newKeyGroups sizes the table for sizeHint groups.
 func newKeyGroups(sizeHint int) keyGroups {
-	return keyGroups{byHash: make(map[uint64]int32, sizeHint)}
+	return keyGroups{byHash: make(map[uint64]int32, sizeHint), reps: make([]keyRep, 0, sizeHint)}
 }
 
-func (kg *keyGroups) size() int { return len(kg.rows) }
+func (kg *keyGroups) size() int { return len(kg.reps) }
+
+// eq reports whether the projection equals group g's representative.
+func (kg *keyGroups) eq(g int32, cr *codedRel, row int, cols []int) bool {
+	r := kg.reps[g]
+	s := &kg.srcs[r.src]
+	return projEq(cr, row, cols, s.cr, int(r.row), s.cols)
+}
+
+// source returns the index of the (cr, cols) projection in srcs, adding it
+// when absent. Column lists match by identity, as callers pass their
+// planned slices: an equal list in another slice only adds a source. A
+// table draws on one source per constraint member at most, so the scan is
+// short, and it starts from the most recently added source.
+func (kg *keyGroups) source(cr *codedRel, cols []int) int32 {
+	for i := len(kg.srcs) - 1; i >= 0; i-- {
+		s := &kg.srcs[i]
+		if s.cr == cr && len(s.cols) == len(cols) && (len(cols) == 0 || &s.cols[0] == &cols[0]) {
+			return int32(i)
+		}
+	}
+	kg.srcs = append(kg.srcs, keySrc{cr: cr, cols: cols})
+	return int32(len(kg.srcs) - 1)
+}
 
 // find returns the ordinal of the group holding the projection, or -1.
 func (kg *keyGroups) find(cr *codedRel, row int, cols []int) int32 {
@@ -112,11 +147,11 @@ func (kg *keyGroups) find(cr *codedRel, row int, cols []int) int32 {
 	if !ok {
 		return -1
 	}
-	if projEq(cr, row, cols, kg.crs[gi], int(kg.rows[gi]), kg.colss[gi]) {
+	if kg.eq(gi, cr, row, cols) {
 		return gi
 	}
 	for _, g := range kg.over[h] {
-		if projEq(cr, row, cols, kg.crs[g], int(kg.rows[g]), kg.colss[g]) {
+		if kg.eq(g, cr, row, cols) {
 			return g
 		}
 	}
@@ -129,19 +164,17 @@ func (kg *keyGroups) findOrAdd(cr *codedRel, row int, cols []int) int32 {
 	h := projHash(cr, row, cols)
 	gi, ok := kg.byHash[h]
 	if ok {
-		if projEq(cr, row, cols, kg.crs[gi], int(kg.rows[gi]), kg.colss[gi]) {
+		if kg.eq(gi, cr, row, cols) {
 			return gi
 		}
 		for _, g := range kg.over[h] {
-			if projEq(cr, row, cols, kg.crs[g], int(kg.rows[g]), kg.colss[g]) {
+			if kg.eq(g, cr, row, cols) {
 				return g
 			}
 		}
 	}
-	ng := int32(len(kg.rows))
-	kg.crs = append(kg.crs, cr)
-	kg.rows = append(kg.rows, int32(row))
-	kg.colss = append(kg.colss, cols)
+	ng := int32(len(kg.reps))
+	kg.reps = append(kg.reps, keyRep{src: kg.source(cr, cols), row: int32(row)})
 	if !ok {
 		kg.byHash[h] = ng
 	} else {
@@ -173,7 +206,7 @@ func buildProjIndex(cr *codedRel, cols []int, stop func() bool) *projIndex {
 	n := len(cr.tuples)
 	ix := &projIndex{cols: cols, kg: newKeyGroups(n)}
 	tupGi := make([]int32, n)
-	var counts []int32
+	counts := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if i&8191 == 0 && stop() {
 			return nil
@@ -203,7 +236,7 @@ func buildProjIndex(cr *codedRel, cols []int, stop func() bool) *projIndex {
 func (ix *projIndex) size() int { return ix.kg.size() }
 
 // rep returns the representative (first) tuple index of group g.
-func (ix *projIndex) rep(g int) int32 { return ix.kg.rows[g] }
+func (ix *projIndex) rep(g int) int32 { return ix.kg.reps[g].row }
 
 func (ix *projIndex) group(g int32) []int32 { return ix.tupIdx[ix.offs[g]:ix.offs[g+1]] }
 

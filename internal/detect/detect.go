@@ -10,7 +10,9 @@
 //
 //  1. interns every constant into an integer symbol ID (types.Interner), so
 //     projection keys are sequences of uint64 codes rather than freshly
-//     built strings;
+//     built strings; the coded relations and compiled groups form an
+//     immutable Plan, which a caller may keep and evaluate again while the
+//     database is unchanged (Plan.Current);
 //  2. groups CFDs by (relation, X attribute list) and CINDs by
 //     (RHS relation, Y attribute list), building each shared projection
 //     index over the instance once and evaluating all tableau rows of all
@@ -39,7 +41,6 @@ import (
 	"cind/internal/conc"
 	core "cind/internal/core"
 	"cind/internal/instance"
-	"cind/internal/types"
 )
 
 // Options tunes a detection run.
@@ -134,104 +135,15 @@ func Run(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Option
 // can call: a nil-Done context (Background) costs a single nil check.
 func stopFunc(ctx context.Context) func() bool { return conc.StopFunc(ctx) }
 
-// plan codes every referenced relation once, sequentially (workers only
-// read codes, so evaluation needs no locks) and builds the detection
-// groups. Shared by the batch and streaming entry points.
-func plan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, it *types.Interner) (map[string]*codedRel, []*cfdGroup, []*cindGroup) {
-	coded := map[string]*codedRel{}
-	ensure := func(rel string) {
-		if _, ok := coded[rel]; !ok {
-			coded[rel] = codeRelation(db.Instance(rel), it)
-		}
-	}
-	for _, c := range cfds {
-		ensure(c.Rel)
-	}
-	for _, c := range cinds {
-		ensure(c.LHSRel)
-		ensure(c.RHSRel)
-	}
-	return coded, planCFDs(db, cfds, it), planCINDs(db, cinds, it)
-}
-
-// RunContext is Run with cooperative cancellation: the planning phase and
-// every evaluation unit poll ctx, so a cancelled detection run stops the
-// worker pool promptly — mid pair enumeration, mid index build, mid
-// anti-join scan — instead of materialising the full report first. On
+// RunContext is Run with cooperative cancellation: it builds a fresh Plan
+// and evaluates it (Plan.Run), so a cancelled detection run stops the
+// worker pool promptly instead of materialising the full report first. On
 // cancellation the partial result is discarded and ctx's error returned.
 func RunContext(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stop := stopFunc(ctx)
-	coded, cfdGroups, cindGroups := plan(db, cfds, cinds, types.NewInterner())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Each group writes only its own members' slots, so the fan-out is
-	// race-free by construction and the merge is deterministic.
-	cfdOut := make([][]cfd.Violation, len(cfds))
-	cindOut := make([][]core.Violation, len(cinds))
-	units := make([]func(), 0, len(cfdGroups)+len(cindGroups))
-	for _, g := range cfdGroups {
-		g := g
-		units = append(units, func() { g.stream(coded, stop, collect(cfdOut, opts.Limit, stop)) })
-	}
-	for _, g := range cindGroups {
-		g := g
-		units = append(units, func() { g.stream(coded, stop, collect(cindOut, opts.Limit, stop)) })
-	}
-
-	conc.ForEachIdx(opts.workers(len(units)), len(units), func(i int) {
-		if stop() {
-			return
-		}
-		units[i]()
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	res := &Report{}
-	for _, vs := range cfdOut {
-		res.CFD = append(res.CFD, vs...)
-		if opts.Limit > 0 && len(res.CFD) >= opts.Limit {
-			res.CFD = res.CFD[:opts.Limit]
-			return res, nil
-		}
-	}
-	budget := -1
-	if opts.Limit > 0 {
-		budget = opts.Limit - len(res.CFD)
-	}
-	for _, vs := range cindOut {
-		res.CIND = append(res.CIND, vs...)
-		if budget >= 0 && len(res.CIND) >= budget {
-			res.CIND = res.CIND[:budget]
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// collect is the batch consumer of a group's emitting kernel: it appends
-// each violation to its member's slot of out and aborts the group once that
-// slot holds limit violations. Aborting is exact because a group's members
-// are in input order, so every later member of the group lands past the
-// limit prefix of the concatenated report. stop is polled every 256
-// violations of a slot, so cancellation interrupts even a quadratic dirty
-// bucket; a stopped group leaves partial slots behind, which the caller
-// discards.
-func collect[V any](out [][]V, limit int, stop func() bool) func(idx int, v V) bool {
-	return func(idx int, v V) bool {
-		out[idx] = append(out[idx], v)
-		n := len(out[idx])
-		if limit > 0 && n >= limit {
-			return false
-		}
-		return n&255 != 0 || !stop()
-	}
+	return NewPlan(db, cfds, cinds).Run(ctx, opts)
 }
 
 // CFDViolations runs a single CFD through the engine — the batched

@@ -1,0 +1,235 @@
+package detect
+
+import (
+	"context"
+
+	"cind/internal/cfd"
+	"cind/internal/conc"
+	core "cind/internal/core"
+	"cind/internal/instance"
+	"cind/internal/types"
+)
+
+// Plan is the compiled form of one constraint set over one database
+// snapshot: every referenced relation coded once, and the CFD and CIND
+// detection groups compiled against those codes. A plan is immutable once
+// NewPlan returns — evaluation only reads it — so any number of Run and
+// Each calls may evaluate one plan concurrently without locks, and a
+// caller may keep it across calls for as long as Current holds.
+type Plan struct {
+	units []unit
+	slots []slotRef // report slot -> unit and member: CFDs, then CINDs
+	ncfd  int       // slots below ncfd are CFDs
+	deps  []planDep
+}
+
+// slotRef locates one constraint of the input inside the plan: units[u],
+// member mi.
+type slotRef struct{ u, mi int }
+
+// planDep is one relation the plan coded, with the instance and the
+// Version it was coded at.
+type planDep struct {
+	rel  string
+	in   *instance.Instance
+	next int64
+	n    int
+}
+
+// hit is one violation of a group member as row ids into the plan's coded
+// relations: the tableau row, and the witness rows (t1 == t2 for a
+// single-tuple CFD violation; t2 unused for a CIND). Hits are
+// pointer-free, so collected and buffered ones cost the garbage collector
+// nothing to scan.
+type hit struct{ row, t1, t2 int32 }
+
+// unit is one detection group bound to a plan's coded relations — the
+// unit of parallel evaluation.
+type unit interface {
+	// stream emits every violation of every member as it is found:
+	// members in input order, each member's hits contiguous and in
+	// reference order. emit returning false aborts the unit; stream
+	// reports whether it ran to completion.
+	stream(stop func() bool, emit func(mi int, h hit) bool) bool
+	// slot returns member mi's position in report order.
+	slot(mi int) int
+	// violation materialises one hit of member mi.
+	violation(mi int, h hit) Violation
+	// report appends member mi's hits to rep as typed violations.
+	report(rep *Report, mi int, hs []hit)
+}
+
+type cfdUnit struct {
+	g  *cfdGroup
+	cr *codedRel
+}
+
+func (u cfdUnit) stream(stop func() bool, emit func(mi int, h hit) bool) bool {
+	return u.g.stream(u.cr, stop, emit)
+}
+
+func (u cfdUnit) slot(mi int) int { return u.g.m[mi].idx }
+
+func (u cfdUnit) cfd(mi int, h hit) cfd.Violation {
+	return cfd.Violation{CFD: u.g.m[mi].c, RowIdx: int(h.row), T1: u.cr.tuples[h.t1], T2: u.cr.tuples[h.t2]}
+}
+
+func (u cfdUnit) violation(mi int, h hit) Violation { return CFDViolation(u.cfd(mi, h)) }
+
+func (u cfdUnit) report(rep *Report, mi int, hs []hit) {
+	for _, h := range hs {
+		rep.CFD = append(rep.CFD, u.cfd(mi, h))
+	}
+}
+
+type cindUnit struct {
+	g    *cindGroup
+	rhs  *codedRel
+	lhs  []*codedRel // member -> coded LHS instance
+	base int         // report slot of the first CIND: the number of CFDs
+}
+
+func (u cindUnit) stream(stop func() bool, emit func(mi int, h hit) bool) bool {
+	return u.g.stream(u.rhs, u.lhs, stop, emit)
+}
+
+func (u cindUnit) slot(mi int) int { return u.base + u.g.m[mi].idx }
+
+func (u cindUnit) cind(mi int, h hit) core.Violation {
+	return core.Violation{CIND: u.g.m[mi].c, RowIdx: int(h.row), T: u.lhs[mi].tuples[h.t1]}
+}
+
+func (u cindUnit) violation(mi int, h hit) Violation { return CINDViolation(u.cind(mi, h)) }
+
+func (u cindUnit) report(rep *Report, mi int, hs []hit) {
+	for _, h := range hs {
+		rep.CIND = append(rep.CIND, u.cind(mi, h))
+	}
+}
+
+// NewPlan codes every relation the constraints reference, sequentially and
+// with one fresh interner, and compiles the detection groups against the
+// codes. The interner is dropped on return: a plan keeps only codes, which
+// is all evaluation compares. The plan shares the instances' tuple slices
+// rather than copying them, so it describes db only while Current holds.
+func NewPlan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Plan {
+	it := types.NewInterner()
+	p := &Plan{slots: make([]slotRef, len(cfds)+len(cinds)), ncfd: len(cfds)}
+	coded := map[string]*codedRel{}
+	ensure := func(rel string) {
+		if _, ok := coded[rel]; ok {
+			return
+		}
+		in := db.Instance(rel)
+		coded[rel] = codeRelation(in, it)
+		next, n := in.Version()
+		p.deps = append(p.deps, planDep{rel: rel, in: in, next: next, n: n})
+	}
+	for _, c := range cfds {
+		ensure(c.Rel)
+	}
+	for _, c := range cinds {
+		ensure(c.LHSRel)
+		ensure(c.RHSRel)
+	}
+	for _, g := range planCFDs(db, cfds, it) {
+		p.add(cfdUnit{g: g, cr: coded[g.rel]}, len(g.m))
+	}
+	for _, g := range planCINDs(db, cinds, it) {
+		u := cindUnit{g: g, rhs: coded[g.rhsRel], lhs: make([]*codedRel, len(g.m)), base: len(cfds)}
+		for mi := range g.m {
+			u.lhs[mi] = coded[g.m[mi].lhsRel]
+		}
+		p.add(u, len(g.m))
+	}
+	return p
+}
+
+func (p *Plan) add(u unit, members int) {
+	for mi := 0; mi < members; mi++ {
+		p.slots[u.slot(mi)] = slotRef{u: len(p.units), mi: mi}
+	}
+	p.units = append(p.units, u)
+}
+
+// Current reports whether the plan still describes db: every relation it
+// coded is still db's instance of that name, at the Version it was coded
+// at. The constraint set is the caller's to hold fixed.
+func (p *Plan) Current(db *instance.Database) bool {
+	for _, d := range p.deps {
+		if next, n := d.in.Version(); db.Instance(d.rel) != d.in || next != d.next || n != d.n {
+			return false
+		}
+	}
+	return true
+}
+
+// Run evaluates the plan into the violation report, fanning the units out
+// over the worker pool. Every evaluation unit polls ctx, so a cancelled run
+// stops the pool promptly — mid pair enumeration, mid index build, mid
+// anti-join scan — and returns ctx's error, discarding the partial result.
+func (p *Plan) Run(ctx context.Context, opts Options) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	stop := stopFunc(ctx)
+	// Each unit appends only to its own members' slots, so the fan-out is
+	// race-free by construction and the merge is deterministic.
+	out := make([][]hit, len(p.slots))
+	conc.ForEachIdx(opts.workers(len(p.units)), len(p.units), func(i int) {
+		if stop() {
+			return
+		}
+		u := p.units[i]
+		u.stream(stop, collect(out, u, opts.Limit, stop))
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Cut the slots to the Limit prefix of their concatenation, size the
+	// report, then materialise it in slot (report) order.
+	left, ncfd, ncind := opts.Limit, 0, 0
+	for s := range out {
+		if opts.Limit > 0 {
+			out[s] = out[s][:min(len(out[s]), left)]
+			left -= len(out[s])
+		}
+		if s < p.ncfd {
+			ncfd += len(out[s])
+		} else {
+			ncind += len(out[s])
+		}
+	}
+	res := &Report{}
+	if ncfd > 0 {
+		res.CFD = make([]cfd.Violation, 0, ncfd)
+	}
+	if ncind > 0 {
+		res.CIND = make([]core.Violation, 0, ncind)
+	}
+	for s, hs := range out {
+		ref := p.slots[s]
+		p.units[ref.u].report(res, ref.mi, hs)
+	}
+	return res, nil
+}
+
+// collect is the batch consumer of a unit: it appends each hit to its
+// member's slot of out and aborts the unit once that slot holds limit hits.
+// Aborting is exact because a unit's members are in input order, so every
+// later member of the unit lands past the limit prefix of the concatenated
+// report. stop is polled every 256 hits of a slot, so cancellation
+// interrupts even a quadratic dirty bucket; a stopped unit leaves partial
+// slots behind, which the caller discards.
+func collect(out [][]hit, u unit, limit int, stop func() bool) func(mi int, h hit) bool {
+	return func(mi int, h hit) bool {
+		s := u.slot(mi)
+		out[s] = append(out[s], h)
+		n := len(out[s])
+		if limit > 0 && n >= limit {
+			return false
+		}
+		return n&255 != 0 || !stop()
+	}
+}

@@ -135,10 +135,10 @@ type workState struct {
 	m     *cindMember
 	ri    int
 	lhsLR *liveRel
-	rows  []int32          // matching LHS rows, ascending (== scan order)
-	slots []int32          // parallel: demanded-key slot per matching row
+	rows  []int32           // matching LHS rows, ascending (== scan order)
+	slots []int32           // parallel: demanded-key slot per matching row
 	byKey map[int32][]int32 // slot -> matching LHS rows, ascending
-	sat   []int32          // slot -> count of live RHS tuples satisfying it
+	sat   []int32           // slot -> count of live RHS tuples satisfying it
 }
 
 func (w *workState) satisfied(slot int32) bool {

@@ -8,7 +8,6 @@ import (
 	"cind/internal/constraint"
 	core "cind/internal/core"
 	"cind/internal/instance"
-	"cind/internal/types"
 )
 
 // Violation is the unified sum type over the two violation kinds: a CFD
@@ -123,18 +122,32 @@ func (v Violation) String() string {
 }
 
 // Each evaluates every constraint against the database through the batched
-// engine and calls yield for each violation as it is found, instead of
-// materialising the full report first — first-violation latency on dirty
-// data is the cost of one detection group, not of enumerating every
-// quadratic pair. Groups still fan out over the bounded worker pool
-// (opts.Parallel), so arrival order interleaves across groups; within one
-// group the order matches the batch engine. opts.Limit is ignored — the
-// consumer governs how many violations it wants by returning false from
-// yield, which stops the workers promptly (mid pair enumeration, mid index
-// build) and is not an error. Each returns ctx.Err() when the context was
-// cancelled before evaluation completed, nil otherwise; it does not return
-// until every worker has exited, so no engine goroutine outlives the call.
+// engine — a fresh Plan, evaluated by Plan.Each — and calls yield for each
+// violation as it is found.
 func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options, yield func(Violation) bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return NewPlan(db, cfds, cinds).Each(ctx, opts, yield)
+}
+
+// Each evaluates the plan and calls yield for each violation as it is
+// found, instead of materialising the full report first — first-violation
+// latency on dirty data is the cost of one detection group, not of
+// enumerating every quadratic pair.
+//
+// At one worker (opts.Parallel 1, or a plan with a single group) the stream
+// is the report, violation for violation: see inOrder. With more workers
+// the groups fan out over the bounded pool, so arrival order interleaves
+// across groups; within one group the order still matches the report.
+//
+// opts.Limit is ignored — the consumer governs how many violations it wants
+// by returning false from yield, which stops the workers promptly (mid pair
+// enumeration, mid index build) and is not an error. Each returns ctx.Err()
+// when the context was cancelled before evaluation completed, nil
+// otherwise; it does not return until every worker has exited, so no engine
+// goroutine outlives the call.
+func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -143,32 +156,11 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 	stop := stopFunc(inner)
 	done := inner.Done()
 
-	coded, cfdGroups, cindGroups := plan(db, cfds, cinds, types.NewInterner())
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	units := make([]func(send func(Violation) bool), 0, len(cfdGroups)+len(cindGroups))
-	for _, g := range cfdGroups {
-		g := g
-		units = append(units, func(send func(Violation) bool) {
-			g.stream(coded, stop, func(_ int, v cfd.Violation) bool { return send(CFDViolation(v)) })
-		})
-	}
-	for _, g := range cindGroups {
-		g := g
-		units = append(units, func(send func(Violation) bool) {
-			g.stream(coded, stop, func(_ int, v core.Violation) bool { return send(CINDViolation(v)) })
-		})
-	}
-
-	w := opts.workers(len(units))
+	w := opts.workers(len(p.units))
 	if w == 1 {
-		// Sequential fast path: one worker draining the units in order is
-		// behaviourally identical to the pool below — same violation
-		// order, same cancellation promptness — minus the per-violation
-		// channel handoff, which on a violation-dense database is most of
-		// the streaming cost. yield runs on this goroutine.
+		// yield runs on this goroutine, with no per-violation channel
+		// handoff — on a violation-dense database that handoff is most of
+		// the streaming cost.
 		broke := false
 		send := func(v Violation) bool {
 			if broke || stop() || !yield(v) {
@@ -178,12 +170,7 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 			}
 			return true
 		}
-		for _, u := range units {
-			if broke || stop() {
-				break
-			}
-			u(send)
-		}
+		p.inOrder(stop, send)
 		return ctx.Err()
 	}
 
@@ -200,13 +187,13 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 		}
 	}
 	var wg sync.WaitGroup
-	uch := make(chan func(send func(Violation) bool))
+	uch := make(chan unit)
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
 			for u := range uch {
-				u(send)
+				u.stream(stop, func(mi int, h hit) bool { return send(u.violation(mi, h)) })
 			}
 		}()
 	}
@@ -214,7 +201,7 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 		// Feed every unit unconditionally: after cancellation the workers
 		// drain them in a few polls each, which is cheaper than a second
 		// signalling path.
-		for _, u := range units {
+		for _, u := range p.units {
 			uch <- u
 		}
 		close(uch)
@@ -234,8 +221,40 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 			cancel()
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	return ctx.Err()
+}
+
+// inOrder is the one-worker evaluation, in report order. It walks the
+// report slots and runs each unit when its first member's slot comes up,
+// streaming that member live; the unit's later members are held as hits
+// until their own slots come up. A unit's members are in input order, so
+// its first member always has its lowest slot. send returning false, or
+// stop firing, ends the walk.
+func (p *Plan) inOrder(stop func() bool, send func(Violation) bool) {
+	held := make([][]hit, len(p.slots))
+	for s, ref := range p.slots {
+		u := p.units[ref.u]
+		if ref.mi > 0 {
+			for _, h := range held[s] {
+				if !send(u.violation(ref.mi, h)) {
+					return
+				}
+			}
+			held[s] = nil
+			continue
+		}
+		if stop() {
+			return
+		}
+		if !u.stream(stop, func(mi int, h hit) bool {
+			if mi == 0 {
+				return send(u.violation(0, h))
+			}
+			t := u.slot(mi)
+			held[t] = append(held[t], h)
+			return len(held[t])&255 != 0 || !stop()
+		}) {
+			return
+		}
 	}
-	return nil
 }

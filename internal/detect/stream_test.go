@@ -110,6 +110,78 @@ func TestEachSequentialSingleConstraintOrder(t *testing.T) {
 	}
 }
 
+// unitsOutOfOrder reports whether running the plan's units one after
+// another, each member's violations in turn, would stream rep in another
+// order: some violation of a later unit precedes one of an earlier unit.
+func unitsOutOfOrder(p *Plan, cfds []*cfd.CFD, cinds []*core.CIND, rep *Report) bool {
+	unitOf := map[any]int{}
+	for s, ref := range p.slots {
+		if s < len(cfds) {
+			unitOf[cfds[s]] = ref.u
+		} else {
+			unitOf[cinds[s-len(cfds)]] = ref.u
+		}
+	}
+	last := -1
+	for _, v := range rep.Violations() {
+		u := unitOf[v.Constraint()]
+		if u < last {
+			return true
+		}
+		last = u
+	}
+	return false
+}
+
+// TestEachSequentialIsReportOrder pins the one-worker stream to the report,
+// violation for violation, on workloads whose detection groups interleave
+// in report order: the stream must hold a group's later members back until
+// their slots come up, where a group-by-group stream would not.
+func TestEachSequentialIsReportOrder(t *testing.T) {
+	check := func(t *testing.T, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) {
+		t.Helper()
+		rep, err := RunContext(context.Background(), db, cfds, cinds, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !unitsOutOfOrder(NewPlan(db, cfds, cinds), cfds, cinds, rep) {
+			t.Fatal("group-by-group order already matches the report; the test would prove nothing")
+		}
+		want := rep.Violations()
+		got := collectEach(t, context.Background(), db, cfds, cinds, Options{Parallel: 1})
+		if len(got) != len(want) {
+			t.Fatalf("stream found %d violations, report %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Constraint() != want[i].Constraint() || got[i].String() != want[i].String() {
+				t.Fatalf("stream diverges from the report at %d of %d:\nstream: %s\nreport: %s", i, len(want), got[i], want[i])
+			}
+		}
+	}
+
+	t.Run("bank", func(t *testing.T) {
+		// ψ1_EDI shares ψ1_NYC's group (RHS saving, same Y) and sits after
+		// ψ2_NYC in Σ; violate both so the group's later member must wait.
+		sch := bank.Schema()
+		db := bank.Data(sch)
+		db.Insert("account_NYC", instance.Consts("a-901", "Nobody", "Nowhere", "555", "checking"))
+		db.Insert("account_EDI", instance.Consts("a-902", "Someone", "Elsewhere", "556", "saving"))
+		cfds, cinds := bank.CFDs(sch), bank.CINDs(sch)
+		violated := map[string]bool{}
+		for _, v := range Run(db, cfds, cinds, Options{}).CIND {
+			violated[v.CIND.ID] = true
+		}
+		if !violated["psi1_EDI"] || !violated["psi2_NYC"] {
+			t.Fatalf("want psi1_EDI and psi2_NYC violated, got %v", violated)
+		}
+		check(t, db, cfds, cinds)
+	})
+	t.Run("gen", func(t *testing.T) {
+		w := gen.New(gen.Config{Relations: 8, Card: 120, Consistent: true, Seed: 21})
+		check(t, dirtyWorkload(w), w.CFDs, w.CINDs)
+	})
+}
+
 // TestEachEarlyBreakStopsWorkers is the satellite cancellation test for the
 // consumer-break direction: on a violation-heavy workload whose full
 // enumeration is large, breaking at the first violation must return

@@ -14,12 +14,12 @@ func pctf(f float64) string { return fmt.Sprintf("%.0f%%", 100*f) }
 // Fig11Point is one x-position of Figures 11(a)–(c): the constraint count
 // against accuracy and runtime of RandomChecking and Checking.
 type Fig11Point struct {
-	Card          int
-	RandomHits    int // consistent verdicts from RandomChecking
-	CheckingHits  int // consistent verdicts from Checking
-	Runs          int
-	RandomTime    time.Duration
-	CheckingTime  time.Duration
+	Card         int
+	RandomHits   int // consistent verdicts from RandomChecking
+	CheckingHits int // consistent verdicts from Checking
+	Runs         int
+	RandomTime   time.Duration
+	CheckingTime time.Duration
 }
 
 // Fig11Consistent sweeps card(Σ) on consistent CFD+CIND workloads

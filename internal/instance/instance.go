@@ -95,7 +95,7 @@ func (t Tuple) String() string {
 type Instance struct {
 	rel     *schema.Relation
 	tuples  []Tuple
-	seqs    []int64 // parallel to tuples, strictly increasing
+	seqs    []int64          // parallel to tuples, strictly increasing
 	index   map[string]int64 // tuple key -> sequence number
 	nextSeq int64
 }
@@ -119,9 +119,11 @@ func (in *Instance) Tuples() []Tuple { return in.tuples }
 // pair changes on every Insert and Delete (nextSeq only grows, and a
 // delete shrinks the length without changing nextSeq), and reindex — run
 // by chase-style variable substitution — reassigns fresh sequence numbers,
-// so equal pairs imply the mirror built from an earlier snapshot is still
-// current. Used by internal/sqlbackend to skip re-ingesting unchanged
-// relations.
+// so equal pairs imply a structure built from an earlier snapshot is still
+// current. It has two users: internal/sqlbackend skips re-ingesting
+// unchanged relations into its SQL mirror, and a Checker keeps its
+// detection plan (detect.Plan) — the relations' coded form — across reads
+// while every referenced relation's pair is unchanged.
 func (in *Instance) Version() (nextSeq int64, n int) {
 	return in.nextSeq, len(in.tuples)
 }

@@ -311,3 +311,48 @@ func TestDeleteAbsentOnEmptyInstance(t *testing.T) {
 		t.Fatal("delete on empty instance must report false")
 	}
 }
+
+// TestVersionChangesOnEveryMutation pins Version as a cache key: every
+// mutation that can change an instance's contents must change the pair,
+// including the ones that restore its length (delete then re-insert,
+// reset then refill) or rewrite tuples in place (variable substitution).
+func TestVersionChangesOnEveryMutation(t *testing.T) {
+	v := types.NewVar(9, "v")
+	fill := func(in *Instance) {
+		in.Insert(Consts("a", "b"))
+		in.Insert(Tuple{v, types.C("b")})
+		in.Insert(Consts("c", "d"))
+	}
+	cases := []struct {
+		name   string
+		mutate func(in *Instance)
+		wantN  int // Len after the mutation
+	}{
+		{"insert", func(in *Instance) { in.Insert(Consts("e", "f")) }, 4},
+		{"delete", func(in *Instance) { in.Delete(Consts("c", "d")) }, 2},
+		{"delete then re-insert", func(in *Instance) {
+			in.Delete(Consts("a", "b"))
+			in.Insert(Consts("a", "b"))
+		}, 3},
+		{"substitute without merge", func(in *Instance) { in.substituteVar(9, types.C("z")) }, 3},
+		{"substitute with merge", func(in *Instance) { in.substituteVar(9, types.C("a")) }, 2},
+		{"reset then refill", func(in *Instance) {
+			in.Reset()
+			fill(in)
+		}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := NewInstance(rel2("R", "A", "B"))
+			fill(in)
+			next, n := in.Version()
+			tc.mutate(in)
+			if in.Len() != tc.wantN {
+				t.Fatalf("Len = %d after the mutation, want %d", in.Len(), tc.wantN)
+			}
+			if next2, n2 := in.Version(); next2 == next && n2 == n {
+				t.Fatalf("Version = (%d, %d) before and after the mutation", next, n)
+			}
+		})
+	}
+}

@@ -284,17 +284,17 @@ func TestErrors(t *testing.T) {
 	db := open(t)
 	seed(t, db)
 	for _, q := range []string{
-		`SELECT`,                                    // truncated
-		`SELECT t."an" FROM "nope" t`,               // unknown table
-		`SELECT t."nope" FROM "acct" t`,             // unknown column
-		`SELECT s."an" FROM "acct" t`,               // unknown alias
-		`SELECT t."an" FROM "acct" t WHERE`,         // dangling WHERE
-		`SELECT t."an" FROM "acct" t GROUP`,         // dangling GROUP
-		`SELECT t."an" FROM "acct" t trailing junk`, // trailing tokens
-		`FROB "acct"`,                               // unknown statement
+		`SELECT`,                                     // truncated
+		`SELECT t."an" FROM "nope" t`,                // unknown table
+		`SELECT t."nope" FROM "acct" t`,              // unknown column
+		`SELECT s."an" FROM "acct" t`,                // unknown alias
+		`SELECT t."an" FROM "acct" t WHERE`,          // dangling WHERE
+		`SELECT t."an" FROM "acct" t GROUP`,          // dangling GROUP
+		`SELECT t."an" FROM "acct" t trailing junk`,  // trailing tokens
+		`FROB "acct"`,                                // unknown statement
 		`SELECT COUNT(DISTINCT t."an" FROM "acct" t`, // unclosed call
-		`SELECT 'unterminated FROM "acct" t`,        // unterminated literal
-		`SELECT t."an" + 'x' FROM "acct" t`,         // arithmetic on text
+		`SELECT 'unterminated FROM "acct" t`,         // unterminated literal
+		`SELECT t."an" + 'x' FROM "acct" t`,          // arithmetic on text
 	} {
 		if _, err := db.Query(q); err == nil {
 			t.Errorf("query %q succeeded", q)

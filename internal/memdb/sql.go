@@ -15,12 +15,12 @@ import (
 type tokKind int
 
 const (
-	tEOF tokKind = iota
-	tWord         // bare identifier / keyword
-	tQuoted       // "..." quoted identifier
-	tString       // '...' string literal
-	tNumber       // integer literal
-	tPunct        // operators and delimiters
+	tEOF    tokKind = iota
+	tWord           // bare identifier / keyword
+	tQuoted         // "..." quoted identifier
+	tString         // '...' string literal
+	tNumber         // integer literal
+	tPunct          // operators and delimiters
 )
 
 type token struct {
@@ -228,9 +228,9 @@ func parse(src string) (stmt, int, error) {
 	return s, p.nparams, nil
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
-func (p *parser) next() token  { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) atEOF() bool  { return p.peek().kind == tEOF }
+func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) atEOF() bool { return p.peek().kind == tEOF }
 
 // kw reports whether the next token is the given bare keyword
 // (case-insensitive) and consumes it if so.

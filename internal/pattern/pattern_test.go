@@ -51,8 +51,8 @@ func TestMatchOrder(t *testing.T) {
 		{Sym("a"), types.C("a"), true},
 		{Sym("a"), types.C("b"), false},
 		{Wild, types.C("a"), true},
-		{Wild, v, true},       // v ≍ '_'
-		{Sym("a"), v, false},  // v 6≍ a
+		{Wild, v, true},      // v ≍ '_'
+		{Sym("a"), v, false}, // v 6≍ a
 		{Sym(""), types.C(""), true},
 	}
 	for _, c := range cases {

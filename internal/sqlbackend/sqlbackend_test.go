@@ -196,9 +196,9 @@ func nullFixture(t *testing.T) (*schema.Schema, *instance.Database, []*cfd.CFD, 
 	db := instance.NewDatabase(sch)
 	for _, row := range [][]string{
 		{"g1", "v"}, {"g1", ""}, // wildcard-RHS pair violation via NULL
-		{"g2", ""},             // constant-RHS single violation via NULL
-		{"", "v"},              // NULL X-group; also CIND LHS matched via NULL
-		{"k", "v"},             // CIND LHS with no RHS match
+		{"g2", ""}, // constant-RHS single violation via NULL
+		{"", "v"},  // NULL X-group; also CIND LHS matched via NULL
+		{"k", "v"}, // CIND LHS with no RHS match
 	} {
 		db.Instance("r").InsertConsts(row...)
 	}
@@ -421,7 +421,7 @@ func TestMultiRowMultiYCFD(t *testing.T) {
 	for _, row := range [][]string{
 		{"a", "p", "q"}, {"a", "p", "r"}, // y2 differs: wild component fires
 		{"b", "p", "q"}, {"b", "p", "q"}, // duplicate collapses: clean
-		{"c", "z", "q"},                  // fails the const row below
+		{"c", "z", "q"}, // fails the const row below
 		{"d", "p", "q"},
 	} {
 		db.Instance("r").InsertConsts(row...)

@@ -202,9 +202,9 @@ func TestLoadLatestSnapshotSkipsBrokenVariants(t *testing.T) {
 			}
 		}
 	}
-	mk(2, `{"seq":2,"wal_offset":9,"relations":["T"]}`, nil)                           // missing T.csv
+	mk(2, `{"seq":2,"wal_offset":9,"relations":["T"]}`, nil)                                 // missing T.csv
 	mk(3, `{"seq":3,"wal_offset":11,"relations":["T"]}`, map[string]string{"T.csv": "a\nx"}) // wrong arity
-	mk(4, `{broken json`, nil)                                                          // corrupt manifest
+	mk(4, `{broken json`, nil)                                                               // corrupt manifest
 
 	got, off, err := d.LoadLatestSnapshot(func() *cind.Database { return cind.NewDatabase(set.Schema()) })
 	if err != nil {

@@ -26,9 +26,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(frame([]byte("hello")))
 	f.Add(frame([]byte(`[{"op":"+","rel":"T","tuple":["a","b"]}]`)))
 	f.Add(frame(nil, []byte("two"), []byte("three")))
-	f.Add(append(frame([]byte("clean")), 0xde, 0xad))                               // torn header
+	f.Add(append(frame([]byte("clean")), 0xde, 0xad))                                          // torn header
 	f.Add(append(frame([]byte("clean")), 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 'x')) // torn payload + bad CRC
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00})                   // absurd length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00})                              // absurd length
 	corrupt := frame([]byte("flip"), []byte("me"))
 	corrupt[frameHeader] ^= 0x01
 	f.Add(corrupt)

@@ -21,10 +21,10 @@ import (
 // dataset or none of it — never a half-written one that recovery would
 // trip over.
 const (
-	specFile  = "constraints.cind"
-	logFile   = "wal.log"
-	snapPrefix = "snap-"
-	tmpPrefix  = ".tmp-"
+	specFile    = "constraints.cind"
+	logFile     = "wal.log"
+	snapPrefix  = "snap-"
+	tmpPrefix   = ".tmp-"
 	trashPrefix = ".trash-"
 )
 
