@@ -427,6 +427,16 @@ case "$router_vars" in
 	exit 1
 	;;
 esac
+# Each shard holds only the constraints it owns, so no two shards stream
+# the same violation: over the three router streams above, the shards'
+# roll-up of violations_streamed must equal the router's own count.
+rollup_streamed="$(printf '%s' "$metrics_rt" | sed -n 's/.*"rollup":{[^}]*"violations_streamed":\([0-9]*\)[,}].*/\1/p')"
+router_streamed="$(printf '%s' "$router_vars" | sed -n 's/.*"violations_streamed":\([0-9]*\)[,}].*/\1/p')"
+echo "router smoke: violations_streamed rollup=$rollup_streamed router=$router_streamed"
+if [ -z "$router_streamed" ] || [ "$router_streamed" = "0" ] || [ "$rollup_streamed" != "$router_streamed" ]; then
+	echo "ci: shard roll-up violations_streamed ($rollup_streamed) != router violations_streamed ($router_streamed): $metrics_rt" >&2
+	exit 1
+fi
 # Kill shard 1: /healthz must degrade to 503 and name the dead shard.
 kill -9 "$s1_pid"
 wait "$s1_pid" 2> /dev/null || true
@@ -451,6 +461,6 @@ if ! wait "$rt_pid"; then
 	exit 1
 fi
 wait "$s0_pid" 2> /dev/null || true
-echo "router smoke: sharded NDJSON and JSON == single-node streams, reasoning served, dead shard named in 503"
+echo "router smoke: sharded NDJSON and JSON == single-node streams, shard roll-up == router count, reasoning served, dead shard named in 503"
 
 echo "ci: all green"

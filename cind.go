@@ -155,7 +155,9 @@
 // also runs as a router: cindserve -route host1:8081,host2:8082 serves
 // the exact same HTTP API but holds no data itself — it hash-partitions
 // each dataset's tuples across the listed shard servers (CIND RHS
-// relations are replicated so anti-joins stay shard-local), splits every
+// relations are replicated so anti-joins stay shard-local, and a
+// constraint driven by a replicated relation lives on the first shard
+// alone, so no violation is computed twice), splits every
 // delta batch by tuple key, and answers GET /violations by streaming all
 // shards in the binary wire format and k-way merging them back into the
 // single node's exact report order. Sharded and single-node serving are

@@ -74,7 +74,9 @@
 // Router mode: -route shard1,shard2,... serves the same HTTP API over a
 // fleet of shard cindserves instead of a local checker (internal/shard).
 // Datasets are hash-partitioned across the shards with CIND right-hand
-// sides replicated, violation streams are scattered to every shard as
+// sides replicated, each shard holds only the constraints it owns (one
+// driven by a replicated relation lives on shard 0 alone), violation
+// streams are scattered to every shard as
 // binary frames and k-way merged back into the exact single-node order,
 // and the router answers reasoning calls itself from the constraint set
 // it holds. Router endpoints carry the same latency histograms as a

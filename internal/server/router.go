@@ -26,9 +26,9 @@ import (
 // RouterOptions configures NewRouter.
 type RouterOptions struct {
 	// Shards are the shard servers' base URLs, e.g. "http://10.0.0.1:8081".
-	// Order matters: shard 0 owns the constraints whose violations every
-	// shard would report identically, and tuple placement hashes modulo
-	// the slice length. At least one is required.
+	// Order matters: shard 0 alone holds the constraints whose violations
+	// every shard would report identically, and tuple placement hashes
+	// modulo the slice length. At least one is required.
 	Shards []string
 }
 
@@ -39,8 +39,10 @@ type RouterOptions struct {
 // tell (and cindviolate does not care) whether a URL names one node or a
 // cluster.
 //
-// Per dataset the router computes a shard.Plan once at create time and
-// from then on:
+// Per dataset the router computes a shard.Plan once at create time,
+// gives each shard only the constraints it owns (shard.Plan.Owned: a
+// constraint whose driving relation is replicated lives on shard 0
+// alone), and from then on:
 //
 //   - splits CSV loads and delta batches into per-shard sub-batches
 //     (replicated relations go everywhere, partitioned relations to their
@@ -48,7 +50,8 @@ type RouterOptions struct {
 //   - answers GET /violations by scattering binary-encoded streams to
 //     every shard and k-way merging them through shard.Merge into the
 //     exact single-node report order, re-encoded in whatever encoding the
-//     client negotiated;
+//     client negotiated — a violation of a constraint its shard does not
+//     own fails the stream, since the shard then holds a stale Σ;
 //   - mirrors the fleet's tuple insertion order in a shard.Order so every
 //     wire violation's global merge key can be reconstructed router-side.
 //
@@ -252,20 +255,21 @@ type routed struct {
 }
 
 // create is a router's dataset factory: it computes the shard plan and
-// creates the dataset on every shard — pinned to parallel=1 whatever
-// the request asked, and primed into incremental mode with an empty delta
-// batch, which is what makes every shard's violation stream
-// deterministically report-ordered, the property the gather's k-way merge
-// rests on. Creation is idempotent (PUT replaces), so a partially failed
-// create is repaired by retrying.
+// creates the dataset on every shard with the constraints that shard owns
+// (the full schema either way, so every placed relation loads) — pinned
+// to parallel=1 whatever the request asked, and primed into incremental
+// mode with an empty delta batch, which is what makes every shard's
+// violation stream deterministically report-ordered, the property the
+// gather's k-way merge rests on. Creation is idempotent (PUT replaces),
+// so a partially failed create is repaired by retrying.
 func (f *fleet) create(ctx context.Context, name string, set *cind.ConstraintSet, _ int) (dataset, error) {
 	plan, err := shard.NewPlan(set, len(f.shards))
 	if err != nil {
 		return nil, &statusError{code: http.StatusBadRequest, err: err}
 	}
-	spec := []byte(cind.MarshalConstraints(set))
 	path := "/datasets/" + name
-	err = f.fanOut(fmt.Sprintf("create dataset %q", name), func(_ int, base string) error {
+	err = f.fanOut(fmt.Sprintf("create dataset %q", name), func(i int, base string) error {
+		spec := []byte(cind.MarshalConstraints(plan.Owned(i)))
 		if err := f.doJSON(ctx, http.MethodPut, base, path+"/constraints?parallel=1", spec, nil); err != nil {
 			return err
 		}
@@ -489,10 +493,12 @@ func (d *routed) applyDeltas(ctx context.Context, deltas []cind.Delta) (diffWire
 	// Removed violations existed before the batch: key them against the
 	// pre-batch order, then advance the tracker, then key the added side
 	// against the post-batch order — the same two states the single-node
-	// diff's two sides are ordered by.
+	// diff's two sides are ordered by. A merge failure is the fleet's
+	// fault — a shard answered a diff the plan cannot place — so it
+	// answers 502 like a failed fan-out.
 	removed, err := d.mergeDiffSide(diffs, touched, func(dw *diffWire) []violationWire { return dw.Removed })
 	if err != nil {
-		return diffWire{}, fmt.Errorf("merge removed diff: %w", err)
+		return diffWire{}, &statusError{code: http.StatusBadGateway, err: fmt.Errorf("merge removed diff: %w", err)}
 	}
 	for _, dl := range deltas {
 		d.order.Apply(dl)
@@ -500,7 +506,7 @@ func (d *routed) applyDeltas(ctx context.Context, deltas []cind.Delta) (diffWire
 	d.publishSizes()
 	added, err := d.mergeDiffSide(diffs, touched, func(dw *diffWire) []violationWire { return dw.Added })
 	if err != nil {
-		return diffWire{}, fmt.Errorf("merge added diff: %w", err)
+		return diffWire{}, &statusError{code: http.StatusBadGateway, err: fmt.Errorf("merge added diff: %w", err)}
 	}
 	out := diffWire{Added: added, Removed: removed}
 	out.Durable, err = dur.result()
@@ -540,13 +546,7 @@ func (d *routed) mergeDiffSide(diffs []diffWire, touched []bool, side func(*diff
 	}
 	merged := make([]violationWire, 0, total)
 	_, err := shard.Merge(sources,
-		func(si int, v *stream.Violation) (mk detect.MergeKey, keep bool, err error) {
-			if !d.plan.Keep(idx[si], v.Constraint) {
-				return mk, false, nil
-			}
-			k, err := d.order.Key(v)
-			return k, err == nil, err
-		},
+		func(si int, v *stream.Violation) (detect.MergeKey, bool, error) { return d.keyOf(idx[si], v) },
 		func(v *stream.Violation) bool {
 			merged = append(merged, *v)
 			return true
@@ -555,6 +555,18 @@ func (d *routed) mergeDiffSide(diffs []diffWire, touched []bool, side func(*diff
 		return nil, err
 	}
 	return merged, nil
+}
+
+// keyOf is the merges' key function: the violation's global merge key,
+// or an error when the shard that streamed it does not own its constraint
+// — a shard holding a stale Σ, whose answer the router cannot trust.
+// Caller holds d.mu.
+func (d *routed) keyOf(shardIdx int, v *stream.Violation) (detect.MergeKey, bool, error) {
+	if !d.plan.Keep(shardIdx, v.Constraint) {
+		return detect.MergeKey{}, false, fmt.Errorf("violation of %q, a constraint the shard does not own", v.Constraint)
+	}
+	k, err := d.order.Key(v)
+	return k, err == nil, err
 }
 
 // gather is an opened scatter: one binary-encoded stream per shard, all
@@ -607,14 +619,7 @@ func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limi
 	}
 	writeFailed := false
 	n := 0
-	_, err := shard.Merge(sources,
-		func(si int, v *stream.Violation) (mk detect.MergeKey, keep bool, err error) {
-			if !d.plan.Keep(si, v.Constraint) {
-				return mk, false, nil
-			}
-			k, err := d.order.Key(v)
-			return k, err == nil, err
-		},
+	_, err := shard.Merge(sources, d.keyOf,
 		func(v *stream.Violation) bool {
 			if !sw.Send(*v) {
 				writeFailed = true

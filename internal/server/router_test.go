@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	cind "cind"
+
 	"cind/internal/shard"
 	"cind/internal/stream"
 )
@@ -49,11 +51,43 @@ func startRouter(t testing.TB, urls []string) (*Server, *httptest.Server) {
 // is primed the same way: an empty delta batch right after create.
 func startPrimedTwin(t testing.TB, name string) (*http.Client, string) {
 	t.Helper()
+	return startPrimedTwinSpec(t, name, bankSpec(t))
+}
+
+// startPrimedTwinSpec is startPrimedTwin under another spec over the bank
+// schema.
+func startPrimedTwinSpec(t testing.TB, name, spec string) (*http.Client, string) {
+	t.Helper()
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, name, "?parallel=1")
+	loadBankDataHTTP(t, c, ts.URL, name, "?parallel=1", spec)
 	postDeltas(t, c, ts.URL+"/datasets/"+name+"/deltas", nil, http.StatusOK)
 	return c, ts.URL
+}
+
+// assertShardsOwn checks that each shard's copy of dataset name holds
+// exactly the constraints the plan gives it — Plan.Owned(i), not Σ.
+func assertShardsOwn(t testing.TB, shards []*httptest.Server, name, spec string) {
+	t.Helper()
+	set, err := cind.ParseConstraints(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := shard.NewPlan(set, len(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range shards {
+		var info struct {
+			Constraints int `json:"constraints"`
+		}
+		if err := json.Unmarshal(do(t, sh.Client(), http.MethodGet, sh.URL+"/datasets/"+name, nil, 200), &info); err != nil {
+			t.Fatal(err)
+		}
+		if want := plan.Owned(i).Len(); info.Constraints != want {
+			t.Errorf("shard %d holds %d constraints, want the %d it owns", i, info.Constraints, want)
+		}
+	}
 }
 
 // rawStream GETs a violation stream and returns the raw response body —
@@ -91,10 +125,11 @@ func rawStream(t testing.TB, c *http.Client, url string, enc stream.Encoding) []
 func TestRouterDifferentialBank(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			_, rts, _ := startFleet(t, n)
+			_, rts, shards := startFleet(t, n)
 			rc := rts.Client()
 			loadBankHTTP(t, rc, rts.URL, "bank", "")
 			tc, turl := startPrimedTwin(t, "bank")
+			assertShardsOwn(t, shards, "bank", bankSpec(t))
 
 			routerURL := rts.URL + "/datasets/bank/violations"
 			twinURL := turl + "/datasets/bank/violations"
@@ -129,7 +164,8 @@ func TestRouterDifferentialBank(t *testing.T) {
 				t.Fatalf("limit=3 bytes diverge:\nrouter: %s\nsingle: %s", gl, wl)
 			}
 
-			// Info: global tuple counts from the router's order tracker.
+			// Info: global tuple counts from the router's order tracker, and
+			// the full Σ, though no shard past shard 0 holds all of it.
 			var gi, wi struct {
 				Dataset     string         `json:"dataset"`
 				Constraints int            `json:"constraints"`
@@ -293,12 +329,132 @@ func TestRouterMetricsRollup(t *testing.T) {
 	} else if json.Unmarshal(raw, &streamed) != nil || streamed <= 0 {
 		t.Errorf("router.violations_streamed = %s, want > 0", raw)
 	}
+	// The roll-up is what a single node would show: no shard streams a
+	// violation another shard also streams.
+	if got := m.Rollup["violations_streamed"]; got != streamed {
+		t.Errorf("rollup.violations_streamed = %v, want router.violations_streamed = %v", got, streamed)
+	}
 	var lat map[string]json.RawMessage
 	if err := json.Unmarshal(m.Router["latency_us"], &lat); err != nil || lat["violations"] == nil {
 		t.Errorf("router.latency_us = %s, want a violations histogram", m.Router["latency_us"])
 	}
 	if m.Rollup["datasets"] != 2 {
 		t.Errorf("rollup.datasets = %v, want 2 (bank on both shards)", m.Rollup["datasets"])
+	}
+}
+
+// replicatedBankSpec is the bank Σ with every constraint driven by a
+// replicated relation: the account CINDs dropped, and a CFD on saving and
+// one on checking whose X sets are disjoint from phi1's and phi2's, which
+// forces both relations to replication. Shard 0 owns all of it; every
+// other shard owns nothing.
+func replicatedBankSpec(t testing.TB) string {
+	t.Helper()
+	full, err := cind.ParseConstraints(bankSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep []cind.Constraint
+	for _, c := range full.Constraints() {
+		if ci, ok := c.(*cind.CIND); ok && strings.HasPrefix(ci.LHSRel, "account_") {
+			continue
+		}
+		keep = append(keep, c)
+	}
+	set, err := cind.NewConstraintSet(full.Schema(), keep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cind.MarshalConstraints(set) + `
+cfd phi4: saving(cn -> cp) {
+  (_ || _)
+}
+
+cfd phi5: checking(cn -> cp) {
+  (_ || _)
+}
+`
+}
+
+// TestRouterReplicatedSigma: when no shard but shard 0 owns a constraint,
+// the other shards still load and scan — to an empty stream — and the
+// router's report and diffs stay byte-identical to a single node's.
+func TestRouterReplicatedSigma(t *testing.T) {
+	_, rts, shards := startFleet(t, 2)
+	rc := rts.Client()
+	spec := replicatedBankSpec(t)
+	loadBankDataHTTP(t, rc, rts.URL, "bank", "", spec)
+	tc, turl := startPrimedTwinSpec(t, "bank", spec)
+	assertShardsOwn(t, shards, "bank", spec)
+
+	var info struct {
+		Relations map[string]int `json:"relations"`
+	}
+	if err := json.Unmarshal(do(t, shards[1].Client(), http.MethodGet, shards[1].URL+"/datasets/bank", nil, 200), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Relations["checking"] == 0 {
+		t.Errorf("shard 1 holds no checking tuples: %v", info.Relations)
+	}
+	if vs, err := stream.DecodeAll(bytes.NewReader(rawStream(t, shards[1].Client(), shards[1].URL+"/datasets/bank/violations", stream.NDJSON)), stream.NDJSON); err != nil || len(vs) != 0 {
+		t.Fatalf("shard 1 streamed %d violations (err %v), want a clean empty stream", len(vs), err)
+	}
+
+	routerURL := rts.URL + "/datasets/bank/violations"
+	twinURL := turl + "/datasets/bank/violations"
+	got := rawStream(t, rc, routerURL, stream.NDJSON)
+	want := rawStream(t, tc, twinURL, stream.NDJSON)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("NDJSON bytes diverge from single node:\nrouter: %s\nsingle: %s", got, want)
+	}
+	if bytes.Count(got, []byte("\n")) < 2 {
+		t.Fatal("stream carried no violations; differential is vacuous")
+	}
+	batches, _ := bankDeltaBatches(t)
+	for i, batch := range batches {
+		gd := postDeltas(t, rc, rts.URL+"/datasets/bank/deltas", batch, http.StatusOK)
+		wd := postDeltas(t, tc, turl+"/datasets/bank/deltas", batch, http.StatusOK)
+		assertSameDiff(t, fmt.Sprintf("batch %d", i), gd, wd)
+	}
+	if got, want := rawStream(t, rc, routerURL, stream.NDJSON), rawStream(t, tc, twinURL, stream.NDJSON); !bytes.Equal(got, want) {
+		t.Fatalf("post-delta NDJSON bytes diverge:\nrouter: %s\nsingle: %s", got, want)
+	}
+}
+
+// TestRouterStaleShardFailsLoudly: a shard holding the full Σ instead of
+// the constraints it owns streams violations of constraints shard 0 owns.
+// The router must fail the stream with an error record and the delta with
+// a 502, not silently drop the duplicates.
+func TestRouterStaleShardFailsLoudly(t *testing.T) {
+	_, rts, shards := startFleet(t, 2)
+	rc := rts.Client()
+	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	// Replace shard 1's dataset with a full-Σ copy holding the replicated
+	// relations the router placed there.
+	sc := shards[1].Client()
+	do(t, sc, http.MethodPut, shards[1].URL+"/datasets/bank/constraints?parallel=1", []byte(bankSpec(t)), http.StatusOK)
+	for _, rel := range []string{"interest", "saving", "checking"} {
+		csvBytes, err := os.ReadFile(filepath.Join(bankDir(), rel+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		do(t, sc, http.MethodPut, shards[1].URL+"/datasets/bank?relation="+rel, csvBytes, http.StatusOK)
+	}
+	postDeltas(t, sc, shards[1].URL+"/datasets/bank/deltas", nil, http.StatusOK)
+
+	for _, enc := range []stream.Encoding{stream.NDJSON, stream.Binary} {
+		_, err := stream.DecodeAll(bytes.NewReader(rawStream(t, rc, rts.URL+"/datasets/bank/violations", enc)), enc)
+		if err == nil || !strings.Contains(err.Error(), "does not own") {
+			t.Errorf("%s: router stream over a stale shard ended with %v, want an ownership error record", enc, err)
+		}
+	}
+	batches, _ := bankDeltaBatches(t)
+	body, err := json.Marshal(deltasRequest{Deltas: batches[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := do(t, rc, http.MethodPost, rts.URL+"/datasets/bank/deltas", body, http.StatusBadGateway); !bytes.Contains(failed, []byte("does not own")) {
+		t.Errorf("502 does not explain the ownership failure: %s", failed)
 	}
 }
 

@@ -32,7 +32,8 @@
 // routed (router.go). Only the per-dataset mechanics differ — behind the
 // dataset interface — plus /healthz and /metrics, which fan out to the
 // fleet. The router holds every dataset's full constraint set, so it
-// answers the reasoning endpoints itself.
+// answers the reasoning endpoints itself; each shard holds only the
+// constraints it owns.
 //
 // The reasoning endpoints (implication, consistency, minimize) run the
 // Section 3 / Section 5 engines with the request context: a client

@@ -172,7 +172,14 @@ func assertSameMultiset(t testing.TB, label string, got, want []violationWire) {
 // loadBankHTTP uploads the bank fixtures into dataset name over the wire.
 func loadBankHTTP(t testing.TB, c *http.Client, base, name, query string) {
 	t.Helper()
-	do(t, c, http.MethodPut, base+"/datasets/"+name+"/constraints"+query, []byte(bankSpec(t)), http.StatusOK)
+	loadBankDataHTTP(t, c, base, name, query, bankSpec(t))
+}
+
+// loadBankDataHTTP is loadBankHTTP under another constraint spec over the
+// bank schema.
+func loadBankDataHTTP(t testing.TB, c *http.Client, base, name, query, spec string) {
+	t.Helper()
+	do(t, c, http.MethodPut, base+"/datasets/"+name+"/constraints"+query, []byte(spec), http.StatusOK)
 	for _, rel := range bankRelations {
 		csvBytes, err := os.ReadFile(filepath.Join(bankDir(), rel+".csv"))
 		if err != nil {

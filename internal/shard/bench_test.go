@@ -8,7 +8,6 @@ import (
 
 	cind "cind"
 
-	"cind/internal/detect"
 	"cind/internal/gen"
 	"cind/internal/stream"
 	"cind/internal/types"
@@ -127,8 +126,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 					// GC pause doesn't land in this node's timed region.
 					runtime.GC()
 					t0 := time.Now()
-					res := detect.Run(sdb, set.CFDs(), set.CINDs(), detect.Options{Parallel: 1})
-					vs := resultWire(res)
+					vs := detectOwned(plan, s, sdb)
 					if d := time.Since(t0); d > slowest {
 						slowest = d
 					}
@@ -136,14 +134,7 @@ func BenchmarkShardedDetect(b *testing.B) {
 				}
 				runtime.GC()
 				t0 := time.Now()
-				merged, err := Merge(sources,
-					func(sh int, v *stream.Violation) (detect.MergeKey, bool, error) {
-						if !plan.Keep(sh, v.Constraint) {
-							return detect.MergeKey{}, false, nil
-						}
-						k, err := order.Key(v)
-						return k, err == nil, err
-					},
+				merged, err := Merge(sources, ownedKeyOf(plan, order),
 					func(*stream.Violation) bool { return true })
 				if err != nil {
 					b.Fatal(err)

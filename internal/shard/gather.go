@@ -25,11 +25,13 @@ var ErrStopped = errors.New("shard: merge stopped by consumer")
 // Merge k-way merges per-shard report-ordered violation streams into the
 // single-node global report order and hands each violation to emit. keyOf
 // reconstructs a violation's detect.MergeKey (and may veto it: keep false
-// drops the violation, the ownership filter for constraints every shard
-// reports identically). Streams must each be non-decreasing in key order —
-// which a shard's report-order stream is under any Plan placement — and no
-// two streams tie on a full key, so picking the smallest head (ties to the
-// lowest shard) reproduces the global order exactly.
+// drops the violation; the router instead fails a violation whose shard
+// does not own its constraint, since each shard holds only Plan.Owned).
+// Streams must each be non-decreasing in key order — which a shard's
+// report-order stream is under any Plan placement, over Σ or any
+// order-preserving subset of it — and no two streams tie on a full key,
+// so picking the smallest head (ties to the lowest shard) reproduces the
+// global order exactly.
 //
 // Merge returns the number of violations emitted and the first failure:
 // a source error (wrapped with its shard index), a keyOf error, or

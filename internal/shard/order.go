@@ -114,6 +114,10 @@ func (o *Order) Apply(d cind.Delta) bool {
 // The violation's witness tuples must be live in the tracked state — for a
 // delta diff's removed side, call Key before applying the batch to the
 // tracker; for the added side and for violation streams, after.
+//
+// Key does not allocate for keys that fit its stack buffer: it encodes
+// the lookup key straight from the wire witness. It keeps no scratch
+// state, so concurrent gathers may call it under a shared lock.
 func (o *Order) Key(v *stream.Violation) (detect.MergeKey, error) {
 	ci, ok := o.plan.cons[v.Constraint]
 	if !ok {
@@ -122,17 +126,29 @@ func (o *Order) Key(v *stream.Violation) (detect.MergeKey, error) {
 	if len(v.Witness) == 0 {
 		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q carries no witness", v.Constraint)
 	}
+	w := v.Witness[0]
+	if len(w) != ci.arity {
+		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q carries a %d-value witness, want %s's %d",
+			v.Constraint, len(w), ci.rel, ci.arity)
+	}
 	k := detect.MergeKey{Kind: ci.kind, Constraint: ci.idx, Row: v.Row}
-	w := cind.Consts(v.Witness[0]...)
+	var scratch [128]byte
+	b := scratch[:0]
 	if ci.xs >= 0 {
-		g := o.groups[ci.xs][projKey(w, o.plan.xsets[ci.xs].cols)]
+		for _, c := range o.plan.xsets[ci.xs].cols {
+			b = types.AppendKey(b, types.C(w[c]))
+		}
+		g := o.groups[ci.xs][string(b)]
 		if len(g) == 0 {
 			return detect.MergeKey{}, fmt.Errorf("shard: violation of %q references an untracked %s group", v.Constraint, ci.rel)
 		}
 		k.Seq = g[0]
 		return k, nil
 	}
-	seq, ok := o.seqs[ci.rel][types.TupleKey(w)]
+	for _, s := range w {
+		b = types.AppendKey(b, types.C(s))
+	}
+	seq, ok := o.seqs[ci.rel][string(b)]
 	if !ok {
 		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q references an untracked %s tuple", v.Constraint, ci.rel)
 	}

@@ -22,8 +22,10 @@
 // A constraint whose driving relation (the CFD's relation, the CIND's LHS
 // relation) is partitioned has its violations distributed across shards,
 // each shard holding a key-ordered subsequence; a constraint whose driving
-// relation is replicated is reported identically by every shard, so shard
-// 0 is designated its owner and the gather drops the other shards' copies.
+// relation is replicated would be reported identically by every shard, so
+// shard 0 alone owns it and the other shards do not hold it at all. Owned
+// gives each shard its constraint set: Σ's owned subsequence over Σ's full
+// schema, so every shard still stores every relation placed on it.
 //
 // Order assigns tuples the same insertion ranks a single node's instance
 // would (instances keep insertion order; deletes preserve it), which is
@@ -66,6 +68,7 @@ type conInfo struct {
 	kind     int // 0 CFD, 1 CIND — detect.MergeKey.Kind
 	idx      int // index within the kind, input order
 	rel      string
+	arity    int  // the driving relation's arity: a witness's width
 	ownerAll bool // driving relation partitioned: every shard owns a slice
 	xs       int  // CFD: index into Plan.xsets; -1 for a CIND
 }
@@ -76,6 +79,9 @@ type conInfo struct {
 type Plan struct {
 	set *cind.ConstraintSet
 	n   int
+	// rest is the constraint set every shard but shard 0 owns: the
+	// constraints whose driving relation is partitioned, in set order.
+	rest *cind.ConstraintSet
 
 	placements map[string]Placement
 	cons       map[string]*conInfo
@@ -164,17 +170,41 @@ func NewPlan(set *cind.ConstraintSet, n int) (*Plan, error) {
 		if _, dup := p.cons[c.ID]; dup {
 			return nil, fmt.Errorf("shard: duplicate constraint id %q", c.ID)
 		}
-		p.cons[c.ID] = &conInfo{kind: 0, idx: i, rel: c.Rel,
+		p.cons[c.ID] = &conInfo{kind: 0, idx: i, rel: c.Rel, arity: rel.Arity(),
 			ownerAll: p.placements[c.Rel].Partitioned, xs: xs}
 	}
 	for i, c := range set.CINDs() {
 		if _, dup := p.cons[c.ID]; dup {
 			return nil, fmt.Errorf("shard: duplicate constraint id %q", c.ID)
 		}
-		p.cons[c.ID] = &conInfo{kind: 1, idx: i, rel: c.LHSRel,
+		rel, _ := sch.Relation(c.LHSRel)
+		p.cons[c.ID] = &conInfo{kind: 1, idx: i, rel: c.LHSRel, arity: rel.Arity(),
 			ownerAll: p.placements[c.LHSRel].Partitioned, xs: -1}
 	}
+
+	var rest []cind.Constraint
+	for _, c := range set.Constraints() {
+		if p.cons[constraintID(c)].ownerAll {
+			rest = append(rest, c)
+		}
+	}
+	rs, err := cind.NewConstraintSet(sch, rest...)
+	if err != nil {
+		return nil, fmt.Errorf("shard: owned constraint set: %w", err)
+	}
+	p.rest = rs
 	return p, nil
+}
+
+// constraintID returns a constraint's identifier, whatever its kind.
+func constraintID(c cind.Constraint) string {
+	switch c := c.(type) {
+	case *cind.CFD:
+		return c.ID
+	case *cind.CIND:
+		return c.ID
+	}
+	return ""
 }
 
 // Shards returns the shard count the plan was computed for.
@@ -205,11 +235,24 @@ func (p *Plan) ShardOf(rel string, t cind.Tuple) int {
 	return int(h.Sum64() % uint64(p.n))
 }
 
-// Keep reports whether a violation of the given constraint arriving from
-// the given shard belongs in the merged stream: always, for a constraint
-// whose violations are partitioned; only from shard 0 — the designated
-// owner — for a constraint every shard reports identically because its
-// driving relation is replicated.
+// Owned returns the constraint set shard i holds: all of Σ for shard 0,
+// and for every other shard the constraints whose driving relation is
+// partitioned. Either keeps Σ's order and schema, so a shard's per-kind
+// report order is a subsequence of the full one and its stream stays
+// sorted in global detect.MergeKey order.
+func (p *Plan) Owned(i int) *cind.ConstraintSet {
+	if i == 0 {
+		return p.set
+	}
+	return p.rest
+}
+
+// Keep reports whether shard owns the given constraint, i.e. whether a
+// violation of it arriving from that shard belongs in the merged stream:
+// always, for a constraint whose violations are partitioned; only from
+// shard 0 — the designated owner — for a constraint every shard would
+// report identically because its driving relation is replicated. A
+// shard that holds its Owned set never streams a violation Keep rejects.
 func (p *Plan) Keep(shard int, constraintID string) bool {
 	ci, ok := p.cons[constraintID]
 	if !ok {

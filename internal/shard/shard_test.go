@@ -12,6 +12,7 @@ import (
 
 	"cind/internal/bank"
 	"cind/internal/detect"
+	"cind/internal/gen"
 	"cind/internal/instance"
 	"cind/internal/stream"
 )
@@ -240,25 +241,35 @@ func scatter(t testing.TB, p *Plan, db *cind.Database) ([]*cind.Database, *Order
 	return dbs, o
 }
 
-// mergeShards detects on every shard database and k-way merges the
-// per-shard report-ordered streams back together.
+// ownedKeyOf is the router's merge key function: a violation of a
+// constraint its shard does not own fails the merge instead of being
+// dropped.
+func ownedKeyOf(p *Plan, o *Order) func(int, *stream.Violation) (detect.MergeKey, bool, error) {
+	return func(sh int, v *stream.Violation) (detect.MergeKey, bool, error) {
+		if !p.Keep(sh, v.Constraint) {
+			return detect.MergeKey{}, false, fmt.Errorf("violation of %q, which shard %d does not own", v.Constraint, sh)
+		}
+		k, err := o.Key(v)
+		return k, err == nil, err
+	}
+}
+
+// detectOwned runs shard i's detection over the constraints it owns.
+func detectOwned(p *Plan, i int, db *cind.Database) []stream.Violation {
+	owned := p.Owned(i)
+	return resultWire(detect.Run(db, owned.CFDs(), owned.CINDs(), detect.Options{Parallel: 1}))
+}
+
+// mergeShards detects each shard's owned constraints on its database and
+// k-way merges the per-shard report-ordered streams back together.
 func mergeShards(t testing.TB, p *Plan, o *Order, dbs []*cind.Database) []stream.Violation {
 	t.Helper()
-	set := p.Set()
 	sources := make([]Source, len(dbs))
 	for i, sdb := range dbs {
-		res := detect.Run(sdb, set.CFDs(), set.CINDs(), detect.Options{Parallel: 1})
-		sources[i] = &sliceSource{vs: resultWire(res)}
+		sources[i] = &sliceSource{vs: detectOwned(p, i, sdb)}
 	}
 	var merged []stream.Violation
-	_, err := Merge(sources,
-		func(sh int, v *stream.Violation) (detect.MergeKey, bool, error) {
-			if !p.Keep(sh, v.Constraint) {
-				return detect.MergeKey{}, false, nil
-			}
-			k, err := o.Key(v)
-			return k, err == nil, err
-		},
+	_, err := Merge(sources, ownedKeyOf(p, o),
 		func(v *stream.Violation) bool {
 			merged = append(merged, *v)
 			return true
@@ -398,5 +409,208 @@ func TestMergeKeyOfError(t *testing.T) {
 		func(*stream.Violation) bool { return true })
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want keyOf error", err)
+	}
+}
+
+func constraintIDs(set *cind.ConstraintSet) []string {
+	ids := make([]string, 0, set.Len())
+	for _, c := range set.Constraints() {
+		ids = append(ids, constraintID(c))
+	}
+	return ids
+}
+
+// replicatedSpec is what replicatedBankSet adds to the bank Σ without its
+// account CINDs: a CFD on saving and one on checking whose X sets are
+// disjoint from phi1's and phi2's, forcing both relations to replication.
+const replicatedSpec = `
+cfd phi4: saving(cn -> cp) {
+  (_ || _)
+}
+
+cfd phi5: checking(cn -> cp) {
+  (_ || _)
+}
+`
+
+// replicatedBankSet is a Σ whose every driving relation is replicated:
+// the bank Σ without the account CINDs, plus replicatedSpec. Shard 0 owns
+// everything and no other shard owns anything.
+func replicatedBankSet(t testing.TB) *cind.ConstraintSet {
+	t.Helper()
+	full := bankSet(t)
+	var keep []cind.Constraint
+	for _, c := range full.Constraints() {
+		if id := constraintID(c); !strings.HasPrefix(id, "psi1_") && !strings.HasPrefix(id, "psi2_") {
+			keep = append(keep, c)
+		}
+	}
+	set, err := cind.NewConstraintSet(full.Schema(), keep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err = cind.ParseConstraints(cind.MarshalConstraints(set) + replicatedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestPlanOwnedPartitionsSigma: shard 0 owns every constraint, shard i≥1
+// owns a constraint exactly when Keep(i, id) holds, and every owned set
+// keeps Σ's order and schema — on the bank Σ, a generated Σ, and a Σ
+// whose every driving relation is replicated.
+func TestPlanOwnedPartitionsSigma(t *testing.T) {
+	w := gen.New(gen.Config{Relations: 16, Card: 60, CFDRatio: 0.5, Consistent: true, Seed: 2})
+	genSet, err := cind.SpecSet(&cind.Spec{Schema: w.Schema, CFDs: w.CFDs, CINDs: w.CINDs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		set  *cind.ConstraintSet
+		// restLen is the size of every shard≥1 owned set, -1 when the
+		// case only requires it to be a proper, non-empty subset.
+		restLen int
+	}{
+		{"bank", bankSet(t), 4},
+		{"gen", genSet, -1},
+		{"replicated", replicatedBankSet(t), 0},
+	}
+	for _, tc := range cases {
+		all := constraintIDs(tc.set)
+		for _, n := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, n), func(t *testing.T) {
+				p, err := NewPlan(tc.set, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := p.Owned(0); got != tc.set {
+					t.Fatalf("Owned(0) = %v, want the full Σ", constraintIDs(got))
+				}
+				for i := 0; i < n; i++ {
+					owned := p.Owned(i)
+					if owned.Schema() != tc.set.Schema() {
+						t.Errorf("Owned(%d) has its own schema, want Σ's", i)
+					}
+					want := []string{}
+					for _, id := range all {
+						if p.Keep(i, id) {
+							want = append(want, id)
+						}
+					}
+					if got := constraintIDs(owned); !reflect.DeepEqual(got, want) {
+						t.Errorf("Owned(%d) = %v, want the Keep(%d) subsequence %v", i, got, i, want)
+					}
+					if i == 0 {
+						continue
+					}
+					switch l := owned.Len(); {
+					case tc.restLen >= 0 && l != tc.restLen:
+						t.Errorf("Owned(%d).Len() = %d, want %d", i, l, tc.restLen)
+					case tc.restLen < 0 && (l == 0 || l == len(all)):
+						t.Errorf("Owned(%d).Len() = %d of %d, want a proper non-empty subset", i, l, len(all))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestShardedReplicatedSigmaMatchesSingleNode: when no shard but shard 0
+// owns anything, the other shards detect over an empty set and the merge
+// still reproduces the single node.
+func TestShardedReplicatedSigmaMatchesSingleNode(t *testing.T) {
+	_, db := dirtyBank(t)
+	set := replicatedBankSet(t)
+	want := resultWire(detect.Run(db, set.CFDs(), set.CINDs(), detect.Options{Parallel: 1}))
+	if len(want) == 0 {
+		t.Fatal("dirty bank produced no violations; test is vacuous")
+	}
+	for _, n := range []int{2, 4} {
+		p, err := NewPlan(set, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs, o := scatter(t, p, db)
+		if got := mergeShards(t, p, o, dbs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: merged stream diverges: %d vs %d violations", n, len(got), len(want))
+		}
+	}
+}
+
+// TestMergeFailsOnUnownedViolation: a shard streaming a constraint it does
+// not own — one holding a stale full Σ — fails the merge, naming the
+// shard, instead of being silently deduplicated.
+func TestMergeFailsOnUnownedViolation(t *testing.T) {
+	set, db := dirtyBank(t)
+	p, err := NewPlan(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs, o := scatter(t, p, db)
+	stale := resultWire(detect.Run(dbs[1], set.CFDs(), set.CINDs(), detect.Options{Parallel: 1}))
+	sources := []Source{&sliceSource{vs: detectOwned(p, 0, dbs[0])}, &sliceSource{vs: stale}}
+	_, err = Merge(sources, ownedKeyOf(p, o), func(*stream.Violation) bool { return true })
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "does not own") {
+		t.Fatalf("Merge over a stale full-Σ shard: err = %v, want a shard 1 ownership error", err)
+	}
+}
+
+// TestOrderKeyRejectsBadWitness: a witness whose width is not the driving
+// relation's arity is an error, never an index panic.
+func TestOrderKeyRejectsBadWitness(t *testing.T) {
+	set, db := dirtyBank(t)
+	p, err := NewPlan(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, o := scatter(t, p, db)
+	for _, id := range []string{"phi2", "psi4"} { // a CFD and a CIND over checking
+		for _, tc := range []struct {
+			name    string
+			witness []string
+		}{
+			{"short", []string{"001"}},
+			{"long", []string{"001", "c", "a", "p", "NYC", "extra"}},
+			{"empty", []string{}},
+		} {
+			t.Run(id+"/"+tc.name, func(t *testing.T) {
+				_, err := o.Key(&stream.Violation{Constraint: id, Witness: [][]string{tc.witness}})
+				if err == nil || !strings.Contains(err.Error(), "witness") {
+					t.Fatalf("Key(%d-value witness) err = %v, want a witness-width error", len(tc.witness), err)
+				}
+			})
+		}
+	}
+}
+
+// TestOrderKeyDoesNotAllocate pins the merge's per-violation key path at
+// zero allocations over every bank CFD and CIND violation.
+func TestOrderKeyDoesNotAllocate(t *testing.T) {
+	set, db := dirtyBank(t)
+	p, err := NewPlan(set, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, o := scatter(t, p, db)
+	vs := resultWire(detect.Run(db, set.CFDs(), set.CINDs(), detect.Options{Parallel: 1}))
+	kinds := map[string]bool{}
+	for i := range vs {
+		if _, err := o.Key(&vs[i]); err != nil {
+			t.Fatal(err)
+		}
+		kinds[vs[i].Kind] = true
+	}
+	if len(kinds) != 2 {
+		t.Fatalf("violation kinds %v, want both CFD and CIND", kinds)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := range vs {
+			o.Key(&vs[i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Key allocates %.1f times per %d violations, want 0", allocs, len(vs))
 	}
 }
