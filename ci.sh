@@ -54,6 +54,12 @@ go test -race ./...
 echo "== go test -race -count=3 ./internal/server ./internal/shard ./internal/stream"
 go test -race -count=3 ./internal/server ./internal/shard ./internal/stream
 
+# The reasoning packages fan out across goroutines (DecideAll's goal
+# pool, Checking's per-component runs): repeat them under the race
+# detector too.
+echo "== go test -race -count=3 ./internal/implication ./internal/consistency"
+go test -race -count=3 ./internal/implication ./internal/consistency
+
 echo "== examples smoke: go run ./examples/*"
 for d in examples/*/; do
 	echo "-- go run ./$d"
@@ -68,6 +74,8 @@ internal/detect 85
 internal/server 85
 internal/implication 85
 internal/consistency 85
+internal/inference 85
+internal/chase 85
 internal/wal 85
 internal/stream 85
 internal/shard 85

@@ -117,6 +117,13 @@ type Chaser struct {
 	sigmaConsts map[string]bool
 	steps       int
 	reused      bool
+	// fdClean[i] is the Version of cfds[i]'s relation instance after the
+	// last FD pass of cfds[i] that changed nothing; while the instance
+	// still has that version, the pass is skipped (see fdFixpoint).
+	fdClean []version
+	// fdVisits counts the FD passes fdFixpoint considered, fdPasses those
+	// it ran; tests compare them.
+	fdVisits, fdPasses int
 	// stop is the cancellation poll of the active RunContext; nil outside
 	// a run (and for plain Run, which cannot be cancelled).
 	stop func() bool
@@ -136,9 +143,11 @@ func New(sch *schema.Schema, cfds []*cfd.CFD, cinds []*cind.CIND, cfg Config) *C
 			consts[v] = true
 		}
 	}
+	normCFDs := cfd.NormalizeAll(cfds)
 	return &Chaser{
 		sch:         sch,
-		cfds:        cfd.NormalizeAll(cfds),
+		cfds:        normCFDs,
+		fdClean:     make([]version, len(normCFDs)),
 		cinds:       cind.NormalizeAll(cinds),
 		cfg:         cfg.withDefaults(),
 		db:          instance.NewDatabase(sch),
@@ -296,8 +305,23 @@ func (c *Chaser) runCore() Result {
 	}
 }
 
+// version is an instance.Version pair. The zero pair is that of an
+// instance nothing was ever inserted into, on which an FD pass changes
+// nothing as well, so it needs no sentinel.
+type version struct {
+	nextSeq int64
+	n       int
+}
+
 // fdFixpoint applies FD operations until none changes the template.
 // Returns (Undefined, false) on conflict.
+//
+// A pass of φ is skipped while φ's relation instance still has the
+// Version it had after φ's last pass that changed nothing: applyFD is a
+// pure function of that instance, so the skipped pass would change
+// nothing again. The visiting order is still drawn through c.order on
+// every sweep, so the chase consumes its random stream exactly as if
+// every pass ran, and seeded runs reach the same template.
 func (c *Chaser) fdFixpoint() (Result, bool) {
 	for changed := true; changed; {
 		changed = false
@@ -305,16 +329,24 @@ func (c *Chaser) fdFixpoint() (Result, bool) {
 			if c.stop() {
 				return Cancelled, false
 			}
+			c.fdVisits++
+			nextSeq, n := c.db.Instance(c.cfds[phi].Rel).Version()
+			if c.fdClean[phi] == (version{nextSeq, n}) {
+				continue
+			}
+			c.fdPasses++
 			res, did := c.applyFD(c.cfds[phi])
 			if res != Fixpoint {
 				return res, false
 			}
-			if did {
-				changed = true
-				c.steps++
-				if c.steps >= c.cfg.MaxSteps {
-					return StepLimit, false
-				}
+			if !did {
+				c.fdClean[phi] = version{nextSeq, n}
+				continue
+			}
+			changed = true
+			c.steps++
+			if c.steps >= c.cfg.MaxSteps {
+				return StepLimit, false
 			}
 		}
 	}

@@ -85,106 +85,173 @@ type fact struct {
 //   - the goal (normalised) is discharged by Subsumes, i.e. by a final
 //     application of CIND2/4/5/6.
 //
+// The rounds are semi-naive: each does only the work the previous round's
+// new facts make possible. It composes the pairs with at least one fact
+// from the previous round, reduces only those facts, feeds the merge
+// groups only the facts added since the last merge pass, and checks the
+// open goals only against new facts. Every rule is a pure function of its
+// premises, so a pair an earlier round already tried can only yield a
+// duplicate: the derived facts, and the proofs, are those of the naive
+// saturation that retries everything. Merge groups that gained a member
+// fire in sorted-key order (CIND7 before CIND8), so the fact order — and
+// the proof — is deterministic.
+//
 // On success it returns a replayable Proof. A false result means "no
 // derivation found within the bounds" — callers should treat it as unknown
 // (package implication pairs this with a chase-based refutation).
 func Derive(sch *schema.Schema, sigma []*cind.CIND, goal *cind.CIND, opts Options) (*Proof, bool) {
-	opts = opts.withDefaults()
-
-	var facts []fact
-	index := map[string]int{}
-	add := func(f fact) (int, bool) {
-		key := canonKey(f.psi)
-		if i, ok := index[key]; ok {
-			return i, false
-		}
-		facts = append(facts, f)
-		index[key] = len(facts) - 1
-		return len(facts) - 1, true
+	s := saturate(sch, sigma, goal, opts)
+	if !s.goalsMet() {
+		return nil, false
 	}
+	return buildProof(s.facts, s.goals, s.goalDone), true
+}
 
+// saturation is the engine state of one Derive call.
+type saturation struct {
+	sch   *schema.Schema
+	opts  Options
+	facts []fact
+	index map[string]int // canonKey -> fact index
+
+	// goals are the goal's canonical normal-form components; goalDone[i]
+	// is the subsuming fact's index, -1 while open. Facts below checked
+	// have been tried against every open goal.
+	goals    []*cind.CIND
+	goalDone []int
+	checked  int
+
+	// g7 and g8 are the CIND7/CIND8 merge groups over the facts below
+	// merged, kept across rounds.
+	g7, g8 map[string]*mergeGroup
+	merged int
+}
+
+// mergeGroup collects facts identical up to the constant on the finite
+// Xp attribute attrA (CIND7), or up to matching constants on attrA and
+// the Yp attribute attrB (CIND8).
+type mergeGroup struct {
+	attrA, attrB string
+	members      []int
+	values       map[string]bool
+}
+
+// saturate seeds the fact set and runs semi-naive rounds until every goal
+// component is subsumed, a round adds nothing, or a bound trips. It is
+// Derive without the proof extraction; tests inspect its facts.
+func saturate(sch *schema.Schema, sigma []*cind.CIND, goal *cind.CIND, opts Options) *saturation {
+	s := &saturation{
+		sch:   sch,
+		opts:  opts.withDefaults(),
+		index: map[string]int{},
+		g7:    map[string]*mergeGroup{},
+		g8:    map[string]*mergeGroup{},
+	}
 	for _, psi := range cind.NormalizeAll(sigma) {
-		add(fact{psi: canonicalize(sch, psi), rule: "Σ"})
+		s.add(fact{psi: canonicalize(sch, psi), rule: "Σ"})
 	}
 	// CIND1: identity over all attributes of every relation mentioned.
 	for _, rel := range sch.Relations() {
 		id, err := Reflexivity(sch, "refl_"+rel.Name(), rel.Name(), rel.AttrNames())
 		if err == nil {
-			add(fact{psi: canonicalize(sch, id), rule: "CIND1"})
+			s.add(fact{psi: canonicalize(sch, id), rule: "CIND1"})
 		}
 	}
-
-	goals := cind.NormalizeAll([]*cind.CIND{goal})
-	goalDone := make([]int, len(goals)) // subsuming fact index, -1 if open
-	for i := range goalDone {
-		goalDone[i] = -1
+	for _, g := range cind.NormalizeAll([]*cind.CIND{goal}) {
+		s.goals = append(s.goals, canonicalize(sch, g))
+		s.goalDone = append(s.goalDone, -1)
 	}
-	checkGoals := func() bool {
-		all := true
-		for gi, g := range goals {
-			if goalDone[gi] >= 0 {
-				continue
-			}
-			cg := canonicalize(sch, g)
-			for fi := range facts {
-				if Subsumes(facts[fi].psi, cg) {
-					goalDone[gi] = fi
-					break
-				}
-			}
-			if goalDone[gi] < 0 {
-				all = false
-			}
-		}
-		return all
+	if s.checkGoals() {
+		return s
 	}
 
-	if checkGoals() {
-		return buildProof(facts, goals, goalDone, sch), true
-	}
-
-	for round := 0; round < opts.MaxRounds && len(facts) < opts.MaxFacts; round++ {
+	prev := 0 // len(facts) when the previous round started
+	for round := 0; round < s.opts.MaxRounds && !s.full(); round++ {
+		n := len(s.facts)
 		grew := false
-		n := len(facts)
 
-		// CIND3 compositions (with implicit CIND2/CIND6 alignment).
-		for i := 0; i < n && len(facts) < opts.MaxFacts; i++ {
-			for j := 0; j < n && len(facts) < opts.MaxFacts; j++ {
-				if comp, note, ok := compose(sch, facts[i].psi, facts[j].psi); ok {
-					if _, fresh := add(fact{psi: comp, rule: "CIND3", premises: []int{i, j}, note: note}); fresh {
+		// CIND3 compositions (with implicit CIND2/CIND6 alignment) over the
+		// pairs with max(i, j) >= prev, in (i, j) order.
+		for i := 0; i < n && !s.full(); i++ {
+			j := 0
+			if i < prev {
+				j = prev
+			}
+			for ; j < n && !s.full(); j++ {
+				if comp, note, ok := compose(sch, s.facts[i].psi, s.facts[j].psi); ok {
+					if s.add(fact{psi: comp, rule: "CIND3", premises: []int{i, j}, note: note}) {
 						grew = true
 					}
 				}
 			}
 		}
-		// CIND6 single-attribute reductions.
-		for i := 0; i < n && len(facts) < opts.MaxFacts; i++ {
-			psi := facts[i].psi
+		// CIND6 single-attribute reductions of the previous round's facts.
+		for i := prev; i < n && !s.full(); i++ {
+			psi := s.facts[i].psi
 			for _, drop := range psi.Yp {
-				keep := removeFrom(psi.Yp, drop)
-				red, err := Reduce(sch, psi.ID+"-"+drop, psi, keep)
+				red, err := Reduce(sch, psi.ID+"-"+drop, psi, removeFrom(psi.Yp, drop))
 				if err != nil {
 					continue
 				}
-				if _, fresh := add(fact{psi: canonicalize(sch, red), rule: "CIND6", premises: []int{i},
-					note: "drop " + drop + " from Yp"}); fresh {
+				if s.add(fact{psi: canonicalize(sch, red), rule: "CIND6", premises: []int{i},
+					note: "drop " + drop + " from Yp"}) {
 					grew = true
 				}
 			}
 		}
-		// CIND7 / CIND8 merges over the current fact set.
-		if applyMerges(sch, &facts, index, add, opts) {
+		if s.applyMerges() {
 			grew = true
 		}
+		prev = n
 
-		if checkGoals() {
-			return buildProof(facts, goals, goalDone, sch), true
-		}
-		if !grew {
+		if s.checkGoals() || !grew {
 			break
 		}
 	}
-	return nil, false
+	return s
+}
+
+// add appends f unless a fact with the same canonical key exists, and
+// reports whether it was fresh.
+func (s *saturation) add(f fact) bool {
+	key := canonKey(f.psi)
+	if _, ok := s.index[key]; ok {
+		return false
+	}
+	s.facts = append(s.facts, f)
+	s.index[key] = len(s.facts) - 1
+	return true
+}
+
+// full reports whether the fact cap has been reached.
+func (s *saturation) full() bool { return len(s.facts) >= s.opts.MaxFacts }
+
+// checkGoals tries every open goal against the facts added since the last
+// check, recording the first subsuming fact, and reports whether every
+// goal is discharged.
+func (s *saturation) checkGoals() bool {
+	for gi, g := range s.goals {
+		if s.goalDone[gi] >= 0 {
+			continue
+		}
+		for fi := s.checked; fi < len(s.facts); fi++ {
+			if Subsumes(s.facts[fi].psi, g) {
+				s.goalDone[gi] = fi
+				break
+			}
+		}
+	}
+	s.checked = len(s.facts)
+	return s.goalsMet()
+}
+
+func (s *saturation) goalsMet() bool {
+	for _, fi := range s.goalDone {
+		if fi < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func removeFrom(l []string, drop string) []string {
@@ -266,26 +333,30 @@ func wildsThenConsts(nWild int, attrs []string, m map[string]string) pattern.Tup
 	return out
 }
 
-// applyMerges scans the fact set for CIND7 and CIND8 opportunities: groups
-// of facts identical up to the constant on one finite-domain Xp attribute
-// (CIND7), or up to matching constants on one Xp and one Yp attribute
-// (CIND8), whose constants cover the attribute's domain. Returns whether a
-// new fact was added.
-func applyMerges(sch *schema.Schema, facts *[]fact, index map[string]int,
-	add func(fact) (int, bool), opts Options) bool {
-
-	grew := false
-	n := len(*facts)
-	// CIND7 groups: key = canonical form minus the Xp attribute.
-	type group struct {
-		members []int
-		values  map[string]bool
+// applyMerges feeds the facts added since the last merge pass into the
+// CIND7 and CIND8 groups — facts identical up to the constant on one
+// finite-domain Xp attribute (CIND7), or up to matching constants on one
+// Xp and one Yp attribute (CIND8) — and fires, in sorted-key order, every
+// group that gained a member and whose constants cover the attribute's
+// domain. A group that gained nothing either fired already or is still
+// uncovered, so firing it again could only re-derive a known fact.
+// Returns whether a new fact was added.
+func (s *saturation) applyMerges() bool {
+	n := len(s.facts)
+	gained7, gained8 := map[string]bool{}, map[string]bool{}
+	join := func(groups map[string]*mergeGroup, gained map[string]bool, key, a, b string, i int, v string) {
+		grp := groups[key]
+		if grp == nil {
+			grp = &mergeGroup{attrA: a, attrB: b, values: map[string]bool{}}
+			groups[key] = grp
+		}
+		grp.members = append(grp.members, i)
+		grp.values[v] = true
+		gained[key] = true
 	}
-	g7 := map[string]*group{}
-	g8 := map[string]*group{}
-	for i := 0; i < n; i++ {
-		psi := (*facts)[i].psi
-		rel, ok := sch.Relation(psi.LHSRel)
+	for i := s.merged; i < n; i++ {
+		psi := s.facts[i].psi
+		rel, ok := s.sch.Relation(psi.LHSRel)
 		if !ok {
 			continue
 		}
@@ -294,72 +365,65 @@ func applyMerges(sch *schema.Schema, facts *[]fact, index map[string]int,
 			if !rel.Domain(a).IsFinite() {
 				continue
 			}
-			key := "7|" + a + "|" + keyWithout(psi, a, "")
-			grp := g7[key]
-			if grp == nil {
-				grp = &group{values: map[string]bool{}}
-				g7[key] = grp
-			}
-			grp.members = append(grp.members, i)
-			grp.values[xm[a]] = true
+			join(s.g7, gained7, a+"|"+keyWithout(psi, a, ""), a, "", i, xm[a])
 			// CIND8: pair with every Yp attribute holding the same constant.
 			for _, b := range psi.Yp {
-				if ym[b] != xm[a] {
-					continue
+				if ym[b] == xm[a] {
+					join(s.g8, gained8, a+"|"+b+"|"+keyWithout(psi, a, b), a, b, i, xm[a])
 				}
-				key8 := "8|" + a + "|" + b + "|" + keyWithout(psi, a, b)
-				grp8 := g8[key8]
-				if grp8 == nil {
-					grp8 = &group{values: map[string]bool{}}
-					g8[key8] = grp8
-				}
-				grp8.members = append(grp8.members, i)
-				grp8.values[xm[a]] = true
 			}
 		}
 	}
-	fire := func(key string, grp *group, isRestore bool) {
-		if len(*facts) >= opts.MaxFacts {
+	s.merged = n
+
+	grew := false
+	fire := func(grp *mergeGroup) {
+		if s.full() {
 			return
 		}
-		parts := strings.SplitN(key, "|", 4)
-		attrA := parts[1]
-		members := make([]*cind.CIND, len(grp.members))
-		for k, i := range grp.members {
-			members[k] = (*facts)[i].psi
-		}
-		rel, _ := sch.Relation(members[0].LHSRel)
-		dom := rel.Domain(attrA)
-		for _, v := range dom.Values() {
+		rel, _ := s.sch.Relation(s.facts[grp.members[0]].psi.LHSRel)
+		for _, v := range rel.Domain(grp.attrA).Values() {
 			if !grp.values[v] {
 				return // domain not covered
 			}
 		}
+		members := make([]*cind.CIND, len(grp.members))
+		for k, i := range grp.members {
+			members[k] = s.facts[i].psi
+		}
 		var out *cind.CIND
 		var err error
 		var rule string
-		if isRestore {
+		if grp.attrB != "" {
 			rule = "CIND8"
-			out, err = MergeRestore(sch, "merge8", members, attrA, parts[2])
+			out, err = MergeRestore(s.sch, "merge8", members, grp.attrA, grp.attrB)
 		} else {
 			rule = "CIND7"
-			out, err = MergeFinite(sch, "merge7", members, attrA)
+			out, err = MergeFinite(s.sch, "merge7", members, grp.attrA)
 		}
 		if err != nil {
 			return
 		}
-		if _, fresh := add(fact{psi: canonicalize(sch, out), rule: rule, premises: grp.members}); fresh {
+		if s.add(fact{psi: canonicalize(s.sch, out), rule: rule, premises: grp.members}) {
 			grew = true
 		}
 	}
-	for key, grp := range g7 {
-		fire(key, grp, false)
+	for _, key := range sortedSet(gained7) {
+		fire(s.g7[key])
 	}
-	for key, grp := range g8 {
-		fire(key, grp, true)
+	for _, key := range sortedSet(gained8) {
+		fire(s.g8[key])
 	}
-	_ = index
 	return grew
+}
+
+func sortedSet(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // keyWithout is canonKey with the Xp entry for attrA (and, when attrB is
@@ -383,7 +447,7 @@ func keyWithout(psi *cind.CIND, attrA, attrB string) string {
 
 // buildProof extracts the sub-derivation reaching every goal component and
 // renumbers it as a Proof, appending one final subsumption step per goal.
-func buildProof(facts []fact, goals []*cind.CIND, goalDone []int, sch *schema.Schema) *Proof {
+func buildProof(facts []fact, goals []*cind.CIND, goalDone []int) *Proof {
 	needed := map[int]bool{}
 	var mark func(i int)
 	mark = func(i int) {
@@ -420,7 +484,7 @@ func buildProof(facts []fact, goals []*cind.CIND, goalDone []int, sch *schema.Sc
 	}
 	for gi, g := range goals {
 		proof.Steps = append(proof.Steps, Step{
-			Result:   canonicalize(sch, g),
+			Result:   g,
 			Rule:     "CIND2/4/5/6",
 			Premises: []int{renum[goalDone[gi]]},
 			Note:     "goal discharged by subsumption",

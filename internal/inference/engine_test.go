@@ -275,8 +275,9 @@ func TestProofWellFormed(t *testing.T) {
 }
 
 // TestDerivedFactsAreSound: everything the engine derives from the bank Σ
-// must hold on the clean bank instance (which satisfies Σ). This is an
-// end-to-end soundness check of the whole engine, not just single rules.
+// must hold on the clean bank instance (which satisfies Σ). Driven by an
+// underivable goal, the engine saturates; every fact of the closure is
+// checked, not just a sample of compositions.
 func TestDerivedFactsAreSound(t *testing.T) {
 	sch := bank.Schema()
 	sigma := bank.CINDs(sch)
@@ -284,21 +285,84 @@ func TestDerivedFactsAreSound(t *testing.T) {
 	if !cind.SatisfiedAll(sigma, db) {
 		t.Fatal("precondition: clean data satisfies Σ")
 	}
-	// Drive the engine with an underivable goal so it saturates.
 	goal := cind.MustNew(sch, "g", "interest", []string{"ab"}, nil,
 		"saving", []string{"ab"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
-	_, _ = Derive(sch, sigma, goal, Options{MaxFacts: 300, MaxRounds: 4})
-	// Re-run the closure manually to inspect facts: reuse Derive internals
-	// by deriving each member and checking satisfaction along the way is
-	// equivalent; here we simply check that a sample of compositions hold.
-	psi1 := canonicalize(sch, bank.Psi1(sch, "EDI"))
-	psi5 := canonicalize(sch, cind.NormalizeAll([]*cind.CIND{bank.Psi5(sch)})[0])
-	if comp, _, ok := compose(sch, psi1, psi5); ok {
-		if !comp.Satisfied(db) {
-			t.Fatalf("composed CIND %v violated on clean data", comp)
+	s := saturate(sch, sigma, goal, Options{})
+	if s.goalsMet() {
+		t.Fatal("the goal must stay underivable")
+	}
+	rules := map[string]int{}
+	for i, f := range s.facts {
+		if !f.psi.Satisfied(db) {
+			t.Fatalf("fact %d %v [%s %v] violated on clean data", i, f.psi, f.rule, f.premises)
 		}
-	} else {
-		t.Fatal("ψ1(EDI) and ψ5(EDI row) must compose")
+		rules[f.rule]++
+	}
+	for _, r := range []string{"CIND3", "CIND6", "CIND7", "CIND8"} {
+		if rules[r] == 0 {
+			t.Fatalf("closure of %d facts has no %s fact (rules %v)", len(s.facts), r, rules)
+		}
+	}
+	t.Logf("%d facts, by rule %v", len(s.facts), rules)
+}
+
+// twoMergeSchema: R(A, at), S(B, st), T(C), with at and st over the finite
+// domain {a, b}.
+func twoMergeSchema() *schema.Schema {
+	d := schema.Infinite("d")
+	f := schema.Finite("f", "a", "b")
+	return schema.MustNew(
+		schema.MustRelation("R", schema.Attribute{Name: "A", Dom: d}, schema.Attribute{Name: "at", Dom: f}),
+		schema.MustRelation("S", schema.Attribute{Name: "B", Dom: d}, schema.Attribute{Name: "st", Dom: f}),
+		schema.MustRelation("T", schema.Attribute{Name: "C", Dom: d}),
+	)
+}
+
+// TestMergesFireInSortedOrder: two CIND7 groups complete in the same
+// round — R[A; at] ⊆ S[B] and S[B; st] ⊆ T[C], each over both values of
+// the finite domain — and the goal R[A] ⊆ T[C] needs both merged facts.
+// The groups fire in sorted-key order, so the proof is the same on every
+// run and every premise precedes its step.
+func TestMergesFireInSortedOrder(t *testing.T) {
+	sch := twoMergeSchema()
+	var sigma []*cind.CIND
+	for _, v := range []string{"a", "b"} {
+		sigma = append(sigma,
+			cind.MustNew(sch, "rs_"+v, "R", []string{"A"}, []string{"at"}, "S", []string{"B"}, nil,
+				[]cind.Row{{LHS: pattern.Tup(w, sym(v)), RHS: pattern.Wilds(1)}}),
+			cind.MustNew(sch, "st_"+v, "S", []string{"B"}, []string{"st"}, "T", []string{"C"}, nil,
+				[]cind.Row{{LHS: pattern.Tup(w, sym(v)), RHS: pattern.Wilds(1)}}))
+	}
+	goal := cind.MustNew(sch, "g", "R", []string{"A"}, nil, "T", []string{"C"}, nil,
+		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
+	var first string
+	for run := 0; run < 200; run++ {
+		proof, ok := Derive(sch, sigma, goal, Options{})
+		if !ok {
+			t.Fatal("R[A] ⊆ T[C] must be derivable from the two merges")
+		}
+		got := proof.String()
+		if run == 0 {
+			first = got
+			merges := 0
+			for i, s := range proof.Steps {
+				for _, p := range s.Premises {
+					if p >= i {
+						t.Fatalf("step %d references later/self premise %d:\n%s", i+1, p+1, got)
+					}
+				}
+				if s.Rule == "CIND7" {
+					merges++
+				}
+			}
+			if merges != 2 {
+				t.Fatalf("proof uses %d CIND7 merges, want 2:\n%s", merges, got)
+			}
+			continue
+		}
+		if got != first {
+			t.Fatalf("run %d: proof differs from run 0:\n%s\nvs\n%s", run, got, first)
+		}
 	}
 }

@@ -120,10 +120,12 @@ func (in *Instance) Tuples() []Tuple { return in.tuples }
 // delete shrinks the length without changing nextSeq), and reindex — run
 // by chase-style variable substitution — reassigns fresh sequence numbers,
 // so equal pairs imply a structure built from an earlier snapshot is still
-// current. It has two users: internal/sqlbackend skips re-ingesting
-// unchanged relations into its SQL mirror, and a Checker keeps its
-// detection plan (detect.Plan) — the relations' coded form — across reads
-// while every referenced relation's pair is unchanged.
+// current. It has three users: internal/sqlbackend skips re-ingesting
+// unchanged relations into its SQL mirror; a Checker keeps its detection
+// plan (detect.Plan) — the relations' coded form — across reads while
+// every referenced relation's pair is unchanged; and the chase
+// (internal/chase) skips a CFD's FD pass while its relation still has the
+// pair it had after that CFD's last pass that changed nothing.
 func (in *Instance) Version() (nextSeq int64, n int) {
 	return in.nextSeq, len(in.tuples)
 }
