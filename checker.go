@@ -202,8 +202,8 @@ func WithParallelism(n int) CheckerOption {
 
 // WithLimit caps reported violations: Detect returns the first n violations
 // of the unlimited run (a true prefix, pair enumeration stops early once
-// the cap is unreachable), and Violations stops after yielding n. 0 means
-// unlimited.
+// the cap is unreachable), and Violations yields the same n, in the same
+// order. 0 means unlimited.
 func WithLimit(n int) CheckerOption {
 	return func(c *checkerConfig) { c.limit = n }
 }
@@ -403,16 +403,15 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 	return c.detectPlan().Run(ctx, c.engineOpts())
 }
 
-// Violations streams violations as the engine finds them, instead of
-// materialising the full report first: ranging and breaking at the first
-// violation costs one detection group, not the enumeration of every
-// quadratic pair of a dirty instance — first-violation latency instead of
-// full-report latency. Breaking out of the loop stops the workers promptly;
-// the iterator does not return until they have exited, so no engine
-// goroutine outlives the loop. At WithParallelism(1) the stream is the
-// report, violation for violation; under a worker pool arrival order
-// interleaves across detection groups (use Detect for the deterministic
-// report). WithLimit(n) ends the stream after n violations.
+// Violations streams the report as the engine finds it, instead of
+// materialising it first. The stream is Detect's report, violation for
+// violation, at every WithParallelism setting, and WithLimit(n) yields its
+// first n — Detect's limited report. Ranging and breaking at the first
+// violation costs the detection groups whose constraints come before the
+// first violated one, not the enumeration of every quadratic pair of a
+// dirty instance. Breaking out of the loop stops the workers promptly; the
+// iterator does not return until they have exited, so no engine goroutine
+// outlives the loop.
 //
 // Each iteration yields a violation with a nil error. If ctx is cancelled
 // before the stream completes, one final (zero Violation, ctx.Err()) pair

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -229,56 +228,77 @@ func TestCheckerDetectHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestCheckerViolationsMatchesDetect: the stream yields exactly the
-// report's violations (as a multiset), and WithLimit truncates the stream.
+// TestCheckerViolationsMatchesDetect: at the default pool and at two
+// explicit widths the stream is Detect's report, violation for violation;
+// WithLimit(n) at the default pool streams exactly Detect's limited report,
+// the report's first n.
 func TestCheckerViolationsMatchesDetect(t *testing.T) {
 	ctx := context.Background()
+	stream := func(chk *cindapi.Checker) []string {
+		t.Helper()
+		var got []string
+		for v, err := range chk.Violations(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, v.String())
+		}
+		return got
+	}
+	for _, seed := range []int64{1, 21} {
+		set, db := genWorkloadSet(t, seed)
+		for _, par := range []int{0, 2, 4} {
+			chk, err := cindapi.NewChecker(db, set, cindapi.WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := chk.Detect(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reportLines(rep)
+			if got := stream(chk); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("seed %d, parallel %d: stream and report disagree:\n--- report\n%s\n--- stream\n%s",
+					seed, par, strings.Join(want, "\n"), strings.Join(got, "\n"))
+			}
+			if len(want) < 3 {
+				t.Fatalf("seed %d: workload too clean (%d violations) to test limits", seed, len(want))
+			}
+		}
+		full, err := cindapi.NewChecker(db, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := full.Detect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []int{1, 2, rep.Total() / 2, rep.Total() - 1} {
+			limited, err := cindapi.NewChecker(db, set, cindapi.WithLimit(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lrep, err := limited.Detect(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reportLines(lrep)
+			if len(want) != limit {
+				t.Fatalf("seed %d: WithLimit(%d) report holds %d violations", seed, limit, len(want))
+			}
+			if got := stream(limited); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("seed %d: WithLimit(%d) stream is not the limited report:\n--- report\n%s\n--- stream\n%s",
+					seed, limit, strings.Join(want, "\n"), strings.Join(got, "\n"))
+			}
+		}
+	}
+
+	// Early break mid-stream is clean: no error, iteration simply ends.
 	set, db := genWorkloadSet(t, 1)
 	chk, err := cindapi.NewChecker(db, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := chk.Detect(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, v := range rep.Violations() {
-		want = append(want, v.String())
-	}
-	var got []string
-	for v, err := range chk.Violations(ctx) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, v.String())
-	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if strings.Join(want, "\n") != strings.Join(got, "\n") {
-		t.Fatalf("stream and report disagree:\n--- report\n%s\n--- stream\n%s",
-			strings.Join(want, "\n"), strings.Join(got, "\n"))
-	}
-	if len(want) < 3 {
-		t.Fatalf("workload too clean (%d violations) to test limits", len(want))
-	}
-
-	limited, err := cindapi.NewChecker(db, set, cindapi.WithLimit(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, err := range limited.Violations(ctx) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("WithLimit(2) stream yielded %d violations", n)
-	}
-
-	// Early break mid-stream is clean: no error, iteration simply ends.
 	seen := 0
 	for _, err := range chk.Violations(ctx) {
 		if err != nil {

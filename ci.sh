@@ -49,10 +49,12 @@ go run ./cmd/cindlint ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# The serving packages' tests race real goroutines against each other:
-# repeat them so load-dependent flakes surface here, not in a later run.
-echo "== go test -race -count=3 ./internal/server ./internal/shard ./internal/stream"
-go test -race -count=3 ./internal/server ./internal/shard ./internal/stream
+# The serving packages' tests race real goroutines against each other,
+# and the engine's streaming helpers share per-slot feeds with the
+# consumer: repeat them so load-dependent flakes surface here, not in a
+# later run.
+echo "== go test -race -count=3 ./internal/server ./internal/shard ./internal/stream ./internal/detect ."
+go test -race -count=3 ./internal/server ./internal/shard ./internal/stream ./internal/detect .
 
 # The reasoning packages fan out across goroutines (DecideAll's goal
 # pool, Checking's per-component runs): repeat them under the race
@@ -119,10 +121,7 @@ if [ -z "$base" ]; then
 	exit 1
 fi
 curl -sSf "$base/healthz" > /dev/null
-# parallel=1: the stream's order is exact only without the worker pool (a
-# pool streams the same multiset in a run-dependent order), and every
-# byte comparison below needs that exact order.
-curl -sSf -X PUT --data-binary @testdata/bank/bank.cind "$base/datasets/bank/constraints?parallel=1" > /dev/null
+curl -sSf -X PUT --data-binary @testdata/bank/bank.cind "$base/datasets/bank/constraints" > /dev/null
 for rel in interest saving checking account_NYC account_EDI; do
 	curl -sSf -X PUT --data-binary "@testdata/bank/$rel.csv" "$base/datasets/bank?relation=$rel" > /dev/null
 done

@@ -51,6 +51,8 @@ type unit interface {
 	// reference order. emit returning false aborts the unit; stream
 	// reports whether it ran to completion.
 	stream(stop func() bool, emit func(mi int, h hit) bool) bool
+	// members returns the number of constraints in the unit.
+	members() int
 	// slot returns member mi's position in report order.
 	slot(mi int) int
 	// violation materialises one hit of member mi.
@@ -67,6 +69,8 @@ type cfdUnit struct {
 func (u cfdUnit) stream(stop func() bool, emit func(mi int, h hit) bool) bool {
 	return u.g.stream(u.cr, stop, emit)
 }
+
+func (u cfdUnit) members() int { return len(u.g.m) }
 
 func (u cfdUnit) slot(mi int) int { return u.g.m[mi].idx }
 
@@ -92,6 +96,8 @@ type cindUnit struct {
 func (u cindUnit) stream(stop func() bool, emit func(mi int, h hit) bool) bool {
 	return u.g.stream(u.rhs, u.lhs, stop, emit)
 }
+
+func (u cindUnit) members() int { return len(u.g.m) }
 
 func (u cindUnit) slot(mi int) int { return u.base + u.g.m[mi].idx }
 
@@ -133,20 +139,20 @@ func NewPlan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Plan {
 		ensure(c.RHSRel)
 	}
 	for _, g := range planCFDs(db, cfds, it) {
-		p.add(cfdUnit{g: g, cr: coded[g.rel]}, len(g.m))
+		p.add(cfdUnit{g: g, cr: coded[g.rel]})
 	}
 	for _, g := range planCINDs(db, cinds, it) {
 		u := cindUnit{g: g, rhs: coded[g.rhsRel], lhs: make([]*codedRel, len(g.m)), base: len(cfds)}
 		for mi := range g.m {
 			u.lhs[mi] = coded[g.m[mi].lhsRel]
 		}
-		p.add(u, len(g.m))
+		p.add(u)
 	}
 	return p
 }
 
-func (p *Plan) add(u unit, members int) {
-	for mi := 0; mi < members; mi++ {
+func (p *Plan) add(u unit) {
+	for mi := 0; mi < u.members(); mi++ {
 		p.slots[u.slot(mi)] = slotRef{u: len(p.units), mi: mi}
 	}
 	p.units = append(p.units, u)

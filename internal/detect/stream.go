@@ -3,6 +3,7 @@ package detect
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"cind/internal/cfd"
 	"cind/internal/constraint"
@@ -123,7 +124,7 @@ func (v Violation) String() string {
 
 // Each evaluates every constraint against the database through the batched
 // engine — a fresh Plan, evaluated by Plan.Each — and calls yield for each
-// violation as it is found.
+// violation of the report, in report order, as it is found.
 func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options, yield func(Violation) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -132,129 +133,178 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 }
 
 // Each evaluates the plan and calls yield for each violation as it is
-// found, instead of materialising the full report first — first-violation
-// latency on dirty data is the cost of one detection group, not of
+// found, instead of materialising the full report first. The stream is the
+// report, violation for violation, at every worker count: a consumer that
+// stops after n violations has seen exactly the report's first n, which is
+// what Limit would have kept. First-violation latency is the cost of the
+// units whose report slots come before the first violating one, not of
 // enumerating every quadratic pair.
 //
-// At one worker (opts.Parallel 1, or a plan with a single group) the stream
-// is the report, violation for violation: see inOrder. With more workers
-// the groups fan out over the bounded pool, so arrival order interleaves
-// across groups; within one group the order still matches the report.
+// The calling goroutine is the consumer: it walks the report slots and,
+// at a unit's first member, runs the unit itself when no helper has
+// claimed it yet, streaming that member live. With more than one worker
+// (opts.Parallel), that many helpers claim units ahead of it in plan order
+// and publish their hits to per-slot feeds in chunks, which the consumer
+// drains as they arrive — one lock per chunk, not one handoff per
+// violation. A unit's later members are published the same way and
+// drained when their own slots come up.
 //
 // opts.Limit is ignored — the consumer governs how many violations it wants
-// by returning false from yield, which stops the workers promptly (mid pair
+// by returning false from yield, which stops the helpers promptly (mid pair
 // enumeration, mid index build) and is not an error. Each returns ctx.Err()
 // when the context was cancelled before evaluation completed, nil
-// otherwise; it does not return until every worker has exited, so no engine
-// goroutine outlives the call.
+// otherwise; it does not return until every helper has exited, so no engine
+// goroutine outlives the call. Helpers never wait on the consumer, so their
+// feeds hold at most the report's hits, which is what Run buffers.
 func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	inner, cancel := context.WithCancel(ctx)
-	defer cancel()
 	stop := stopFunc(inner)
-	done := inner.Done()
+	f := newFeeds(len(p.slots))
+	claimed := make([]atomic.Bool, len(p.units))
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	if w := opts.workers(len(p.units)); w > 1 {
+		var next atomic.Int64
+		wg.Add(w)
+		for range w {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < len(p.units) && !stop(); i = int(next.Add(1) - 1) {
+					if claimed[i].CompareAndSwap(false, true) {
+						f.run(p.units[i], stop, nil)
+					}
+				}
+			}()
+		}
+	}
 
-	w := opts.workers(len(p.units))
-	if w == 1 {
-		// yield runs on this goroutine, with no per-violation channel
-		// handoff — on a violation-dense database that handoff is most of
-		// the streaming cost.
-		broke := false
-		send := func(v Violation) bool {
-			if broke || stop() || !yield(v) {
-				broke = true
+	for s, ref := range p.slots {
+		u, mi := p.units[ref.u], ref.mi
+		send := func(h hit) bool {
+			if stop() || !yield(u.violation(mi, h)) {
 				cancel()
 				return false
 			}
 			return true
 		}
-		p.inOrder(stop, send)
-		return ctx.Err()
-	}
-
-	// Workers hand violations to the consumer over ch; a send blocked on a
-	// slow consumer unblocks on cancellation, so a consumer break never
-	// strands a worker.
-	ch := make(chan Violation)
-	send := func(v Violation) bool {
-		select {
-		case ch <- v:
-			return true
-		case <-done:
-			return false
+		var ok bool
+		if mi == 0 && claimed[ref.u].CompareAndSwap(false, true) {
+			ok = f.run(u, stop, send)
+		} else {
+			ok = f.drain(s, send)
 		}
-	}
-	var wg sync.WaitGroup
-	uch := make(chan unit)
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for u := range uch {
-				u.stream(stop, func(mi int, h hit) bool { return send(u.violation(mi, h)) })
-			}
-		}()
-	}
-	go func() {
-		// Feed every unit unconditionally: after cancellation the workers
-		// drain them in a few polls each, which is cheaper than a second
-		// signalling path.
-		for _, u := range p.units {
-			uch <- u
-		}
-		close(uch)
-	}()
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-
-	broke := false
-	for v := range ch {
-		if broke {
-			continue // draining until the workers notice the cancel
-		}
-		if ctx.Err() != nil || !yield(v) {
-			broke = true
-			cancel()
+		if !ok || stop() {
+			break
 		}
 	}
 	return ctx.Err()
 }
 
-// inOrder is the one-worker evaluation, in report order. It walks the
-// report slots and runs each unit when its first member's slot comes up,
-// streaming that member live; the unit's later members are held as hits
-// until their own slots come up. A unit's members are in input order, so
-// its first member always has its lowest slot. send returning false, or
-// stop firing, ends the walk.
-func (p *Plan) inOrder(stop func() bool, send func(Violation) bool) {
-	held := make([][]hit, len(p.slots))
-	for s, ref := range p.slots {
-		u := p.units[ref.u]
-		if ref.mi > 0 {
-			for _, h := range held[s] {
-				if !send(u.violation(ref.mi, h)) {
-					return
+// feedChunk is how many hits a unit's runner publishes to a report slot at
+// once: the consumer pays one lock per chunk, not one handoff per
+// violation, and a runner polls for cancellation once per chunk.
+const feedChunk = 256
+
+// feeds hands hits from the goroutines running units to Each's consumer,
+// one feed per report slot. One lock guards every feed: it is taken once
+// per chunk, and the consumer is the only goroutine that ever waits.
+type feeds struct {
+	mu    sync.Mutex
+	ready sync.Cond
+	slots []feed
+}
+
+// feed is one report slot's published hits: the chunks the consumer has not
+// taken yet, and whether the slot's member has emitted its last hit.
+type feed struct {
+	chunks [][]hit
+	done   bool
+}
+
+func newFeeds(slots int) *feeds {
+	f := &feeds{slots: make([]feed, slots)}
+	f.ready.L = &f.mu
+	return f
+}
+
+// publish appends chunk, when it holds any hits, to slot s's feed, and
+// marks the slot finished when done: a slot's last publish is its only
+// done one.
+func (f *feeds) publish(s int, chunk []hit, done bool) {
+	f.mu.Lock()
+	fd := &f.slots[s]
+	if len(chunk) > 0 {
+		fd.chunks = append(fd.chunks, chunk)
+	}
+	fd.done = done
+	f.mu.Unlock()
+	f.ready.Signal()
+}
+
+// drain passes slot s's hits to send, in order, as they are published. It
+// reports true once the slot is finished and drained, false as soon as send
+// does.
+func (f *feeds) drain(s int, send func(hit) bool) bool {
+	for {
+		f.mu.Lock()
+		fd := &f.slots[s]
+		for len(fd.chunks) == 0 && !fd.done {
+			f.ready.Wait()
+		}
+		chunks, done := fd.chunks, fd.done
+		fd.chunks = nil
+		f.mu.Unlock()
+		for _, c := range chunks {
+			for _, h := range c {
+				if !send(h) {
+					return false
 				}
 			}
-			held[s] = nil
-			continue
 		}
-		if stop() {
-			return
-		}
-		if !u.stream(stop, func(mi int, h hit) bool {
-			if mi == 0 {
-				return send(u.violation(0, h))
-			}
-			t := u.slot(mi)
-			held[t] = append(held[t], h)
-			return len(held[t])&255 != 0 || !stop()
-		}) {
-			return
+		if done {
+			return true
 		}
 	}
+}
+
+// run evaluates u on the calling goroutine. Member 0's hits go to first
+// when it is non-nil — the consumer running a unit inline streams that
+// member live — and every other hit is published to its member's feed in
+// chunks. A unit emits its members in order, so a member's slot is
+// finished as soon as the unit moves past it, and every slot of u is
+// finished when run returns, whether u completed or aborted. run reports
+// whether u ran to completion.
+func (f *feeds) run(u unit, stop func() bool, first func(hit) bool) bool {
+	cur := 0
+	var buf []hit
+	flush := func(done bool) {
+		f.publish(u.slot(cur), buf, done)
+		buf = nil
+	}
+	ok := u.stream(stop, func(mi int, h hit) bool {
+		for ; cur < mi; cur++ {
+			flush(true)
+		}
+		if mi == 0 && first != nil {
+			return first(h)
+		}
+		if buf == nil {
+			buf = make([]hit, 0, feedChunk)
+		}
+		if buf = append(buf, h); len(buf) < feedChunk {
+			return true
+		}
+		flush(false)
+		return !stop()
+	})
+	for ; cur < u.members(); cur++ {
+		flush(true)
+	}
+	return ok
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	core "cind/internal/core"
 	"cind/internal/gen"
 	"cind/internal/instance"
+	"cind/internal/pattern"
 )
 
 // denseDirtyBank builds a violation-heavy instance: n checking tuples in
@@ -45,48 +45,139 @@ func collectEach(t *testing.T, ctx context.Context, db *instance.Database, cfds 
 	return out
 }
 
-func sortedStrings(vs []Violation) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
+// eachWidths are the worker counts the order tests stream at: no helpers,
+// then helper pools narrower than, about as wide as, and wider than a
+// plan's units.
+var eachWidths = []int{1, 2, 3, 8}
+
+// reportStream is the batch report of db as the stream Each must equal.
+func reportStream(t *testing.T, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) []Violation {
+	t.Helper()
+	rep, err := RunContext(context.Background(), db, cfds, cinds, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(out)
-	return out
+	return rep.Violations()
 }
 
-// TestEachMatchesRunAsMultiset checks that the streaming path emits exactly
-// the violations of the batch path — arrival order interleaves across
-// groups, so equality is as multisets.
-func TestEachMatchesRunAsMultiset(t *testing.T) {
-	check := func(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) {
-		t.Helper()
-		batch := Run(db, cfds, cinds, Options{})
-		var want []Violation
-		for _, v := range batch.CFD {
-			want = append(want, CFDViolation(v))
-		}
-		for _, v := range batch.CIND {
-			want = append(want, CINDViolation(v))
-		}
-		got := collectEach(t, context.Background(), db, cfds, cinds, Options{})
-		ws, gs := sortedStrings(want), sortedStrings(got)
-		if len(ws) != len(gs) {
-			t.Fatalf("stream found %d violations, batch %d", len(gs), len(ws))
-		}
-		for i := range ws {
-			if ws[i] != gs[i] {
-				t.Fatalf("violation multisets differ at %d:\nstream: %s\nbatch:  %s", i, gs[i], ws[i])
-			}
+// sameViolation reports whether a and b are the same violation: the same
+// constraint, tableau row and witness tuples.
+func sameViolation(a, b Violation) bool {
+	if a.Constraint() != b.Constraint() || a.Row() != b.Row() {
+		return false
+	}
+	wa, wb := a.Witness(), b.Witness()
+	for i := range wa {
+		if !wa[i].Eq(wb[i]) {
+			return false
 		}
 	}
+	return len(wa) == len(wb)
+}
 
+// assertStreamIs fails unless got is want, violation for violation.
+func assertStreamIs(t *testing.T, got, want []Violation) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		if !sameViolation(got[i], want[i]) {
+			t.Fatalf("stream diverges from the report at %d of %d:\nstream: %s\nreport: %s", i, len(want), got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stream yielded %d violations, report holds %d", len(got), len(want))
+	}
+}
+
+// heldCINDBank is the Figure 1 bank with two more account tuples that
+// violate psi1_EDI and psi2_NYC: psi1_EDI shares psi1_NYC's group (RHS
+// saving, same Y) but sits after psi2_NYC in Σ, so the group's later
+// member is held until its slot comes up.
+func heldCINDBank(t *testing.T) (*instance.Database, []*cfd.CFD, []*core.CIND) {
+	t.Helper()
 	sch := bank.Schema()
-	check(bank.Data(sch), bank.CFDs(sch), bank.CINDs(sch))
-	db, cfds, cinds := scaledDirtyBank(400)
-	check(db, cfds, cinds)
+	db := bank.Data(sch)
+	db.Insert("account_NYC", instance.Consts("a-901", "Nobody", "Nowhere", "555", "checking"))
+	db.Insert("account_EDI", instance.Consts("a-902", "Someone", "Elsewhere", "556", "saving"))
+	cfds, cinds := bank.CFDs(sch), bank.CINDs(sch)
+	violated := map[string]bool{}
+	for _, v := range Run(db, cfds, cinds, Options{}).CIND {
+		violated[v.CIND.ID] = true
+	}
+	if !violated["psi1_EDI"] || !violated["psi2_NYC"] {
+		t.Fatalf("want psi1_EDI and psi2_NYC violated, got %v", violated)
+	}
+	return db, cfds, cinds
+}
+
+// phi2Held is a second CFD over phi2's X attribute set (listed in another
+// order): it joins phi2's detection group as a later member, and on
+// denseDirtyBank, where every customer name differs, it violates on every
+// pair of an X bucket.
+func phi2Held() *cfd.CFD {
+	return cfd.MustNew(bank.Schema(), "phi2_held", "checking",
+		[]string{"ab", "an"}, []string{"cn"},
+		[]cfd.Row{{LHS: pattern.Wilds(2), RHS: pattern.Wilds(1)}})
+}
+
+// TestEachMatchesRunInOrder pins the stream to the batch report, violation
+// for violation, at every width. The dense workloads put the heavy unit
+// (phi2's quadratic pairs) before and after light ones, so helpers finish
+// out of order, and hold a heavy later member (phi2_held, whose slot comes
+// after phi3) in chunks; the held-cind bank and the generated workloads
+// mix CFD and CIND groups with several members.
+func TestEachMatchesRunInOrder(t *testing.T) {
+	sch := bank.Schema()
+	dense, _, denseCINDs := denseDirtyBank(2000, 50)
+	phi1, phi2, phi3 := bank.Phi1(sch), bank.Phi2(sch), bank.Phi3(sch)
+	type workload struct {
+		name  string
+		db    *instance.Database
+		cfds  []*cfd.CFD
+		cinds []*core.CIND
+	}
+	workloads := []workload{
+		{"bank", bank.Data(sch), bank.CFDs(sch), bank.CINDs(sch)},
+		{"dense/heavy-early", dense, []*cfd.CFD{phi2, phi1, phi3}, denseCINDs},
+		{"dense/heavy-late", dense, []*cfd.CFD{phi1, phi3, phi2}, denseCINDs},
+		{"dense/held-member", dense, []*cfd.CFD{phi1, phi2, phi3, phi2Held()}, denseCINDs},
+	}
+	db, cfds, cinds := heldCINDBank(t)
+	workloads = append(workloads, workload{"bank/held-cind", db, cfds, cinds})
+	db, cfds, cinds = scaledDirtyBank(400)
+	workloads = append(workloads, workload{"scaled", db, cfds, cinds})
 	for _, seed := range []int64{1, 21} {
 		w := gen.New(gen.Config{Relations: 8, Card: 120, Consistent: true, Seed: seed})
-		check(dirtyWorkload(w), w.CFDs, w.CINDs)
+		workloads = append(workloads, workload{fmt.Sprintf("gen-seed=%d", seed), dirtyWorkload(w), w.CFDs, w.CINDs})
+	}
+	for _, wl := range workloads {
+		t.Run(wl.name, func(t *testing.T) {
+			want := reportStream(t, wl.db, wl.cfds, wl.cinds)
+			if len(want) == 0 {
+				t.Fatal("workload is clean; the test would prove nothing")
+			}
+			for _, width := range eachWidths {
+				assertStreamIs(t, collectEach(t, context.Background(), wl.db, wl.cfds, wl.cinds, Options{Parallel: width}), want)
+				if width == 1 {
+					continue // no helpers to get ahead of a stalled consumer
+				}
+				// A consumer that stalls at its first violation lets the
+				// helpers claim the units ahead of it, so the rest of the
+				// stream comes from their feeds: the short stall finds some
+				// still being filled, the long one most of them finished.
+				for _, stall := range []time.Duration{200 * time.Microsecond, 2 * time.Millisecond} {
+					var got []Violation
+					if err := Each(context.Background(), wl.db, wl.cfds, wl.cinds, Options{Parallel: width}, func(v Violation) bool {
+						if got = append(got, v); len(got) == 1 {
+							time.Sleep(stall)
+						}
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					assertStreamIs(t, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -147,33 +238,11 @@ func TestEachSequentialIsReportOrder(t *testing.T) {
 		if !unitsOutOfOrder(NewPlan(db, cfds, cinds), cfds, cinds, rep) {
 			t.Fatal("group-by-group order already matches the report; the test would prove nothing")
 		}
-		want := rep.Violations()
-		got := collectEach(t, context.Background(), db, cfds, cinds, Options{Parallel: 1})
-		if len(got) != len(want) {
-			t.Fatalf("stream found %d violations, report %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Constraint() != want[i].Constraint() || got[i].String() != want[i].String() {
-				t.Fatalf("stream diverges from the report at %d of %d:\nstream: %s\nreport: %s", i, len(want), got[i], want[i])
-			}
-		}
+		assertStreamIs(t, collectEach(t, context.Background(), db, cfds, cinds, Options{Parallel: 1}), rep.Violations())
 	}
 
 	t.Run("bank", func(t *testing.T) {
-		// ψ1_EDI shares ψ1_NYC's group (RHS saving, same Y) and sits after
-		// ψ2_NYC in Σ; violate both so the group's later member must wait.
-		sch := bank.Schema()
-		db := bank.Data(sch)
-		db.Insert("account_NYC", instance.Consts("a-901", "Nobody", "Nowhere", "555", "checking"))
-		db.Insert("account_EDI", instance.Consts("a-902", "Someone", "Elsewhere", "556", "saving"))
-		cfds, cinds := bank.CFDs(sch), bank.CINDs(sch)
-		violated := map[string]bool{}
-		for _, v := range Run(db, cfds, cinds, Options{}).CIND {
-			violated[v.CIND.ID] = true
-		}
-		if !violated["psi1_EDI"] || !violated["psi2_NYC"] {
-			t.Fatalf("want psi1_EDI and psi2_NYC violated, got %v", violated)
-		}
+		db, cfds, cinds := heldCINDBank(t)
 		check(t, db, cfds, cinds)
 	})
 	t.Run("gen", func(t *testing.T) {
@@ -182,30 +251,57 @@ func TestEachSequentialIsReportOrder(t *testing.T) {
 	})
 }
 
-// TestEachEarlyBreakStopsWorkers is the satellite cancellation test for the
-// consumer-break direction: on a violation-heavy workload whose full
-// enumeration is large, breaking at the first violation must return
-// promptly — without enumerating the rest — and must not leak engine
-// goroutines.
-func TestEachEarlyBreakStopsWorkers(t *testing.T) {
-	db, cfds, cinds := denseDirtyBank(4000, 100)
-	before := runtime.NumGoroutine()
+// TestFeedsDrainChunksAsPublished pins the consumer side of a feed: drain
+// hands each chunk to send as soon as it is published, without waiting for
+// the slot to finish, and returns once the finished slot is drained. The
+// producer publishes the next chunk only after send has seen the previous
+// one, so a drain that waited for the whole slot would deadlock.
+func TestFeedsDrainChunksAsPublished(t *testing.T) {
+	const chunks = 4
+	f := newFeeds(1)
+	seen := make(chan int32)
+	go func() {
+		for c := int32(0); c < chunks; c++ {
+			f.publish(0, []hit{{t1: 2 * c}, {t1: 2*c + 1}}, false)
+			if <-seen != 2*c+1 {
+				t.Error("drain handed over a chunk out of order")
+			}
+		}
+		f.publish(0, nil, true)
+	}()
+	var got []int32
+	done := make(chan bool)
+	go func() {
+		done <- f.drain(0, func(h hit) bool {
+			if got = append(got, h.t1); h.t1%2 == 1 {
+				seen <- h.t1
+			}
+			return true
+		})
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("drain of a finished slot reported a broken send")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain waited for the slot to finish before handing over its chunks")
+	}
+	for i, h := range got {
+		if h != int32(i) {
+			t.Fatalf("drained %v, want 0..%d in order", got, 2*chunks-1)
+		}
+	}
+	if len(got) != 2*chunks {
+		t.Fatalf("drained %d hits, want %d", len(got), 2*chunks)
+	}
+}
 
-	start := time.Now()
-	seen := 0
-	err := Each(context.Background(), db, cfds, cinds, Options{}, func(v Violation) bool {
-		seen++
-		return false // break at the first violation
-	})
-	if err != nil {
-		t.Fatalf("consumer break is not an error, got %v", err)
-	}
-	if seen != 1 {
-		t.Fatalf("yield called %d times after returning false", seen)
-	}
-	// Each returns only after every worker has exited; the goroutine count
-	// must settle back to the baseline (allow the runtime a moment for
-	// exits to be observed).
+// assertNoEngineGoroutines fails if the goroutine count does not settle
+// back to before: Each returns only after every helper has exited, so at
+// most the runtime's bookkeeping of those exits may lag for a moment.
+func assertNoEngineGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -213,23 +309,61 @@ func TestEachEarlyBreakStopsWorkers(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("engine leaked goroutines: %d before, %d after", before, g)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("early break took %v; workers did not stop promptly", elapsed)
+}
+
+// TestEachEarlyBreakStopsWorkers is the cancellation test for the
+// consumer-break direction, at every width: on a violation-heavy workload
+// whose full enumeration is large, breaking after k violations must have
+// yielded exactly the report's first k, return promptly — without
+// enumerating the rest — and leave no engine goroutine behind.
+func TestEachEarlyBreakStopsWorkers(t *testing.T) {
+	db, cfds, cinds := denseDirtyBank(4000, 100)
+	want := reportStream(t, db, cfds, cinds)
+	for _, width := range eachWidths {
+		for _, k := range []int{1, feedChunk + 44, len(want) / 2} {
+			before := runtime.NumGoroutine()
+			start := time.Now()
+			var got []Violation
+			err := Each(context.Background(), db, cfds, cinds, Options{Parallel: width}, func(v Violation) bool {
+				got = append(got, v)
+				return len(got) < k
+			})
+			if err != nil {
+				t.Fatalf("width %d, k %d: consumer break is not an error, got %v", width, k, err)
+			}
+			assertStreamIs(t, got, want[:k])
+			assertNoEngineGoroutines(t, before)
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Fatalf("width %d, k %d: early break took %v; helpers did not stop promptly", width, k, elapsed)
+			}
+		}
 	}
 }
 
-// TestEachCtxCancelMidStream cancels the context from inside the consumer:
-// the stream must end with ctx's error, and Each must report it.
+// TestEachCtxCancelMidStream cancels the context from inside the consumer
+// at every width: the stream must end right there with the report's first
+// k violations, Each must report ctx's error, and no helper may outlive it.
 func TestEachCtxCancelMidStream(t *testing.T) {
 	db, cfds, cinds := scaledDirtyBank(1000)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	err := Each(ctx, db, cfds, cinds, Options{}, func(v Violation) bool {
-		cancel() // keep consuming; cancellation alone must end the stream
-		return true
-	})
-	if err != context.Canceled {
-		t.Fatalf("Each after mid-stream cancel = %v, want context.Canceled", err)
+	want := reportStream(t, db, cfds, cinds)
+	for _, width := range eachWidths {
+		for _, k := range []int{1, feedChunk + 44} {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			var got []Violation
+			err := Each(ctx, db, cfds, cinds, Options{Parallel: width}, func(v Violation) bool {
+				if got = append(got, v); len(got) == k {
+					cancel() // keep consuming; cancellation alone must end the stream
+				}
+				return true
+			})
+			cancel()
+			if err != context.Canceled {
+				t.Fatalf("width %d, k %d: Each after mid-stream cancel = %v, want context.Canceled", width, k, err)
+			}
+			assertStreamIs(t, got, want[:k])
+			assertNoEngineGoroutines(t, before)
+		}
 	}
 }
 
@@ -339,5 +473,34 @@ func TestViolationSumType(t *testing.T) {
 	}
 	if zero.String() != "[no violation]" {
 		t.Fatalf("zero String = %q", zero.String())
+	}
+}
+
+// BenchmarkEachDense drains Plan.Each on a violation-dense instance (about
+// 50,000 phi2 pairs) at one worker and at the default pool, so a
+// per-violation handoff between the pool and the consumer shows up as the
+// gap between the two. The plan is built once, outside the timer.
+func BenchmarkEachDense(b *testing.B) {
+	db, cfds, cinds := denseDirtyBank(3200, 100)
+	p := NewPlan(db, cfds, cinds)
+	for _, w := range []struct {
+		name     string
+		parallel int
+	}{{"width=1", 1}, {"width=pool", 0}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if err := p.Each(context.Background(), Options{Parallel: w.parallel}, func(Violation) bool {
+					n++
+					return true
+				}); err != nil {
+					b.Fatal(err)
+				}
+				if n < 49000 {
+					b.Fatalf("drained %d violations, want about 50,000", n)
+				}
+			}
+		})
 	}
 }

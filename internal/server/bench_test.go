@@ -24,7 +24,7 @@ func benchURL(b *testing.B) (*http.Client, string, int) {
 	b.Helper()
 	_, ts := startServer(b)
 	c := ts.Client()
-	loadBankHTTP(b, c, ts.URL, "bank", "")
+	loadBankHTTP(b, c, ts.URL, "bank")
 	do(b, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 		denseDirtyCSV(1000, 25), http.StatusOK)
 	url := ts.URL + "/datasets/bank/violations"

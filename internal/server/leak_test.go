@@ -19,7 +19,7 @@ import (
 func TestStreamClientDisconnectLeavesNoWorkers(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 		denseDirtyCSV(4000, 100), http.StatusOK)
 	url := ts.URL + "/datasets/bank/violations"

@@ -33,7 +33,7 @@ func TestStreamMetricsSettleBeforeTrailer(t *testing.T) {
 	for _, mode := range serveModes {
 		t.Run(mode.name, func(t *testing.T) {
 			s, ts := mode.start(t)
-			loadBankHTTP(t, ts.Client(), ts.URL, "bank", "")
+			loadBankHTTP(t, ts.Client(), ts.URL, "bank")
 			var streamed, active, observed int64 = -1, -1, -1
 			w := &trailerProbe{ResponseRecorder: httptest.NewRecorder(), probe: func() {
 				streamed, active = s.nStreamed.Value(), s.nActiveStream.Value()

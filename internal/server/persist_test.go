@@ -56,7 +56,7 @@ func TestDurableRecoveryDifferential(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := startDurable(t, dir, Options{})
 	c := ts1.Client()
-	loadBankHTTP(t, c, ts1.URL, "bank", "")
+	loadBankHTTP(t, c, ts1.URL, "bank")
 	wireBatches, directBatches := bankDeltaBatches(t)
 	for i, batch := range wireBatches {
 		postDeltas(t, c, ts1.URL+"/datasets/bank/deltas", batch, http.StatusOK)
@@ -141,7 +141,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := startDurable(t, dir, Options{})
 	c := ts1.Client()
-	loadBankHTTP(t, c, ts1.URL, "bank", "")
+	loadBankHTTP(t, c, ts1.URL, "bank")
 	wireBatches, directBatches := bankDeltaBatches(t)
 	for _, batch := range wireBatches {
 		postDeltas(t, c, ts1.URL+"/datasets/bank/deltas", batch, http.StatusOK)
@@ -194,7 +194,7 @@ func TestDurableSnapshotRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := startDurable(t, dir, Options{SnapshotBatches: 2})
 	c := ts1.Client()
-	loadBankHTTP(t, c, ts1.URL, "bank", "")
+	loadBankHTTP(t, c, ts1.URL, "bank")
 	wireBatches, directBatches := bankDeltaBatches(t)
 	for _, batch := range wireBatches {
 		postDeltas(t, c, ts1.URL+"/datasets/bank/deltas", batch, http.StatusOK)
@@ -290,7 +290,7 @@ func TestDurableReplaceResetsOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := startDurable(t, dir, Options{})
 	c := ts1.Client()
-	loadBankHTTP(t, c, ts1.URL, "bank", "")
+	loadBankHTTP(t, c, ts1.URL, "bank")
 	if got := streamViolations(t, c, ts1.URL+"/datasets/bank/violations"); len(got) == 0 {
 		t.Fatal("bank fixtures streamed no violations — fixture drift?")
 	}
@@ -329,10 +329,7 @@ func TestDurableFsyncPolicies(t *testing.T) {
 			dir := t.TempDir()
 			s1, ts1 := startDurable(t, dir, Options{Fsync: policy})
 			c := ts1.Client()
-			// parallel=1: the pre-restart stream then arrives in report
-			// order, which the recovered session serves; the default pool
-			// interleaves detection groups.
-			loadBankHTTP(t, c, ts1.URL, "bank", "?parallel=1")
+			loadBankHTTP(t, c, ts1.URL, "bank")
 			before := streamViolations(t, c, ts1.URL+"/datasets/bank/violations")
 			m := metricsMap(t, c, ts1.URL)
 			if n := m["wal_fsyncs"].(float64); tc.name == "always" && n < float64(len(bankRelations)) {
@@ -361,7 +358,7 @@ func TestInMemoryModeUnchanged(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	m := metricsMap(t, c, ts.URL)
 	for _, k := range []string{"wal_appends", "wal_fsyncs", "snapshot_count", "last_recovery_ms"} {
 		if _, present := m[k]; present {

@@ -21,7 +21,7 @@ import (
 func TestConcurrentStreamsDeltasAndRepair(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 		denseDirtyCSV(300, 20), http.StatusOK)
 	base := ts.URL + "/datasets/bank"

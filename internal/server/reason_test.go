@@ -152,10 +152,9 @@ func TestMinimizeEndpointRoundTrip(t *testing.T) {
 		t.Fatalf("kept %d + dropped %d != original %d", resp.Kept, len(resp.Dropped), set.Len())
 	}
 
-	// Round-trip: the minimized text must be servable as-is. Force a
-	// sequential pool so the served stream order is exactly the direct
-	// iterator's.
-	do(t, c, http.MethodPut, ts.URL+"/datasets/minbank/constraints?parallel=1",
+	// Round-trip: the minimized text must be servable as-is, streaming
+	// exactly the direct iterator's violations in its order.
+	do(t, c, http.MethodPut, ts.URL+"/datasets/minbank/constraints",
 		[]byte(resp.Constraints), http.StatusOK)
 	for _, rel := range bankRelations {
 		csvBytes, err := os.ReadFile(filepath.Join(bankDir(), rel+".csv"))
@@ -182,7 +181,7 @@ func TestMinimizeEndpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chk, err := cind.NewChecker(db, minSet, cind.WithParallelism(1))
+	chk, err := cind.NewChecker(db, minSet)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func startPrimedTwinSpec(t testing.TB, name, spec string) (*http.Client, string)
 	t.Helper()
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankDataHTTP(t, c, ts.URL, name, "?parallel=1", spec)
+	loadBankDataHTTP(t, c, ts.URL, name, spec)
 	postDeltas(t, c, ts.URL+"/datasets/"+name+"/deltas", nil, http.StatusOK)
 	return c, ts.URL
 }
@@ -127,7 +127,7 @@ func TestRouterDifferentialBank(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			_, rts, shards := startFleet(t, n)
 			rc := rts.Client()
-			loadBankHTTP(t, rc, rts.URL, "bank", "")
+			loadBankHTTP(t, rc, rts.URL, "bank")
 			tc, turl := startPrimedTwin(t, "bank")
 			assertShardsOwn(t, shards, "bank", bankSpec(t))
 
@@ -210,7 +210,7 @@ func TestRouterDifferentialBank(t *testing.T) {
 func TestRouterConcurrentDeltas(t *testing.T) {
 	_, rts, _ := startFleet(t, 2)
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	tc, turl := startPrimedTwin(t, "bank")
 
 	batches, _ := bankDeltaBatches(t)
@@ -303,7 +303,7 @@ func TestRouterHealthDegraded(t *testing.T) {
 func TestRouterMetricsRollup(t *testing.T) {
 	_, rts, shards := startFleet(t, 2)
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	_ = rawStream(t, rc, rts.URL+"/datasets/bank/violations", stream.NDJSON)
 
 	body := do(t, rc, http.MethodGet, rts.URL+"/metrics", nil, http.StatusOK)
@@ -383,7 +383,7 @@ func TestRouterReplicatedSigma(t *testing.T) {
 	_, rts, shards := startFleet(t, 2)
 	rc := rts.Client()
 	spec := replicatedBankSpec(t)
-	loadBankDataHTTP(t, rc, rts.URL, "bank", "", spec)
+	loadBankDataHTTP(t, rc, rts.URL, "bank", spec)
 	tc, turl := startPrimedTwinSpec(t, "bank", spec)
 	assertShardsOwn(t, shards, "bank", spec)
 
@@ -428,11 +428,11 @@ func TestRouterReplicatedSigma(t *testing.T) {
 func TestRouterStaleShardFailsLoudly(t *testing.T) {
 	_, rts, shards := startFleet(t, 2)
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	// Replace shard 1's dataset with a full-Σ copy holding the replicated
 	// relations the router placed there.
 	sc := shards[1].Client()
-	do(t, sc, http.MethodPut, shards[1].URL+"/datasets/bank/constraints?parallel=1", []byte(bankSpec(t)), http.StatusOK)
+	do(t, sc, http.MethodPut, shards[1].URL+"/datasets/bank/constraints", []byte(bankSpec(t)), http.StatusOK)
 	for _, rel := range []string{"interest", "saving", "checking"} {
 		csvBytes, err := os.ReadFile(filepath.Join(bankDir(), rel+".csv"))
 		if err != nil {
@@ -465,7 +465,7 @@ func TestRouterStaleShardFailsLoudly(t *testing.T) {
 func TestRouterReasoningParity(t *testing.T) {
 	_, rts, _ := startFleet(t, 2)
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	tc, turl := startPrimedTwin(t, "bank")
 
 	calls := []struct {
@@ -490,7 +490,7 @@ func TestRouterReasoningParity(t *testing.T) {
 func TestRouterRepairUnavailable(t *testing.T) {
 	_, rts, _ := startFleet(t, 2)
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	body := do(t, rc, http.MethodPost, rts.URL+"/datasets/bank/repair", nil, http.StatusNotImplemented)
 	if !bytes.Contains(body, []byte("router mode")) {
 		t.Fatalf("repair refusal did not explain itself: %s", body)
@@ -531,7 +531,7 @@ func TestRouterShardOutageRetryConverges(t *testing.T) {
 	t.Cleanup(fts.Close)
 	_, rts := startRouter(t, []string{healthy.URL, fts.URL})
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	tc, turl := startPrimedTwin(t, "bank")
 
 	// Three deltas on replicated relations, so both shards take part: the
@@ -579,7 +579,7 @@ func TestRouterShardOutageRetryConverges(t *testing.T) {
 func TestRouterDeleteRemovesEverywhere(t *testing.T) {
 	_, rts, shards := startFleet(t, 2)
 	rc := rts.Client()
-	loadBankHTTP(t, rc, rts.URL, "bank", "")
+	loadBankHTTP(t, rc, rts.URL, "bank")
 	do(t, rc, http.MethodDelete, rts.URL+"/datasets/bank", nil, http.StatusNoContent)
 	for i, sh := range shards {
 		resp, err := sh.Client().Get(sh.URL + "/datasets/bank")
@@ -617,7 +617,7 @@ func TestShardDataDirNoCollision(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, base := startHTTP(t, srv)
-		do(t, c, http.MethodPut, base+"/datasets/bank/constraints?parallel=1", spec, http.StatusOK)
+		do(t, c, http.MethodPut, base+"/datasets/bank/constraints", spec, http.StatusOK)
 		var rows strings.Builder
 		rows.WriteString("an,cn,ca,cp,ab\n")
 		for r := 0; r <= i; r++ {

@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	cind "cind"
 )
 
 // startBackendServer is startServer with Options.Backend set: every dataset
@@ -30,11 +28,9 @@ func startBackendServer(t testing.TB, spec string) (*Server, *httptest.Server) {
 func TestBackendServerParity(t *testing.T) {
 	_, ts := startBackendServer(t, "mem:")
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 
-	// The reference runs at one worker: the default pool streams the same
-	// multiset in a run-dependent order.
-	chk, _ := bankChecker(t, cind.WithParallelism(1))
+	chk, _ := bankChecker(t)
 	want := collectDirect(t, chk)
 	if len(want) == 0 {
 		t.Fatal("bank fixture is clean; the parity test needs violations")
@@ -54,7 +50,7 @@ func TestBackendServerParity(t *testing.T) {
 func TestBackendServerReplaceAndDelete(t *testing.T) {
 	_, ts := startBackendServer(t, "mem:")
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	if got := streamViolations(t, c, ts.URL+"/datasets/bank/violations"); len(got) == 0 {
 		t.Fatal("no violations before replace")
 	}
@@ -66,10 +62,10 @@ func TestBackendServerReplaceAndDelete(t *testing.T) {
 		t.Fatalf("replaced dataset streams %d violations, want 0", len(got))
 	}
 
-	loadBankHTTP(t, c, ts.URL, "other", "")
+	loadBankHTTP(t, c, ts.URL, "other")
 	do(t, c, "DELETE", ts.URL+"/datasets/bank", nil, http.StatusNoContent)
 	// The surviving dataset's backend still serves.
-	chk, _ := bankChecker(t, cind.WithParallelism(1))
+	chk, _ := bankChecker(t)
 	assertSameOrder(t, "after delete", streamViolations(t, c, ts.URL+"/datasets/other/violations"), collectDirect(t, chk))
 }
 

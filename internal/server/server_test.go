@@ -170,16 +170,16 @@ func assertSameMultiset(t testing.TB, label string, got, want []violationWire) {
 }
 
 // loadBankHTTP uploads the bank fixtures into dataset name over the wire.
-func loadBankHTTP(t testing.TB, c *http.Client, base, name, query string) {
+func loadBankHTTP(t testing.TB, c *http.Client, base, name string) {
 	t.Helper()
-	loadBankDataHTTP(t, c, base, name, query, bankSpec(t))
+	loadBankDataHTTP(t, c, base, name, bankSpec(t))
 }
 
 // loadBankDataHTTP is loadBankHTTP under another constraint spec over the
 // bank schema.
-func loadBankDataHTTP(t testing.TB, c *http.Client, base, name, query, spec string) {
+func loadBankDataHTTP(t testing.TB, c *http.Client, base, name, spec string) {
 	t.Helper()
-	do(t, c, http.MethodPut, base+"/datasets/"+name+"/constraints"+query, []byte(spec), http.StatusOK)
+	do(t, c, http.MethodPut, base+"/datasets/"+name+"/constraints", []byte(spec), http.StatusOK)
 	for _, rel := range bankRelations {
 		csvBytes, err := os.ReadFile(filepath.Join(bankDir(), rel+".csv"))
 		if err != nil {
@@ -279,16 +279,16 @@ func assertSameDiff(t testing.TB, label string, got diffWire, want diffWire) {
 // TestHTTPDifferentialBank is the end-to-end differential suite on the
 // paper's bank fixtures: every HTTP response — including the NDJSON stream
 // content and order — must equal calling the same Checker methods directly,
-// and delta batches over HTTP must produce the same Diff as Apply.
-// Parallelism 1 makes the pre-Apply stream order deterministic, so order is
-// compared exactly, not as a multiset.
+// and delta batches over HTTP must produce the same Diff as Apply. The
+// pre-Apply stream is the report at any worker count, so order is compared
+// exactly, not as a multiset.
 func TestHTTPDifferentialBank(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	ctx := context.Background()
 
-	chk, _ := bankChecker(t, cind.WithParallelism(1))
+	chk, _ := bankChecker(t)
 	base := ts.URL + "/datasets/bank"
 
 	// Batch streaming parity (pre-Apply, engine path), full and limited.
@@ -298,7 +298,7 @@ func TestHTTPDifferentialBank(t *testing.T) {
 	}
 	assertSameOrder(t, "pre-apply stream", streamViolations(t, c, base+"/violations"), direct)
 	for _, limit := range []int{1, 2, 5} {
-		lchk, _ := bankChecker(t, cind.WithParallelism(1), cind.WithLimit(limit))
+		lchk, _ := bankChecker(t, cind.WithLimit(limit))
 		assertSameOrder(t, fmt.Sprintf("limit=%d", limit),
 			streamViolations(t, c, fmt.Sprintf("%s/violations?limit=%d", base, limit)),
 			collectDirect(t, lchk))
@@ -439,10 +439,9 @@ func generatedFixture(t testing.TB, seed int64) (spec string, csvs map[string][]
 }
 
 // TestHTTPDifferentialGeneratedWorkloads runs the differential suite over
-// Section 6 generated workloads: content parity under default parallelism
-// (stream arrival order interleaves across groups, so equality is as
-// multisets), then exact-order parity once the session is resident, and
-// Diff parity for a real delta batch.
+// Section 6 generated workloads: exact-order parity under default
+// parallelism (the engine streams the report at any worker count), again
+// once the session is resident, and Diff parity for a real delta batch.
 func TestHTTPDifferentialGeneratedWorkloads(t *testing.T) {
 	for _, seed := range []int64{1, 21} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -476,12 +475,12 @@ func TestHTTPDifferentialGeneratedWorkloads(t *testing.T) {
 			}
 			ctx := context.Background()
 
-			// Pre-Apply: engine path, default worker pool — content parity.
+			// Pre-Apply: engine path, default worker pool — order parity.
 			direct := collectDirect(t, chk)
 			if len(direct) == 0 {
 				t.Fatal("dirtied workload produced no violations; test lost its point")
 			}
-			assertSameMultiset(t, "pre-apply stream", streamViolations(t, c, base+"/violations"), direct)
+			assertSameOrder(t, "pre-apply stream", streamViolations(t, c, base+"/violations"), direct)
 
 			// An empty batch builds the resident session on both sides.
 			emptyDiff := postDeltas(t, c, base+"/deltas", nil, http.StatusOK)
@@ -543,7 +542,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			_, ts := mode.start(t)
 			c := ts.Client()
-			loadBankHTTP(t, c, ts.URL, "bank", "")
+			loadBankHTTP(t, c, ts.URL, "bank")
 			testHTTPErrors(t, c, ts.URL, mode.name == "router")
 		})
 	}
@@ -627,7 +626,7 @@ func testHTTPErrors(t *testing.T, c *http.Client, root string, router bool) {
 func TestMetricsAndHealth(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 
 	var health struct {
 		Status   string `json:"status"`
@@ -780,7 +779,7 @@ func TestInfoStaysLiveBehindBlockedWriter(t *testing.T) {
 
 func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 		denseDirtyCSV(3000, 30), http.StatusOK)
 	base := ts.URL + "/datasets/bank"
@@ -863,7 +862,7 @@ func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 func TestDrainEndsActiveStreams(t *testing.T) {
 	s, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking", denseDirtyCSV(3000, 30), http.StatusOK)
 
 	resp, err := c.Get(ts.URL + "/datasets/bank/violations")

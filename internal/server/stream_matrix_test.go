@@ -24,7 +24,7 @@ var streamEncodings = []stream.Encoding{stream.NDJSON, stream.JSONArray, stream.
 func TestStreamEncodingMatrixBank(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	base := ts.URL + "/datasets/bank"
 
 	ref := streamViolations(t, c, base+"/violations")
@@ -53,7 +53,9 @@ func TestStreamEncodingMatrixBank(t *testing.T) {
 
 // TestStreamEncodingMatrixGenerated runs the same matrix over a generated
 // workload large enough to cross flush boundaries and multi-frame binary
-// streams.
+// streams. It is the one served test that creates its dataset at
+// ?parallel=1, so the engine's no-helper stream stays covered over HTTP;
+// every other served test streams from the default pool.
 func TestStreamEncodingMatrixGenerated(t *testing.T) {
 	spec, csvs := generatedFixture(t, 21)
 	_, ts := startServer(t)
@@ -85,7 +87,7 @@ func TestStreamEncodingMatrixGenerated(t *testing.T) {
 func TestStreamTrailerOverHTTP(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 
 	body := do(t, c, http.MethodGet, ts.URL+"/datasets/bank/violations", nil, http.StatusOK)
 	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
@@ -109,7 +111,7 @@ func TestStreamTrailerOverHTTP(t *testing.T) {
 func TestStreamLimitZero(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	base := ts.URL + "/datasets/bank/violations"
 
 	full := streamViolations(t, c, base)
@@ -135,7 +137,7 @@ func TestStreamDisconnectPerEncoding(t *testing.T) {
 	for _, mode := range serveModes {
 		_, ts := mode.start(t)
 		c := ts.Client()
-		loadBankHTTP(t, c, ts.URL, "bank", "")
+		loadBankHTTP(t, c, ts.URL, "bank")
 		do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 			denseDirtyCSV(4000, 100), http.StatusOK)
 		modes = append(modes, served{mode.name, c, ts.URL + "/datasets/bank/violations"})
@@ -212,7 +214,7 @@ func TestDeltasNotDurableIsNotAnError(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := startDurable(t, dir, Options{})
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "?parallel=1")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	base := ts.URL + "/datasets/bank"
 
 	// Healthy durable mode reports durable: true.
@@ -283,7 +285,7 @@ func TestPutDataNotDurableIsNotAnError(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := startDurable(t, dir, Options{})
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 
 	d, ok := s.dataset("bank")
 	if !ok {
@@ -331,7 +333,7 @@ func TestPutDataNotDurableIsNotAnError(t *testing.T) {
 func TestLatencyHistograms(t *testing.T) {
 	_, ts := startServer(t)
 	c := ts.Client()
-	loadBankHTTP(t, c, ts.URL, "bank", "")
+	loadBankHTTP(t, c, ts.URL, "bank")
 	for i := 0; i < 3; i++ {
 		streamViolations(t, c, ts.URL+"/datasets/bank/violations")
 	}
@@ -399,7 +401,7 @@ func TestStreamDrainErrorRecord(t *testing.T) {
 		t.Run(enc.String(), func(t *testing.T) {
 			s, ts := startServer(t)
 			c := ts.Client()
-			loadBankHTTP(t, c, ts.URL, "bank", "")
+			loadBankHTTP(t, c, ts.URL, "bank")
 			do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 				denseDirtyCSV(4000, 100), http.StatusOK)
 
