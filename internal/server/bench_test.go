@@ -35,6 +35,23 @@ func benchURL(b *testing.B) (*http.Client, string, int) {
 	return c, url, n
 }
 
+// benchRoutedURL is benchURL's workload loaded through a router over two
+// in-process shards: the same report, served by the scatter-gather path.
+func benchRoutedURL(b *testing.B) (*http.Client, string, int) {
+	b.Helper()
+	_, rts, _ := startFleet(b, 2)
+	c := rts.Client()
+	loadBankHTTP(b, c, rts.URL, "bank")
+	do(b, c, http.MethodPut, rts.URL+"/datasets/bank?relation=checking",
+		denseDirtyCSV(1000, 25), http.StatusOK)
+	url := rts.URL + "/datasets/bank/violations"
+	n := len(streamViolations(b, c, url))
+	if n == 0 {
+		b.Fatal("benchmark workload is clean")
+	}
+	return c, url, n
+}
+
 func streamReq(b *testing.B, c *http.Client, url string, enc stream.Encoding) *http.Response {
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -124,11 +141,27 @@ func chunkCount(tb testing.TB, r io.Reader, pat []byte) int {
 // stream over HTTP — detection, encoding, chunked transfer — drained by a
 // thin counting client. The <enc>_decoded variants additionally run
 // stream.Decoder on the client side of the same core, giving the
-// single-machine end-to-end rate. Compare with
-// BenchmarkDirectViolationsThroughput for the engine-only baseline;
-// PERFORMANCE.md "Serving" tabulates all of them, and bench.sh records the
-// curve in BENCH_serve.json.
+// single-machine end-to-end rate. The routed_<enc> variants serve the same
+// report through a router over two shards: a binary client gets the
+// shards' records spliced, an NDJSON client has each record converted.
+// Compare with BenchmarkDirectViolationsThroughput for the engine-only
+// baseline; PERFORMANCE.md "Serving" and "Routed scans" tabulate them.
 func BenchmarkServeViolationsThroughput(b *testing.B) {
+	for _, enc := range []stream.Encoding{stream.Binary, stream.NDJSON} {
+		b.Run("routed_"+enc.String(), func(b *testing.B) {
+			c, url, n := benchRoutedURL(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp := streamReq(b, c, url, enc)
+				got := drainCount(b, resp.Body, enc)
+				resp.Body.Close()
+				if got != n {
+					b.Fatalf("stream yielded %d violations, want %d", got, n)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "violations/s")
+		})
+	}
 	for _, enc := range []stream.Encoding{stream.NDJSON, stream.JSONArray, stream.Binary} {
 		b.Run(enc.String(), func(b *testing.B) {
 			c, url, n := benchURL(b)

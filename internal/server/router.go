@@ -48,10 +48,12 @@ type RouterOptions struct {
 //     (replicated relations go everywhere, partitioned relations to their
 //     hash shard) and fans them out;
 //   - answers GET /violations by scattering binary-encoded streams to
-//     every shard and k-way merging them through shard.Merge into the
-//     exact single-node report order, re-encoded in whatever encoding the
-//     client negotiated — a violation of a constraint its shard does not
-//     own fails the stream, since the shard then holds a stale Σ;
+//     every shard and k-way merging their records, undecoded, through
+//     shard.Merge into the exact single-node report order: a binary
+//     client gets each record spliced verbatim, an NDJSON or JSON client
+//     gets it converted — a violation of a constraint its shard does not
+//     own fails the stream, since the shard then holds a stale Σ, and so
+//     does a malformed record, whose whole frame is never relayed;
 //   - mirrors the fleet's tuple insertion order in a shard.Order so every
 //     wire violation's global merge key can be reconstructed router-side.
 //
@@ -256,12 +258,12 @@ type routed struct {
 
 // create is a router's dataset factory: it computes the shard plan and
 // creates the dataset on every shard with the constraints that shard owns
-// (the full schema either way, so every placed relation loads) — pinned
-// to parallel=1 whatever the request asked, and primed into incremental
-// mode with an empty delta batch, which is what makes every shard's
-// violation stream deterministically report-ordered, the property the
-// gather's k-way merge rests on. Creation is idempotent (PUT replaces),
-// so a partially failed create is repaired by retrying.
+// (the full schema either way, so every placed relation loads), then
+// primes it into incremental mode with an empty delta batch, as a single
+// node is after its first delta. The gather's k-way merge rests on every
+// shard streaming in report order, which a node does at any worker count,
+// so the shards keep their own default. Creation is idempotent (PUT
+// replaces), so a partially failed create is repaired by retrying.
 func (f *fleet) create(ctx context.Context, name string, set *cind.ConstraintSet, _ int) (dataset, error) {
 	plan, err := shard.NewPlan(set, len(f.shards))
 	if err != nil {
@@ -270,7 +272,7 @@ func (f *fleet) create(ctx context.Context, name string, set *cind.ConstraintSet
 	path := "/datasets/" + name
 	err = f.fanOut(fmt.Sprintf("create dataset %q", name), func(i int, base string) error {
 		spec := []byte(cind.MarshalConstraints(plan.Owned(i)))
-		if err := f.doJSON(ctx, http.MethodPut, base, path+"/constraints?parallel=1", spec, nil); err != nil {
+		if err := f.doJSON(ctx, http.MethodPut, base, path+"/constraints", spec, nil); err != nil {
 			return err
 		}
 		return f.doJSON(ctx, http.MethodPost, base, path+"/deltas", []byte("[]"), nil)
@@ -557,22 +559,41 @@ func (d *routed) mergeDiffSide(diffs []diffWire, touched []bool, side func(*diff
 	return merged, nil
 }
 
-// keyOf is the merges' key function: the violation's global merge key,
-// or an error when the shard that streamed it does not own its constraint
-// — a shard holding a stale Σ, whose answer the router cannot trust.
-// Caller holds d.mu.
+// keyOf is the diff merge's key function: the violation's global merge
+// key, or an error when the shard that streamed it does not own its
+// constraint — a shard holding a stale Σ, whose answer the router cannot
+// trust. Caller holds d.mu.
 func (d *routed) keyOf(shardIdx int, v *stream.Violation) (detect.MergeKey, bool, error) {
-	if !d.plan.Keep(shardIdx, v.Constraint) {
-		return detect.MergeKey{}, false, fmt.Errorf("violation of %q, a constraint the shard does not own", v.Constraint)
-	}
 	k, err := d.order.Key(v)
+	if err == nil && !d.plan.Owns(shardIdx, k) {
+		err = errNotOwned(v.Constraint)
+	}
 	return k, err == nil, err
 }
+
+// recordKey is keyOf for the gather's undecoded records.
+func (d *routed) recordKey(shardIdx int, r *stream.Record) (detect.MergeKey, bool, error) {
+	k, err := d.order.RecordKey(r)
+	if err == nil && !d.plan.Owns(shardIdx, k) {
+		err = errNotOwned(string(r.Constraint()))
+	}
+	return k, err == nil, err
+}
+
+func errNotOwned(id string) error {
+	return fmt.Errorf("violation of %q, a constraint the shard does not own", id)
+}
+
+// recordSource reads a shard's binary stream as undecoded records.
+type recordSource struct{ d *stream.Decoder }
+
+func (s recordSource) Next() (stream.Record, error) { return s.d.NextRecord() }
 
 // gather is an opened scatter: one binary-encoded stream per shard, all
 // taken under the dataset's read lock, which release gives back. Binary
 // frames are the inter-node wire format regardless of what the client
-// asked for — they decode fastest and round-trip values exactly.
+// asked for — they key without decoding, splice into a binary response
+// verbatim, and round-trip values exactly.
 type gather struct {
 	d      *routed
 	resps  []*http.Response
@@ -607,21 +628,22 @@ func (d *routed) violations(ctx context.Context) (violationStream, error) {
 	return g, nil
 }
 
-// run k-way merges the shard streams into the single-node global order and
-// hands them to a relay writer, which re-encodes them in the client's
-// encoding off the merge loop.
+// run k-way merges the shard streams' undecoded records into the
+// single-node global order and hands them to a relay writer, which splices
+// them into a binary stream or converts them for an NDJSON or JSON client,
+// off the merge loop.
 func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
 	d := g.d
 	sw := stream.NewRelayWriter(out, fl, enc)
-	sources := make([]shard.Source, len(g.resps))
+	sources := make([]shard.Stream[stream.Record], len(g.resps))
 	for i, resp := range g.resps {
-		sources[i] = stream.NewDecoder(resp.Body, stream.Binary)
+		sources[i] = recordSource{stream.NewDecoder(resp.Body, stream.Binary)}
 	}
 	writeFailed := false
 	n := 0
-	_, err := shard.Merge(sources, d.keyOf,
-		func(v *stream.Violation) bool {
-			if !sw.Send(*v) {
+	_, err := shard.Merge(sources, d.recordKey,
+		func(r *stream.Record) bool {
+			if !sw.Send(*r) {
 				writeFailed = true
 				return false
 			}

@@ -9,12 +9,16 @@ import (
 	"cind/internal/stream"
 )
 
-// Source is one shard's violation stream — *stream.Decoder satisfies it.
-// Next returns io.EOF after a clean terminal record; any other error marks
-// the stream failed (truncated, or a shard-reported error).
-type Source interface {
-	Next() (stream.Violation, error)
+// Stream is one shard's report-ordered stream of V — decoded violations
+// or undecoded binary records. Next returns io.EOF after a clean terminal
+// record; any other error marks the stream failed (truncated, or a
+// shard-reported error).
+type Stream[V any] interface {
+	Next() (V, error)
 }
+
+// Source is a stream of decoded violations — *stream.Decoder satisfies it.
+type Source = Stream[stream.Violation]
 
 // ErrStopped is returned by Merge when emit ended the merge early (a
 // client limit, or the downstream writer failing) — not a stream failure,
@@ -22,49 +26,51 @@ type Source interface {
 // against trailers.
 var ErrStopped = errors.New("shard: merge stopped by consumer")
 
-// Merge k-way merges per-shard report-ordered violation streams into the
-// single-node global report order and hands each violation to emit. keyOf
-// reconstructs a violation's detect.MergeKey (and may veto it: keep false
-// drops the violation; the router instead fails a violation whose shard
-// does not own its constraint, since each shard holds only Plan.Owned).
+// Merge k-way merges per-shard report-ordered streams into the
+// single-node global report order and hands each value to emit. keyOf
+// reconstructs a value's detect.MergeKey (and may veto it: keep false
+// drops the value; the router instead fails a violation whose shard does
+// not own its constraint, since each shard holds only Plan.Owned).
 // Streams must each be non-decreasing in key order — which a shard's
 // report-order stream is under any Plan placement, over Σ or any
 // order-preserving subset of it — and no two streams tie on a full key,
 // so picking the smallest head (ties to the lowest shard) reproduces the
-// global order exactly.
+// global order exactly. Each head is read and keyed in place, so the
+// merge allocates nothing per value.
 //
-// Merge returns the number of violations emitted and the first failure:
-// a source error (wrapped with its shard index), a keyOf error, or
+// Merge returns the number of values emitted and the first failure: a
+// source error (wrapped with its shard index), a keyOf error, or
 // ErrStopped when emit returned false. A nil error means every stream
 // ended cleanly (io.EOF) and everything kept was emitted.
-func Merge(sources []Source, keyOf func(shard int, v *stream.Violation) (detect.MergeKey, bool, error), emit func(*stream.Violation) bool) (int64, error) {
+func Merge[V any](sources []Stream[V], keyOf func(shard int, v *V) (detect.MergeKey, bool, error), emit func(*V) bool) (int64, error) {
 	type head struct {
-		v   stream.Violation
+		v   V
 		key detect.MergeKey
 		ok  bool
 	}
 	heads := make([]head, len(sources))
 
-	// advance refills heads[i] with the next kept violation of source i.
+	// advance refills heads[i] with the next kept value of source i.
 	advance := func(i int) error {
+		h := &heads[i]
 		for {
-			v, err := sources[i].Next()
+			var err error
+			h.v, err = sources[i].Next()
 			if err == io.EOF {
-				heads[i].ok = false
+				h.ok = false
 				return nil
 			}
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
-			key, keep, err := keyOf(i, &v)
+			key, keep, err := keyOf(i, &h.v)
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
-			if !keep {
-				continue
+			if keep {
+				h.key, h.ok = key, true
+				return nil
 			}
-			heads[i] = head{v: v, key: key, ok: true}
-			return nil
 		}
 	}
 

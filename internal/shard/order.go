@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -124,36 +125,94 @@ func (o *Order) Key(v *stream.Violation) (detect.MergeKey, error) {
 		return detect.MergeKey{}, fmt.Errorf("shard: violation names unknown constraint %q", v.Constraint)
 	}
 	if len(v.Witness) == 0 {
-		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q carries no witness", v.Constraint)
+		return detect.MergeKey{}, errNoWitness(ci)
 	}
 	w := v.Witness[0]
 	if len(w) != ci.arity {
-		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q carries a %d-value witness, want %s's %d",
-			v.Constraint, len(w), ci.rel, ci.arity)
+		return detect.MergeKey{}, errWidth(ci, len(w))
 	}
-	k := detect.MergeKey{Kind: ci.kind, Constraint: ci.idx, Row: v.Row}
 	var scratch [128]byte
 	b := scratch[:0]
 	if ci.xs >= 0 {
 		for _, c := range o.plan.xsets[ci.xs].cols {
 			b = types.AppendKey(b, types.C(w[c]))
 		}
+	} else {
+		for _, s := range w {
+			b = types.AppendKey(b, types.C(s))
+		}
+	}
+	return o.lookup(ci, v.Row, b)
+}
+
+// RecordKey is Key for an undecoded binary record: it builds the same
+// lookup key from the record's witness bytes — a constant's AppendKey
+// form is its wire bytes behind a tag — and shares Key's lookup, so it
+// neither decodes nor allocates.
+func (o *Order) RecordKey(r *stream.Record) (detect.MergeKey, error) {
+	ci, ok := o.plan.cons[string(r.Constraint())]
+	if !ok {
+		return detect.MergeKey{}, fmt.Errorf("shard: violation names unknown constraint %q", r.Constraint())
+	}
+	w := r.Witness()
+	if w == nil {
+		return detect.MergeKey{}, errNoWitness(ci)
+	}
+	// The record is validated, so its counts and lengths are in bounds.
+	arity, off := binary.Uvarint(w)
+	if arity != uint64(ci.arity) {
+		return detect.MergeKey{}, errWidth(ci, int(arity))
+	}
+	// One pass over the values: a CIND keys on all of them, a CFD on its
+	// X columns, which the plan keeps sorted.
+	all, cols := ci.xs < 0, []int(nil)
+	if !all {
+		cols = o.plan.xsets[ci.xs].cols
+	}
+	var scratch [128]byte
+	b := scratch[:0]
+	for i := 0; i < ci.arity && (all || len(cols) > 0); i++ {
+		n, k := binary.Uvarint(w[off:])
+		val := w[off+k : off+k+int(n)]
+		off += k + int(n)
+		if all || cols[0] == i {
+			b = types.AppendConstKey(b, val)
+			if !all {
+				cols = cols[1:]
+			}
+		}
+	}
+	return o.lookup(ci, r.Row(), b)
+}
+
+// lookup is Key's and RecordKey's shared tail: the merge key of a
+// violation of ci at row whose lookup key — the AppendKey form of its
+// witness's X projection for a CFD, of the whole witness for a CIND — is
+// b.
+func (o *Order) lookup(ci *conInfo, row int, b []byte) (detect.MergeKey, error) {
+	k := detect.MergeKey{Kind: ci.kind, Constraint: ci.idx, Row: row}
+	if ci.xs >= 0 {
 		g := o.groups[ci.xs][string(b)]
 		if len(g) == 0 {
-			return detect.MergeKey{}, fmt.Errorf("shard: violation of %q references an untracked %s group", v.Constraint, ci.rel)
+			return detect.MergeKey{}, fmt.Errorf("shard: violation of %q references an untracked %s group", ci.id, ci.rel)
 		}
 		k.Seq = g[0]
 		return k, nil
 	}
-	for _, s := range w {
-		b = types.AppendKey(b, types.C(s))
-	}
 	seq, ok := o.seqs[ci.rel][string(b)]
 	if !ok {
-		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q references an untracked %s tuple", v.Constraint, ci.rel)
+		return detect.MergeKey{}, fmt.Errorf("shard: violation of %q references an untracked %s tuple", ci.id, ci.rel)
 	}
 	k.Seq = seq
 	return k, nil
+}
+
+func errNoWitness(ci *conInfo) error {
+	return fmt.Errorf("shard: violation of %q carries no witness", ci.id)
+}
+
+func errWidth(ci *conInfo, n int) error {
+	return fmt.Errorf("shard: violation of %q carries a %d-value witness, want %s's %d", ci.id, n, ci.rel, ci.arity)
 }
 
 // projKey builds the injective projection key of t on cols.

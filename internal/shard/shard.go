@@ -42,6 +42,7 @@ import (
 
 	cind "cind"
 
+	"cind/internal/detect"
 	"cind/internal/types"
 )
 
@@ -65,6 +66,7 @@ type xset struct {
 
 // conInfo is the per-constraint routing metadata Plan precomputes.
 type conInfo struct {
+	id       string
 	kind     int // 0 CFD, 1 CIND — detect.MergeKey.Kind
 	idx      int // index within the kind, input order
 	rel      string
@@ -85,6 +87,7 @@ type Plan struct {
 
 	placements map[string]Placement
 	cons       map[string]*conInfo
+	byKey      [2][]*conInfo // cons by detect.MergeKey Kind and Constraint
 	xsets      []xset
 	relXsets   map[string][]int // relation -> indices into xsets
 }
@@ -170,16 +173,18 @@ func NewPlan(set *cind.ConstraintSet, n int) (*Plan, error) {
 		if _, dup := p.cons[c.ID]; dup {
 			return nil, fmt.Errorf("shard: duplicate constraint id %q", c.ID)
 		}
-		p.cons[c.ID] = &conInfo{kind: 0, idx: i, rel: c.Rel, arity: rel.Arity(),
+		p.cons[c.ID] = &conInfo{id: c.ID, kind: 0, idx: i, rel: c.Rel, arity: rel.Arity(),
 			ownerAll: p.placements[c.Rel].Partitioned, xs: xs}
+		p.byKey[0] = append(p.byKey[0], p.cons[c.ID])
 	}
 	for i, c := range set.CINDs() {
 		if _, dup := p.cons[c.ID]; dup {
 			return nil, fmt.Errorf("shard: duplicate constraint id %q", c.ID)
 		}
 		rel, _ := sch.Relation(c.LHSRel)
-		p.cons[c.ID] = &conInfo{kind: 1, idx: i, rel: c.LHSRel, arity: rel.Arity(),
+		p.cons[c.ID] = &conInfo{id: c.ID, kind: 1, idx: i, rel: c.LHSRel, arity: rel.Arity(),
 			ownerAll: p.placements[c.LHSRel].Partitioned, xs: -1}
+		p.byKey[1] = append(p.byKey[1], p.cons[c.ID])
 	}
 
 	var rest []cind.Constraint
@@ -255,11 +260,16 @@ func (p *Plan) Owned(i int) *cind.ConstraintSet {
 // shard that holds its Owned set never streams a violation Keep rejects.
 func (p *Plan) Keep(shard int, constraintID string) bool {
 	ci, ok := p.cons[constraintID]
-	if !ok {
-		return false
-	}
-	return ci.ownerAll || shard == 0
+	return ok && ci.ownedBy(shard)
 }
+
+// Owns is Keep for a violation already keyed: whether shard owns the
+// constraint the merge key names. k must come from this plan's Order.
+func (p *Plan) Owns(shard int, k detect.MergeKey) bool {
+	return p.byKey[k.Kind][k.Constraint].ownedBy(shard)
+}
+
+func (ci *conInfo) ownedBy(shard int) bool { return ci.ownerAll || shard == 0 }
 
 // DataDir namespaces a shared data-directory root by shard index, so two
 // router-managed shards started with the same -data DIR never collide on a

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +17,7 @@ import (
 	"cind/internal/gen"
 	"cind/internal/instance"
 	"cind/internal/stream"
+	"cind/internal/wal"
 )
 
 func bankSet(t testing.TB) *cind.ConstraintSet {
@@ -176,20 +179,56 @@ func TestOrderKeyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOrder(p)
-	if _, err := o.Key(&stream.Violation{Constraint: "nope", Witness: [][]string{{"a"}}}); err == nil {
-		t.Error("Key(unknown constraint) succeeded")
+	for _, tc := range []struct {
+		name string
+		v    stream.Violation
+	}{
+		{"unknown constraint", stream.Violation{Constraint: "nope", Witness: [][]string{{"a"}}}},
+		{"no witness", stream.Violation{Constraint: "phi2"}},
+		{"untracked CFD group", stream.Violation{Constraint: "phi2", Witness: [][]string{{"001", "c", "a", "p", "NYC"}}}},
+		{"untracked CIND tuple", stream.Violation{Constraint: "psi3", Witness: [][]string{{"a", "b", "c", "d", "e"}}}},
+	} {
+		_, err := o.Key(&tc.v)
+		if err == nil {
+			t.Errorf("Key(%s) succeeded", tc.name)
+			continue
+		}
+		rec := recordOf(t, tc.v)
+		if _, rerr := o.RecordKey(&rec); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("RecordKey(%s) = %v, Key says %v", tc.name, rerr, err)
+		}
 	}
-	if _, err := o.Key(&stream.Violation{Constraint: "phi2"}); err == nil {
-		t.Error("Key(no witness) succeeded")
+}
+
+// recordOf frames v as a one-violation binary stream and reads it back
+// through the record view: the record a router's gather would key.
+func recordOf(t testing.TB, v stream.Violation) stream.Record {
+	t.Helper()
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	body := []byte{'V'}
+	body = str(body, v.Kind)
+	body = str(body, v.Constraint)
+	body = str(body, v.Relation)
+	body = binary.AppendVarint(body, int64(v.Row))
+	body = binary.AppendUvarint(body, uint64(len(v.Witness)))
+	for _, tup := range v.Witness {
+		body = binary.AppendUvarint(body, uint64(len(tup)))
+		for _, val := range tup {
+			body = str(body, val)
+		}
 	}
-	if _, err := o.Key(&stream.Violation{Constraint: "phi2",
-		Witness: [][]string{{"001", "c", "a", "p", "NYC"}}}); err == nil {
-		t.Error("Key(untracked CFD group) succeeded")
+	var raw bytes.Buffer
+	wal.AppendFrame(&raw, body)
+	wal.AppendFrame(&raw, []byte{'Z', 1})
+	d := stream.NewDecoder(&raw, stream.Binary)
+	rec, err := d.NextRecord()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := o.Key(&stream.Violation{Constraint: "psi3",
-		Witness: [][]string{{"a", "b", "c", "d", "e"}}}); err == nil {
-		t.Error("Key(untracked CIND tuple) succeeded")
+	if _, err := d.NextRecord(); err != io.EOF {
+		t.Fatalf("one-record stream ends in %v", err)
 	}
+	return rec
 }
 
 // resultWire renders a detection result in report order — all CFD
@@ -457,7 +496,8 @@ func replicatedBankSet(t testing.TB) *cind.ConstraintSet {
 }
 
 // TestPlanOwnedPartitionsSigma: shard 0 owns every constraint, shard i≥1
-// owns a constraint exactly when Keep(i, id) holds, and every owned set
+// owns a constraint exactly when Keep(i, id) holds (and Owns of its merge
+// key agrees), and every owned set
 // keeps Σ's order and schema — on the bank Σ, a generated Σ, and a Σ
 // whose every driving relation is replicated.
 func TestPlanOwnedPartitionsSigma(t *testing.T) {
@@ -501,6 +541,16 @@ func TestPlanOwnedPartitionsSigma(t *testing.T) {
 					}
 					if got := constraintIDs(owned); !reflect.DeepEqual(got, want) {
 						t.Errorf("Owned(%d) = %v, want the Keep(%d) subsequence %v", i, got, i, want)
+					}
+					for k, c := range tc.set.CFDs() {
+						if p.Owns(i, detect.MergeKey{Kind: 0, Constraint: k}) != p.Keep(i, c.ID) {
+							t.Errorf("Owns(%d, %s) disagrees with Keep", i, c.ID)
+						}
+					}
+					for k, c := range tc.set.CINDs() {
+						if p.Owns(i, detect.MergeKey{Kind: 1, Constraint: k}) != p.Keep(i, c.ID) {
+							t.Errorf("Owns(%d, %s) disagrees with Keep", i, c.ID)
+						}
 					}
 					if i == 0 {
 						continue
@@ -576,17 +626,24 @@ func TestOrderKeyRejectsBadWitness(t *testing.T) {
 			{"empty", []string{}},
 		} {
 			t.Run(id+"/"+tc.name, func(t *testing.T) {
-				_, err := o.Key(&stream.Violation{Constraint: id, Witness: [][]string{tc.witness}})
+				v := stream.Violation{Constraint: id, Witness: [][]string{tc.witness}}
+				_, err := o.Key(&v)
 				if err == nil || !strings.Contains(err.Error(), "witness") {
 					t.Fatalf("Key(%d-value witness) err = %v, want a witness-width error", len(tc.witness), err)
+				}
+				rec := recordOf(t, v)
+				if _, rerr := o.RecordKey(&rec); rerr == nil || rerr.Error() != err.Error() {
+					t.Fatalf("RecordKey(%d-value witness) err = %v, Key says %v", len(tc.witness), rerr, err)
 				}
 			})
 		}
 	}
 }
 
-// TestOrderKeyDoesNotAllocate pins the merge's per-violation key path at
-// zero allocations over every bank CFD and CIND violation.
+// TestOrderKeyDoesNotAllocate pins the merges' per-violation key paths —
+// Key over decoded violations, RecordKey over undecoded records — at zero
+// allocations over every bank CFD and CIND violation, and pins RecordKey
+// to Key's answer.
 func TestOrderKeyDoesNotAllocate(t *testing.T) {
 	set, db := dirtyBank(t)
 	p, err := NewPlan(set, 2)
@@ -612,5 +669,50 @@ func TestOrderKeyDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Key allocates %.1f times per %d violations, want 0", allocs, len(vs))
+	}
+	recs := make([]stream.Record, len(vs))
+	for i := range vs {
+		recs[i] = recordOf(t, vs[i])
+		want, _ := o.Key(&vs[i])
+		if got, err := o.RecordKey(&recs[i]); err != nil || got != want {
+			t.Fatalf("RecordKey(%+v) = %+v, %v; Key = %+v", vs[i], got, err, want)
+		}
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		for i := range recs {
+			o.RecordKey(&recs[i])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordKey allocates %.1f times per %d records, want 0", allocs, len(recs))
+	}
+}
+
+// TestMergeAllocationIsConstant pins Merge's own allocations to a constant:
+// merging ten times the violations costs no more allocations, so nothing
+// escapes to the heap per violation.
+func TestMergeAllocationIsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		vs := make([][]stream.Violation, 2)
+		for i := 0; i < n; i++ {
+			vs[i%2] = append(vs[i%2], stream.Violation{Row: i})
+		}
+		srcs := []*sliceSource{{vs: vs[0]}, {vs: vs[1]}}
+		sources := []Source{srcs[0], srcs[1]}
+		keyOf := func(_ int, v *stream.Violation) (detect.MergeKey, bool, error) {
+			return detect.MergeKey{Seq: uint64(v.Row)}, true, nil
+		}
+		emitted := 0
+		emit := func(*stream.Violation) bool { emitted++; return true }
+		return testing.AllocsPerRun(20, func() {
+			srcs[0].i, srcs[1].i, emitted = 0, 0, 0
+			if _, err := Merge(sources, keyOf, emit); err != nil || emitted != n {
+				t.Fatalf("merged %d of %d: %v", emitted, n, err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	if large > small {
+		t.Fatalf("Merge allocates %.0f times for 100 violations but %.0f for 1000, want a constant", small, large)
 	}
 }

@@ -45,25 +45,6 @@ func appendBinaryViolation(dst []byte, v detect.Violation) []byte {
 	return dst
 }
 
-// appendBinaryWire is appendBinaryViolation for an already-decoded wire
-// violation — the relay path: a router re-encoding frames it decoded from
-// a shard emits bodies in exactly the format above, so the two producers
-// are indistinguishable to the Decoder.
-func appendBinaryWire(dst []byte, v Violation) []byte {
-	dst = appendStr(dst, v.Kind)
-	dst = appendStr(dst, v.Constraint)
-	dst = appendStr(dst, v.Relation)
-	dst = binary.AppendVarint(dst, int64(v.Row))
-	dst = binary.AppendUvarint(dst, uint64(len(v.Witness)))
-	for _, t := range v.Witness {
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		for _, val := range t {
-			dst = appendStr(dst, val)
-		}
-	}
-	return dst
-}
-
 func appendTuple(dst []byte, t instance.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, val := range t {
@@ -104,8 +85,178 @@ func (c *internCache) get(b []byte) string {
 	return s
 }
 
-// batchReader decodes a 'V' frame body with bounds checking on every read.
-// kind/constraint/relation are nearly always runs of the same value, so
+// Record is one violation of a 'V' body left undecoded: its bytes exactly
+// as the body carries them, plus views of the three fields a router keys
+// it by. Decoder.NextRecord hands records out only after validating their
+// whole frame, so a Record is always well formed. It is what a router
+// relays: a binary client gets the bytes verbatim, and only the NDJSON
+// and JSON encodings decode it.
+type Record struct {
+	raw  []byte
+	row  int
+	cons [2]uint32 // constraint id, as offsets into raw
+	wit  [2]uint32 // first witness tuple, as offsets into raw; empty when none
+}
+
+// Constraint returns the bytes of the violated constraint's id.
+func (r *Record) Constraint() []byte { return r.raw[r.cons[0]:r.cons[1]] }
+
+// Row returns the violation's pattern row.
+func (r *Record) Row() int { return r.row }
+
+// Witness returns the record's first witness tuple in its wire form — a
+// uvarint value count, then each value as a uvarint length and its bytes —
+// or nil when the record carries no witness.
+func (r *Record) Witness() []byte {
+	if r.wit[1] == 0 {
+		return nil
+	}
+	return r.raw[r.wit[0]:r.wit[1]]
+}
+
+// cursor reads a 'V' body with bounds checking on every read.
+type cursor struct {
+	body []byte
+	off  int
+}
+
+func (c *cursor) uvarint() (uint64, error) {
+	// Single-byte values — almost every length, count and arity — skip
+	// the generic decoder.
+	if c.off < len(c.body) {
+		if b := c.body[c.off]; b < 0x80 {
+			c.off++
+			return uint64(b), nil
+		}
+	}
+	u, n := binary.Uvarint(c.body[c.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("stream: bad uvarint at frame offset %d", c.off)
+	}
+	c.off += n
+	return u, nil
+}
+
+func (c *cursor) varint() (int64, error) {
+	v, n := binary.Varint(c.body[c.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("stream: bad varint at frame offset %d", c.off)
+	}
+	c.off += n
+	return v, nil
+}
+
+// str reads a length-prefixed string's bytes.
+func (c *cursor) str() ([]byte, error) {
+	u, err := c.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if u > uint64(len(c.body)-c.off) {
+		return nil, fmt.Errorf("stream: string of %d bytes overruns frame at offset %d", u, c.off)
+	}
+	b := c.body[c.off : c.off+int(u)]
+	c.off += int(u)
+	return b, nil
+}
+
+// count reads a witness or tuple count, which can never exceed the bytes
+// left: each element takes at least one.
+func (c *cursor) count(what string) (int, error) {
+	u, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if u > uint64(len(c.body)-c.off) {
+		return 0, fmt.Errorf("stream: %s %d overruns frame at offset %d", what, u, c.off)
+	}
+	return int(u), nil
+}
+
+// parseRecord validates the record starting at body[off:] and returns it
+// with the offset just past it. Every length is checked against the bytes
+// left, so a record cut short is an error; a body must be consumed
+// exactly, so a partial trailing record is corruption (the CRC passed, so
+// the producer never wrote it), not truncation. Given a batchReader, it
+// also decodes the record into v, which must be zero, in the same pass —
+// Next's path; the record view passes nil and builds no strings.
+func parseRecord(body []byte, off int, dec *batchReader, v *Violation) (Record, int, error) {
+	c := cursor{body: body, off: off}
+	var rec Record
+	kind, err := c.str()
+	if err != nil {
+		return rec, 0, err
+	}
+	id, err := c.str()
+	if err != nil {
+		return rec, 0, err
+	}
+	rec.cons = [2]uint32{uint32(c.off - len(id) - off), uint32(c.off - off)}
+	rel, err := c.str()
+	if err != nil {
+		return rec, 0, err
+	}
+	row, err := c.varint()
+	if err != nil {
+		return rec, 0, err
+	}
+	rec.row = int(row)
+	nt, err := c.count("witness count")
+	if err != nil {
+		return rec, 0, err
+	}
+	tupStart := 0
+	if dec != nil {
+		if dec.intern == nil {
+			dec.intern = new(internCache)
+		}
+		v.Kind = dec.cached(&dec.lastKind, kind)
+		v.Constraint = dec.cached(&dec.lastConstraint, id)
+		v.Relation = dec.cached(&dec.lastRelation, rel)
+		v.Row = rec.row
+		dec.reserveTups(nt)
+		tupStart = len(dec.tups)
+	}
+	for i := 0; i < nt; i++ {
+		start := c.off
+		nv, err := c.count("tuple arity")
+		if err != nil {
+			return rec, 0, err
+		}
+		valStart := 0
+		if dec != nil {
+			dec.reserveVals(nv)
+			valStart = len(dec.vals)
+		}
+		for j := 0; j < nv; j++ {
+			b, err := c.str()
+			if err != nil {
+				return rec, 0, err
+			}
+			if dec != nil {
+				dec.vals = append(dec.vals, dec.intern.get(b))
+			}
+		}
+		if dec != nil {
+			dec.tups = append(dec.tups, dec.vals[valStart:len(dec.vals):len(dec.vals)])
+		}
+		if i == 0 {
+			rec.wit = [2]uint32{uint32(start - off), uint32(c.off - off)}
+		}
+	}
+	if dec != nil {
+		v.Witness = dec.tups[tupStart:len(dec.tups):len(dec.tups)]
+	}
+	rec.raw = body[off:c.off:c.off]
+	return rec, c.off, nil
+}
+
+// appendRecord is the relay's binary body function: a record is spliced
+// verbatim.
+func appendRecord(dst []byte, r Record) []byte { return append(dst, r.raw...) }
+
+// batchReader is parseRecord's decoding state. kind,
+// constraint and relation are nearly always runs of the same value, so
 // each has a single-entry cache checked with one compare, no hash; witness
 // values go through the hashed intern cache. Witness slices are carved out
 // of per-reader slabs — two allocations per frame in the steady state, not
@@ -113,8 +264,6 @@ func (c *internCache) get(b []byte) string {
 // old backing array, which stays valid; only the slab's tail is ever
 // appended to.
 type batchReader struct {
-	body   []byte
-	off    int
 	intern *internCache
 
 	lastKind, lastConstraint, lastRelation string
@@ -123,61 +272,12 @@ type batchReader struct {
 	tups [][]string
 }
 
-// cachedStr reads a length-prefixed string, reusing *last when the bytes
-// match it.
-func (r *batchReader) cachedStr(last *string) (string, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if u > uint64(len(r.body)-r.off) {
-		return "", fmt.Errorf("stream: string of %d bytes overruns frame at offset %d", u, r.off)
-	}
-	b := r.body[r.off : r.off+int(u)]
-	r.off += int(u)
+// cached returns b as a string, reusing *last when the bytes match it.
+func (r *batchReader) cached(last *string, b []byte) string {
 	if *last != string(b) {
 		*last = r.intern.get(b)
 	}
-	return *last, nil
-}
-
-func (r *batchReader) uvarint() (uint64, error) {
-	// Single-byte values — almost every length, count and arity — skip
-	// the generic decoder.
-	if r.off < len(r.body) {
-		if b := r.body[r.off]; b < 0x80 {
-			r.off++
-			return uint64(b), nil
-		}
-	}
-	u, n := binary.Uvarint(r.body[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("stream: bad uvarint at frame offset %d", r.off)
-	}
-	r.off += n
-	return u, nil
-}
-
-func (r *batchReader) varint() (int64, error) {
-	v, n := binary.Varint(r.body[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("stream: bad varint at frame offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *batchReader) str() (string, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if u > uint64(len(r.body)-r.off) {
-		return "", fmt.Errorf("stream: string of %d bytes overruns frame at offset %d", u, r.off)
-	}
-	s := r.intern.get(r.body[r.off : r.off+int(u)])
-	r.off += int(u)
-	return s, nil
+	return *last
 }
 
 // slabSize is the capacity of a fresh witness slab: big enough to
@@ -200,66 +300,8 @@ func (r *batchReader) reserveTups(n int) {
 	}
 }
 
-// decode parses a 'V' frame body, appending its violations to out. The
-// body must be consumed exactly: a partial trailing violation is
-// corruption (the CRC passed, so the producer never wrote it), not
-// truncation. On error the appended prefix is returned with the error so
-// the caller can discard it wholesale.
-func (r *batchReader) decode(body []byte, out []Violation) ([]Violation, error) {
-	r.body, r.off = body, 0
-	if r.intern == nil {
-		r.intern = new(internCache)
-	}
-	for r.off < len(body) {
-		// Build in place: append the zero value first, fill through the
-		// pointer, and drop it again on error — no by-value struct copy
-		// per violation.
-		out = append(out, Violation{})
-		v := &out[len(out)-1]
-		var err error
-		if v.Kind, err = r.cachedStr(&r.lastKind); err != nil {
-			return out[:len(out)-1], err
-		}
-		if v.Constraint, err = r.cachedStr(&r.lastConstraint); err != nil {
-			return out[:len(out)-1], err
-		}
-		if v.Relation, err = r.cachedStr(&r.lastRelation); err != nil {
-			return out[:len(out)-1], err
-		}
-		row, err := r.varint()
-		if err != nil {
-			return out[:len(out)-1], err
-		}
-		v.Row = int(row)
-		nt, err := r.uvarint()
-		if err != nil {
-			return out[:len(out)-1], err
-		}
-		if nt > uint64(len(body)-r.off) {
-			return out[:len(out)-1], fmt.Errorf("stream: witness count %d overruns frame at offset %d", nt, r.off)
-		}
-		r.reserveTups(int(nt))
-		tupStart := len(r.tups)
-		for i := uint64(0); i < nt; i++ {
-			nv, err := r.uvarint()
-			if err != nil {
-				return out[:len(out)-1], err
-			}
-			if nv > uint64(len(body)-r.off) {
-				return out[:len(out)-1], fmt.Errorf("stream: tuple arity %d overruns frame at offset %d", nv, r.off)
-			}
-			r.reserveVals(int(nv))
-			valStart := len(r.vals)
-			for j := uint64(0); j < nv; j++ {
-				s, err := r.str()
-				if err != nil {
-					return out[:len(out)-1], err
-				}
-				r.vals = append(r.vals, s)
-			}
-			r.tups = append(r.tups, r.vals[valStart:len(r.vals):len(r.vals)])
-		}
-		v.Witness = r.tups[tupStart:len(r.tups):len(r.tups)]
-	}
-	return out, nil
+// decode fills v, which must be zero, with the wire violation of a record
+// parseRecord accepted.
+func (r *batchReader) decode(rec *Record, v *Violation) {
+	parseRecord(rec.raw, 0, r, v)
 }

@@ -50,6 +50,10 @@ type Decoder struct {
 	// the batch reader with its intern cache and witness slabs.
 	payload bytes.Buffer
 	batch   batchReader
+
+	// The record view's queue (NextRecord).
+	recs []Record
+	rpos int
 }
 
 // NewDecoder wraps r, which must carry a stream in encoding enc (match it
@@ -74,7 +78,7 @@ func (d *Decoder) Next() (Violation, error) {
 		var err error
 		switch d.enc {
 		case Binary:
-			err = d.fillBinary()
+			err = d.fillBinary(false)
 		case JSONArray:
 			err = d.fillJSON()
 		default:
@@ -86,8 +90,39 @@ func (d *Decoder) Next() (Violation, error) {
 	}
 }
 
-// Count reports the trailer's violation count; valid after Next returned
-// io.EOF.
+// NextRecord is Next without the decode, for a relay: it returns the next
+// violation as an undecoded Record, validated exactly as Next validates
+// it — frame CRC, every length bounds-checked, a frame handed out only
+// once all of it parsed — or the stream's terminal result, the same one
+// Next would return. Each frame's records share a copy of the frame of
+// their own, so a Record stays valid for as long as the caller keeps it.
+// The record view needs the Binary encoding; a Decoder serves either
+// Next or NextRecord, not both.
+func (d *Decoder) NextRecord() (Record, error) {
+	for {
+		if d.rpos < len(d.recs) {
+			r := d.recs[d.rpos]
+			d.rpos++
+			return r, nil
+		}
+		if d.fin {
+			return Record{}, d.ferr
+		}
+		d.recs, d.rpos = d.recs[:0], 0
+		var err error
+		if d.enc == Binary {
+			err = d.fillBinary(true)
+		} else {
+			err = fmt.Errorf("stream: records need the binary encoding, not %s", d.enc)
+		}
+		if err != nil {
+			d.fin, d.ferr = true, err
+		}
+	}
+}
+
+// Count reports the trailer's violation count; valid after Next or
+// NextRecord returned io.EOF.
 func (d *Decoder) Count() int64 { return d.count }
 
 func (d *Decoder) checkTrailer() error {
@@ -172,8 +207,10 @@ func (d *Decoder) fillJSON() error {
 }
 
 // fillBinary consumes one frame: a 'V' violation batch, the 'E' error
-// record, or the 'Z' trailer.
-func (d *Decoder) fillBinary() error {
+// record, or the 'Z' trailer. A batch's records are queued as Records or,
+// decoded, as Violations; either way a batch with any malformed record is
+// dropped whole.
+func (d *Decoder) fillBinary(records bool) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -201,13 +238,29 @@ func (d *Decoder) fillBinary() error {
 	}
 	switch payload[0] {
 	case 'V':
-		base := len(d.queue)
-		vs, err := d.batch.decode(payload[1:], d.queue)
-		if err != nil {
-			return err
+		body := payload[1:]
+		if records {
+			body = bytes.Clone(body) // the payload buffer is reused next frame
 		}
-		d.queue = vs
-		d.seen += int64(len(vs) - base)
+		nq, nr := len(d.queue), len(d.recs)
+		for off := 0; off < len(body); {
+			var err error
+			if records {
+				var rec Record
+				if rec, off, err = parseRecord(body, off, nil, nil); err == nil {
+					d.recs = append(d.recs, rec)
+				}
+			} else {
+				// Decode in place: no by-value struct copy per violation.
+				d.queue = append(d.queue, Violation{})
+				_, off, err = parseRecord(body, off, &d.batch, &d.queue[len(d.queue)-1])
+			}
+			if err != nil {
+				d.queue, d.recs = d.queue[:nq], d.recs[:nr]
+				return err
+			}
+		}
+		d.seen += int64(len(d.queue) - nq + len(d.recs) - nr)
 		return nil
 	case 'E':
 		return &RemoteError{Msg: string(payload[1:])}

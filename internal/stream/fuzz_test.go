@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -62,7 +63,10 @@ func seedStreams() [][]byte {
 // FuzzStreamDecode hammers the binary frame decoder: arbitrary bytes must
 // never panic, never allocate past what the input carries, and decoding
 // must be deterministic — the same bytes yield the same violations and the
-// same terminal state twice.
+// same terminal state twice. It is also differential: the record view
+// (NextRecord) must accept exactly what Next accepts, yield as many
+// records as Next yields violations, end in the same terminal state, and
+// each record must decode to the violation Next returned in its place.
 func FuzzStreamDecode(f *testing.F) {
 	for _, seed := range seedStreams() {
 		f.Add(seed)
@@ -72,6 +76,30 @@ func FuzzStreamDecode(f *testing.F) {
 		vs2, err2 := DecodeAll(bytes.NewReader(data), Binary)
 		if (err1 == nil) != (err2 == nil) || len(vs1) != len(vs2) {
 			t.Fatalf("non-deterministic decode: (%d, %v) vs (%d, %v)", len(vs1), err1, len(vs2), err2)
+		}
+		rd := NewDecoder(bytes.NewReader(data), Binary)
+		var recs []Record
+		var rerr error
+		for {
+			rec, err := rd.NextRecord()
+			if err != nil {
+				if err != io.EOF {
+					rerr = err
+				}
+				break
+			}
+			recs = append(recs, rec)
+		}
+		if fmt.Sprint(rerr) != fmt.Sprint(err1) || len(recs) != len(vs1) {
+			t.Fatalf("record view diverges: %d records, %v; Next: %d violations, %v", len(recs), rerr, len(vs1), err1)
+		}
+		var br batchReader
+		for i := range recs {
+			var v Violation
+			br.decode(&recs[i], &v)
+			if !reflect.DeepEqual(v, vs1[i]) {
+				t.Fatalf("record %d decodes to %+v, Next returned %+v", i, v, vs1[i])
+			}
 		}
 		if err1 == nil {
 			// A clean decode means a trailer was present and its count

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,8 +10,8 @@ import (
 )
 
 // wireFixture builds wire-form violations directly, without the engine:
-// the relay writer's input is whatever a shard decoded, so its tests need
-// not go through Convert.
+// the relay writer's input is whatever records a shard streamed, so its
+// tests need not go through Convert.
 func wireFixture(n int) []Violation {
 	out := make([]Violation, n)
 	for i := range out {
@@ -25,14 +26,52 @@ func wireFixture(n int) []Violation {
 	return out
 }
 
+// appendWire encodes a wire violation in the binary record format — what
+// a shard's NewWriter emits for the engine violation it came from.
+func appendWire(dst []byte, v Violation) []byte {
+	dst = appendStr(dst, v.Kind)
+	dst = appendStr(dst, v.Constraint)
+	dst = appendStr(dst, v.Relation)
+	dst = binary.AppendVarint(dst, int64(v.Row))
+	dst = binary.AppendUvarint(dst, uint64(len(v.Witness)))
+	for _, t := range v.Witness {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		for _, val := range t {
+			dst = appendStr(dst, val)
+		}
+	}
+	return dst
+}
+
+// recordsOf encodes wire violations into one 'V' body and scans it back
+// into the records a relay receives.
+func recordsOf(t testing.TB, vs []Violation) []Record {
+	t.Helper()
+	var body []byte
+	for _, v := range vs {
+		body = appendWire(body, v)
+	}
+	out := make([]Record, 0, len(vs))
+	for off := 0; off < len(body); {
+		rec, next, err := parseRecord(body, off, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+		off = next
+	}
+	return out
+}
+
 func TestWireWriterRoundTrip(t *testing.T) {
 	for _, enc := range allEncodings {
 		t.Run(enc.String(), func(t *testing.T) {
 			vs := wireFixture(7)
+			recs := recordsOf(t, vs)
 			var buf bytes.Buffer
 			w := NewRelayWriter(&buf, nil, enc)
-			for i := range vs {
-				if !w.Send(vs[i]) {
+			for i := range recs {
+				if !w.Send(recs[i]) {
 					t.Fatalf("Send %d = false", i)
 				}
 			}
@@ -75,8 +114,8 @@ func TestWireWriterCloseError(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewRelayWriter(&buf, nil, enc)
 		vs := wireFixture(2)
-		for i := range vs {
-			w.Send(vs[i])
+		for _, rec := range recordsOf(t, vs) {
+			w.Send(rec)
 		}
 		w.CloseError("shard 1 went away")
 		got, err := DecodeAll(&buf, enc)

@@ -2,10 +2,13 @@
 // encodings of GET /datasets/{name}/violations, one Writer that keeps
 // encoding and flushing off the caller's loop, and the decoder clients and
 // tests consume streams through. The Writer has two instantiations: over
-// engine violations (a single node's detection loop) and over decoded
-// wire violations (a router relaying merged shard streams). Both flush
-// the first violation eagerly and later bytes at 32KiB or 50ms, and for
-// the same violations both write the same NDJSON and JSON bytes.
+// engine violations (a single node's detection loop) and over undecoded
+// binary records (a router relaying merged shard streams, which a binary
+// client receives spliced verbatim). Both flush the first violation
+// eagerly and later bytes at 32KiB or 50ms, and for the same violations
+// both write the same bytes in every encoding. The Decoder yields decoded
+// violations (Next) or, for a relay, the same stream's validated records
+// (NextRecord).
 //
 // Three encodings are served, selected by the request's Accept header
 // (Negotiate); NDJSON stays the default so existing clients see no change:
@@ -34,7 +37,9 @@ package stream
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"cind/internal/detect"
 )
@@ -129,6 +134,99 @@ type Violation struct {
 	Relation   string     `json:"relation"`
 	Row        int        `json:"row"`
 	Witness    [][]string `json:"witness"`
+}
+
+// appendJSON appends v's JSON form, byte for byte what encoding/json
+// marshals for it, without reflection or an intermediate buffer.
+func appendJSON(dst []byte, v *Violation) []byte {
+	dst = append(dst, `{"kind":`...)
+	dst = appendJSONString(dst, v.Kind)
+	dst = append(dst, `,"constraint":`...)
+	dst = appendJSONString(dst, v.Constraint)
+	dst = append(dst, `,"relation":`...)
+	dst = appendJSONString(dst, v.Relation)
+	dst = append(dst, `,"row":`...)
+	dst = strconv.AppendInt(dst, int64(v.Row), 10)
+	dst = append(dst, `,"witness":`...)
+	if v.Witness == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, t := range v.Witness {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if t == nil {
+				dst = append(dst, "null"...)
+				continue
+			}
+			dst = append(dst, '[')
+			for j, s := range t {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendJSONString(dst, s)
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// does with its default HTML escaping: '"' and '\\' and the control bytes
+// \b \f \n \r \t get short escapes, other control bytes and '<', '>',
+// '&' get \u00XX, an invalid UTF-8 byte becomes \ufffd, and U+2028 and
+// U+2029 are escaped for JSONP.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Convert renders an engine violation into its wire form.

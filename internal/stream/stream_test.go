@@ -3,10 +3,12 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -84,7 +86,7 @@ type testWriter struct {
 }
 
 // writerKind is one Writer instantiation: the engine writer takes engine
-// violations as they are, the relay writer their Convert forms.
+// violations as they are, the relay writer their binary records.
 type writerKind struct {
 	name string
 	open func(out io.Writer, enc Encoding) testWriter
@@ -97,7 +99,13 @@ var (
 	}}
 	relayWriter = writerKind{"relay", func(out io.Writer, enc Encoding) testWriter {
 		w := NewRelayWriter(out, nil, enc)
-		return testWriter{func(v detect.Violation) bool { return w.Send(Convert(v)) }, w}
+		return testWriter{func(v detect.Violation) bool {
+			rec, _, err := parseRecord(appendBinaryViolation(nil, v), 0, nil, nil)
+			if err != nil {
+				panic(err)
+			}
+			return w.Send(rec)
+		}, w}
 	}}
 	writerKinds = []writerKind{engineWriter, relayWriter}
 )
@@ -241,9 +249,9 @@ func TestErrorTerminal(t *testing.T) {
 }
 
 // TestRelayMatchesEngine pins the relay promise: the relay writer fed the
-// Convert forms of engine violations writes what the engine writer fed
-// the violations writes — the same NDJSON and JSON bytes, and binary that
-// decodes to the same violations and terminal record (binary batch
+// binary records of engine violations writes what the engine writer fed
+// the violations writes — the same NDJSON and JSON bytes, and binary with
+// the same 'V' bodies, byte for byte, and the same terminal frame (batch
 // boundaries follow flush timing, which the Decoder is indifferent to).
 func TestRelayMatchesEngine(t *testing.T) {
 	vs := testViolations(t, 200)
@@ -251,20 +259,36 @@ func TestRelayMatchesEngine(t *testing.T) {
 		for _, endErr := range []string{"", "shard 1 went away"} {
 			engine := encodeStream(t, engineWriter, vs, enc, endErr)
 			relay := encodeStream(t, relayWriter, vs, enc, endErr)
-			if enc != Binary {
-				if !bytes.Equal(relay, engine) {
-					t.Fatalf("%s (end %q): relay bytes diverge:\nrelay  %q\nengine %q", enc, endErr, relay, engine)
-				}
-				continue
+			if enc == Binary {
+				relay, engine = splitFrames(t, relay), splitFrames(t, engine)
 			}
-			gotR, errR := DecodeAll(bytes.NewReader(relay), enc)
-			gotE, errE := DecodeAll(bytes.NewReader(engine), enc)
-			if fmt.Sprint(errR) != fmt.Sprint(errE) {
-				t.Fatalf("%s (end %q): relay ends with %v, engine with %v", enc, endErr, errR, errE)
+			if !bytes.Equal(relay, engine) {
+				t.Fatalf("%s (end %q): relay bytes diverge:\nrelay  %q\nengine %q", enc, endErr, relay, engine)
 			}
-			assertSameViolations(t, fmt.Sprintf("%s (end %q)", enc, endErr), gotR, gotE)
 		}
 	}
+}
+
+// splitFrames concatenates a binary stream's 'V' bodies and appends its
+// terminal payload: the stream's content with the batch boundaries
+// removed.
+func splitFrames(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var bodies []byte
+	for len(raw) > 0 {
+		if len(raw) < 8 {
+			t.Fatalf("torn frame header: %q", raw)
+		}
+		n := int(binary.LittleEndian.Uint32(raw[:4]))
+		payload := raw[8 : 8+n]
+		raw = raw[8+n:]
+		if payload[0] != 'V' {
+			return append(bodies, payload...)
+		}
+		bodies = append(bodies, payload[1:]...)
+	}
+	t.Fatal("binary stream without a terminal frame")
+	return nil
 }
 
 // TestTruncationDetected: every proper prefix of a valid stream must fail
@@ -541,5 +565,42 @@ func TestTrailerCountMismatch(t *testing.T) {
 	_, err := DecodeAll(bytes.NewReader(bytes.Join(lines, []byte("\n"))), NDJSON)
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("mismatched trailer count decoded cleanly: %v", err)
+	}
+}
+
+// TestAppendJSONMatchesEncodingJSON pins appendJSON to encoding/json's
+// bytes — the NDJSON and JSON encodings promise exactly what json.Marshal
+// writes — over every single byte, HTML and JSONP escapes, multi-byte and
+// invalid UTF-8, nil and empty witnesses, and random strings.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	strs := []string{"", "plain", "a\"b\\c", "<&>", "  ", "é ü 中文 🙂", "\xff", "a\xc3", "\xed\xa0\x80", "\x7f"}
+	for b := 0; b < 256; b++ {
+		strs = append(strs, string([]byte{'x', byte(b), 'y'}))
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.IntN(12))
+		for j := range b {
+			b[j] = byte(rng.IntN(256))
+		}
+		strs = append(strs, string(b))
+	}
+	vs := []Violation{
+		{Kind: "cfd", Constraint: "phi", Relation: "r", Row: -3},
+		{Kind: "cind", Witness: [][]string{}},
+		{Kind: "cind", Witness: [][]string{nil, {}}},
+	}
+	for i, s := range strs {
+		vs = append(vs, Violation{Kind: s, Constraint: strs[(i+1)%len(strs)], Relation: s, Row: i,
+			Witness: [][]string{{s, strs[(i+7)%len(strs)]}, {strs[(i+3)%len(strs)]}}})
+	}
+	for i := range vs {
+		want, err := json.Marshal(vs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSON(nil, &vs[i]); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSON(%+v)\n got  %s\n want %s", vs[i], got, want)
+		}
 	}
 }

@@ -50,8 +50,8 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 //
 // The two instantiations differ only in how a value becomes its JSON form
 // and its binary body: NewWriter's takes engine violations, NewRelayWriter's
-// already-decoded wire violations. Fed the same violations, they write the
-// same NDJSON and JSON bytes and binary that decodes identically.
+// undecoded binary records. Fed the same violations, they write the same
+// bytes in every encoding.
 //
 // Send and Close/CloseError must be called from one goroutine (the
 // iterator or merge loop). Close and CloseError are idempotent; the first
@@ -81,11 +81,23 @@ func NewWriter(out io.Writer, fl Flusher, enc Encoding, _ Options) *Writer[detec
 	return newWriter(out, fl, enc, Convert, appendBinaryViolation)
 }
 
-// NewRelayWriter starts a writer of already-decoded wire violations over
-// out: the router's half, re-encoding the violations it merged from shard
-// streams exactly as a single node's NewWriter would. fl may be nil.
-func NewRelayWriter(out io.Writer, fl Flusher, enc Encoding) *Writer[Violation] {
-	return newWriter(out, fl, enc, func(v Violation) Violation { return v }, appendBinaryWire)
+// NewRelayWriter starts a writer of undecoded binary records over out: the
+// router's half, relaying the records it merged from shard streams. A
+// Binary stream splices each record's bytes verbatim; NDJSON and JSON
+// decode each record once, through one intern cache and one witness
+// buffer the writer reuses, and write what a single node's NewWriter would
+// for the same violations. fl may be nil.
+func NewRelayWriter(out io.Writer, fl Flusher, enc Encoding) *Writer[Record] {
+	var r batchReader
+	wire := func(rec Record) Violation {
+		// The violation lives only until it is encoded, so each record
+		// rewinds the witness slabs instead of filling fresh ones.
+		r.vals, r.tups = r.vals[:0], r.tups[:0]
+		var v Violation
+		r.decode(&rec, &v)
+		return v
+	}
+	return newWriter(out, fl, enc, wire, appendRecord)
 }
 
 func newWriter[V any](out io.Writer, fl Flusher, enc Encoding, wire func(V) Violation, body func([]byte, V) []byte) *Writer[V] {
@@ -183,11 +195,7 @@ func (w *Writer[V]) run() {
 		}
 	}()
 	if w.enc == Binary {
-		buf.WriteByte('V')
-	}
-	var jenc *json.Encoder
-	if w.enc == NDJSON {
-		jenc = json.NewEncoder(buf)
+		startBatch(buf, 'V')
 	}
 	timer := time.NewTimer(flushInterval)
 	timer.Stop()
@@ -205,11 +213,7 @@ func (w *Writer[V]) run() {
 			w.room.Broadcast()
 		}
 		for i := 0; i < len(batch) && !failed; i++ {
-			if err := w.encode(buf, jenc, batch[i], count); err != nil {
-				w.setWerr(err)
-				failed = true
-				break
-			}
+			w.encode(buf, &batch[i], count)
 			count++
 			if count == 1 || w.buffered(buf) >= flushBytes {
 				failed = w.flush(buf)
@@ -238,17 +242,25 @@ func (w *Writer[V]) run() {
 	}
 }
 
+// startBatch seeds an empty buffer with a binary frame's reserved header
+// and its tag, so the frame is sealed in place, never copied.
+func startBatch(buf *bytes.Buffer, tag byte) {
+	var hdr [wal.FrameHeader + 1]byte
+	hdr[wal.FrameHeader] = tag
+	buf.Write(hdr[:])
+}
+
 // buffered is the number of payload bytes awaiting a flush.
 func (w *Writer[V]) buffered(buf *bytes.Buffer) int {
 	if w.enc == Binary {
-		return buf.Len() - 1 // the standing 'V' tag is not payload
+		return buf.Len() - wal.FrameHeader - 1 // the standing header and 'V' tag are not payload
 	}
 	return buf.Len()
 }
 
 // encode appends one violation, the stream's count-th, to the encode
 // buffer.
-func (w *Writer[V]) encode(buf *bytes.Buffer, jenc *json.Encoder, v V, count int64) error {
+func (w *Writer[V]) encode(buf *bytes.Buffer, v *V, count int64) {
 	switch w.enc {
 	case JSONArray:
 		if count == 0 {
@@ -256,33 +268,29 @@ func (w *Writer[V]) encode(buf *bytes.Buffer, jenc *json.Encoder, v V, count int
 		} else {
 			buf.WriteByte(',')
 		}
-		b, err := json.Marshal(w.wire(v))
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		return nil
+		wv := w.wire(*v)
+		buf.Write(appendJSON(buf.AvailableBuffer(), &wv))
 	case Binary:
-		buf.Write(w.body(buf.AvailableBuffer(), v))
-		return nil
+		buf.Write(w.body(buf.AvailableBuffer(), *v))
 	default:
-		return jenc.Encode(w.wire(v))
+		wv := w.wire(*v)
+		buf.Write(append(appendJSON(buf.AvailableBuffer(), &wv), '\n'))
 	}
 }
 
 // flush sends the buffered payload to the client and reports failure. For
-// Binary the buffer is one 'V' batch payload, framed exactly like a WAL
-// record; the buffer is re-seeded with the tag for the next batch.
+// Binary the buffer is one 'V' batch frame, sealed in place exactly like a
+// WAL record; the buffer is re-seeded for the next batch.
 func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 	var err error
 	switch w.enc {
 	case Binary:
-		if buf.Len() <= 1 {
+		if w.buffered(buf) == 0 {
 			return false
 		}
-		_, err = wal.AppendFrame(w.out, buf.Bytes())
+		err = writeFrame(w.out, buf.Bytes())
 		buf.Reset()
-		buf.WriteByte('V')
+		startBatch(buf, 'V')
 	default:
 		if buf.Len() == 0 {
 			return false
@@ -300,6 +308,16 @@ func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 	return false
 }
 
+// writeFrame seals a frame whose header startBatch reserved and writes it
+// in one Write.
+func writeFrame(out io.Writer, frame []byte) error {
+	if err := wal.SealFrame(frame); err != nil {
+		return err
+	}
+	_, err := out.Write(frame)
+	return err
+}
+
 // writeTerminal flushes what remains and writes the encoding's terminal
 // record: the trailer (clean end, with the count) or the error record.
 func (w *Writer[V]) writeTerminal(buf *bytes.Buffer, endErr string, count int64) {
@@ -311,13 +329,13 @@ func (w *Writer[V]) writeTerminal(buf *bytes.Buffer, endErr string, count int64)
 		}
 		buf.Reset()
 		if endErr != "" {
-			buf.WriteByte('E')
+			startBatch(buf, 'E')
 			buf.WriteString(endErr[:min(len(endErr), wal.MaxRecord-1)])
 		} else {
-			buf.WriteByte('Z')
+			startBatch(buf, 'Z')
 			buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), uint64(count)))
 		}
-		_, err = wal.AppendFrame(w.out, buf.Bytes())
+		err = writeFrame(w.out, buf.Bytes())
 	case JSONArray:
 		if count == 0 {
 			buf.WriteString(`{"violations":[`)

@@ -75,6 +75,17 @@ func AppendKey(dst []byte, v Value) []byte {
 	return append(dst, v.str...)
 }
 
+// AppendConstKey appends AppendKey's encoding of the constant whose bytes
+// are s, without building the Value — the form a reader of raw bytes can
+// look up AppendKey-keyed maps with. It repeats AppendKey's constant
+// branch rather than sharing it, so AppendKey stays small enough to
+// inline; TestAppendConstKeyMatchesAppendKey pins the two together.
+func AppendConstKey(dst, s []byte) []byte {
+	dst = append(dst, 2)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
 // AppendTupleKey appends the AppendKey encoding of each value in order.
 // Because each element is self-delimiting, the concatenation is injective
 // on value sequences of any length.

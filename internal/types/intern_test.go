@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestInternerCodesMirrorEq(t *testing.T) {
 	in := NewInterner()
@@ -91,6 +94,18 @@ func TestKeyLenMatchesAppendKey(t *testing.T) {
 	for _, v := range vals {
 		if got, want := KeyLen(v), len(AppendKey(nil, v)); got != want {
 			t.Fatalf("KeyLen(%#v) = %d, AppendKey writes %d", v, got, want)
+		}
+	}
+}
+
+// TestAppendConstKeyMatchesAppendKey: the raw-bytes form of a constant's
+// key is the key AppendKey writes for the constant.
+func TestAppendConstKeyMatchesAppendKey(t *testing.T) {
+	for _, s := range []string{"", "a", "NYC", string(make([]byte, 200)), "\x02\x00"} {
+		got := AppendConstKey([]byte("pre"), []byte(s))
+		want := AppendKey([]byte("pre"), C(s))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendConstKey(%q) = %q, AppendKey = %q", s, got, want)
 		}
 	}
 }

@@ -43,6 +43,9 @@ import (
 // frameHeader is the fixed frame prefix: u32le length + u32le CRC32.
 const frameHeader = 8
 
+// FrameHeader is the size of the prefix SealFrame fills.
+const FrameHeader = frameHeader
+
 // MaxRecord bounds one record's payload. A length field above it is treated
 // as corruption (truncation point), so a flipped bit in a length can never
 // make recovery attempt a multi-gigabyte allocation.
@@ -120,10 +123,25 @@ func AppendFrame(w io.Writer, payload []byte) (int, error) {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord %d", len(payload), MaxRecord)
 	}
 	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 	copy(buf[frameHeader:], payload)
+	if err := SealFrame(buf); err != nil {
+		return 0, err
+	}
 	return w.Write(buf)
+}
+
+// SealFrame turns frame into one framed record in place: it fills the
+// first FrameHeader bytes with the header of the payload that follows
+// them. A writer that reserves the header at the front of its buffer
+// frames a record without copying it.
+func SealFrame(frame []byte) error {
+	payload := frame[frameHeader:]
+	if len(payload) > MaxRecord {
+		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord %d", len(payload), MaxRecord)
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return nil
 }
 
 // Record is one decoded WAL record with the file offset its frame starts
