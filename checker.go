@@ -234,39 +234,45 @@ func WithSQLBackend(db *sql.DB) CheckerOption {
 // through the batched engine, over a resident detection plan: the
 // referenced relations coded once and the constraint groups compiled
 // against those codes (detect.Plan). The plan is keyed on each referenced
-// relation's Instance.Version, so repeat reads of an unchanged database
-// skip coding, and the first read after a direct write to the database
-// codes it afresh. The first Apply drops the plan and builds the resident
-// incremental session (the PR-2 engine: interned projection
-// indexes kept resident, violations maintained in O(affected-group) time
-// per delta); from then on the Checker owns the database — do not mutate it
-// directly — and Detect/Violations serve the maintained report, which
-// always equals what batch detection over the current contents would
-// produce, violation for violation, in the same order.
+// relation's Instance.Version, and it evaluates once: the first complete
+// read of a version keeps its result, and every later read of the same
+// version replays it instead of running the engine again. The first read
+// after a direct write to the database codes it afresh. The first Apply
+// drops the plan and builds the resident incremental session (interned
+// projection indexes kept resident, violations maintained in
+// O(affected-group) time per delta); from then on the Checker owns the
+// database — do not mutate it directly — and Detect/Violations serve the
+// maintained report, which always equals what batch detection over the
+// current contents would produce, violation for violation, in the same
+// order.
 //
-// A Checker is safe for concurrent use: Detect, Violations and Repair take
-// a read lock for the duration of their database scan, Apply the write
-// lock, so a batch or streaming read never observes a half-applied write.
-// A long-lived Violations iteration therefore blocks writers until the
-// consumer finishes or breaks.
+// A Checker is safe for concurrent use: Apply takes the write lock, and a
+// read takes the read lock only while it pins the version it reports — the
+// resident plan, the session's report, or the SQL backend's result — so a
+// read never observes a half-applied write. A read evaluates and yields
+// without the lock, so a long-lived Violations iteration never blocks a
+// writer, and calling any method of the same Checker from inside the loop
+// is supported. Repair holds the read lock for its whole run: it repairs a
+// copy of the database itself.
 type Checker struct {
 	db  *Database
 	set *ConstraintSet
 	cfg checkerConfig
 
-	// mu orders database readers (the batch engine's scans, repair's
-	// clone) against Apply. The resident session has its own finer lock,
-	// but the first Apply mutates the database while building it, and
-	// every later Apply mutates the database the engine would otherwise
-	// be scanning — so reads hold mu.RLock for their whole run.
+	// mu orders database readers against Apply. The resident session has
+	// its own finer lock, but the first Apply mutates the database while
+	// building it, and every later Apply mutates the database — so a read
+	// holds mu.RLock while it scans the database: while it checks or
+	// rebuilds the plan, runs the SQL backend, or clones for a repair.
 	mu   sync.RWMutex
 	sess *detect.Session
 
 	// planMu guards plan, the batch engine's resident plan for reads
 	// before the first Apply. It is held only while the plan is checked
 	// against the database or rebuilt, never while the engine evaluates
-	// it: a plan is immutable once built, so concurrent readers share one
-	// build and evaluate it without locks.
+	// it: a plan owns the rows it reports, so concurrent readers share one
+	// build and evaluate it without locks, even after the database moved
+	// on.
 	planMu sync.Mutex
 	plan   *detect.Plan
 
@@ -366,6 +372,23 @@ func (c *Checker) engineOpts() detect.Options {
 	return detect.Options{Parallel: c.cfg.parallel, Limit: c.cfg.limit}
 }
 
+// pin returns, under the read lock, the version a read reports: after the
+// first Apply the session's maintained report, on the SQL backend its
+// report, and otherwise the resident plan, which the caller evaluates
+// without the lock. The reports are cut to the checker's limit.
+func (c *Checker) pin(ctx context.Context) (*Report, *detect.Plan, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.sess != nil {
+		return c.sess.Report().Truncate(c.cfg.limit), nil, nil
+	}
+	if c.backend != nil {
+		rep, err := c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
+		return rep, nil, err
+	}
+	return nil, c.detectPlan(), nil
+}
+
 // detectPlan returns the resident plan, rebuilding it first when a
 // referenced relation changed since it was built. Callers hold c.mu's read
 // lock, so no Apply runs meanwhile.
@@ -382,25 +405,24 @@ func (c *Checker) detectPlan() *detect.Plan {
 // Detect evaluates every constraint and returns the violation report:
 // violations grouped per constraint in set order, CFDs' pair semantics and
 // CINDs' inclusion semantics exactly as the per-constraint reference
-// implementations define them. Before the first Apply, ctx cancels the
-// engine run cooperatively — the worker pool stops mid enumeration and
-// ctx's error is returned. After the first Apply, Detect serves the
-// session's maintained (usually cached) report and ctx is checked only on
-// entry — there is no long evaluation left to cancel. With WithLimit(n)
-// the report is the first n violations of the unlimited run.
+// implementations define them. Before the first Apply, the first read of
+// each database version runs the engine, and ctx cancels that run
+// cooperatively — the worker pool stops mid enumeration and ctx's error is
+// returned; later reads of the same version materialise the kept result.
+// After the first Apply, Detect serves the session's maintained (usually
+// cached) report. Where no evaluation is left to cancel, ctx is checked
+// only on entry. With WithLimit(n) the report is the first n violations of
+// the unlimited run. The checker's lock is held only while Detect pins the
+// version it reports, never while the engine evaluates it.
 func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.sess != nil {
-		return c.sess.Report().Truncate(c.cfg.limit), nil
+	rep, plan, err := c.pin(ctx)
+	if plan == nil {
+		return rep, err
 	}
-	if c.backend != nil {
-		return c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
-	}
-	return c.detectPlan().Run(ctx, c.engineOpts())
+	return plan.Run(ctx, c.engineOpts())
 }
 
 // Violations streams the report as the engine finds it, instead of
@@ -417,45 +439,32 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 // before the stream completes, one final (zero Violation, ctx.Err()) pair
 // is yielded and the stream ends.
 //
-// Before the first Apply the iterator holds the checker's read lock for
-// the whole iteration (the engine is scanning the database), so do not
-// call any method of the same Checker from inside the loop: Apply
-// deadlocks outright, and even Detect/Repair deadlock when a writer is
-// queued (a waiting writer blocks new read locks). Collect first, or use
-// Detect. After the first Apply the iterator walks an immutable snapshot
-// of the maintained report and holds no lock while yielding, so in-loop
-// calls — the detect-and-fix idiom — are supported.
+// The iterator pins the current version when it starts — the resident
+// plan before the first Apply, an immutable snapshot of the maintained
+// report after it — and holds no lock while it evaluates or yields. It
+// yields exactly the report of the version it pinned, whatever writes land
+// meanwhile, and in-loop calls to the same Checker — the detect-and-fix
+// idiom, Apply included — are supported at any point of its life. A
+// consumer that drains an unlimited stream of a new version leaves its
+// result behind for the next read, as Detect does.
 func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 	return func(yield func(Violation, error) bool) {
 		if err := ctx.Err(); err != nil {
 			yield(Violation{}, err)
 			return
 		}
-		c.mu.RLock()
-		if c.sess != nil {
-			// The session's report is an immutable snapshot: a later
-			// Apply replaces it rather than mutating it, so yielding
-			// needs no lock (and Apply from inside the loop is fine).
-			rep := c.sess.Report().Truncate(c.cfg.limit)
-			c.mu.RUnlock()
-			yieldReport(ctx, rep, yield)
+		rep, plan, err := c.pin(ctx)
+		if err != nil {
+			yield(Violation{}, err)
 			return
 		}
-		defer c.mu.RUnlock()
-		if c.backend != nil {
-			// SQL backend: materialise the (truncated) report, then yield
-			// it in report order, exactly as the session path does.
-			rep, err := c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
-			if err != nil {
-				yield(Violation{}, err)
-				return
-			}
+		if plan == nil {
 			yieldReport(ctx, rep, yield)
 			return
 		}
 		n := 0
 		broke := false
-		err := c.detectPlan().Each(ctx, c.engineOpts(), func(v Violation) bool {
+		err = plan.Each(ctx, c.engineOpts(), func(v Violation) bool {
 			if !yield(v, nil) {
 				broke = true
 				return false
@@ -502,11 +511,9 @@ func yieldReport(ctx context.Context, rep *Report, yield func(Violation, error) 
 // subsequent batch is maintained in time proportional to the affected
 // projection groups, not the database size. The batch is validated up
 // front and rejected whole on error; duplicate inserts and absent deletes
-// are per-delta no-ops (set semantics).
-//
-// Do not call Apply from inside a Violations loop that started before
-// this checker's first Apply — that iteration holds the checker's read
-// lock (see Violations) and Apply would deadlock waiting for it.
+// are per-delta no-ops (set semantics). Apply waits only for reads that
+// are pinning a version, never for a Violations loop in progress: that
+// loop keeps yielding the version it pinned.
 func (c *Checker) Apply(ctx context.Context, deltas ...Delta) (*ReportDiff, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

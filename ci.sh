@@ -98,6 +98,9 @@ go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 10s ./internal/wal
 echo "== fuzz smoke: violation stream decoder (10s)"
 go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/stream
 
+echo "== fuzz smoke: NDJSON line parser vs encoding/json (10s)"
+go test -run '^$' -fuzz '^FuzzNDJSONLine$' -fuzztime 10s ./internal/stream
+
 echo "== cindserve smoke: start, load bank fixtures, stream violations, clean shutdown"
 serve_bin="$(mktemp)"
 violate_bin="$(mktemp)"

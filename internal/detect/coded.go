@@ -1,14 +1,16 @@
 package detect
 
 import (
+	"slices"
+
 	"cind/internal/instance"
 	"cind/internal/pattern"
 	"cind/internal/types"
 )
 
 // codedRel is a relation instance with every field interned to a uint64
-// symbol code (row-major). It is built once per Run and shared read-only by
-// all evaluation units over that relation, so projection hashing and
+// symbol code (row-major). It is built once per plan and shared read-only
+// by all evaluation units over that relation, so projection hashing and
 // pattern matches are pure integer work in the hot loops.
 type codedRel struct {
 	tuples []instance.Tuple
@@ -16,8 +18,11 @@ type codedRel struct {
 	codes  []uint64 // len(tuples)*arity
 }
 
+// codeRelation codes in's current tuples. The coded relation owns its
+// tuple slice — a copy of the instance's, which Delete compacts in place —
+// so it keeps describing the version it was coded at after in changes.
 func codeRelation(in *instance.Instance, it *types.Interner) *codedRel {
-	tuples := in.Tuples()
+	tuples := slices.Clone(in.Tuples())
 	arity := in.Relation().Arity()
 	cr := &codedRel{tuples: tuples, arity: arity, codes: make([]uint64, len(tuples)*arity)}
 	// Column-wise with a last-value cache: real columns are repetitive, and

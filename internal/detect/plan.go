@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"sync/atomic"
 
 	"cind/internal/cfd"
 	"cind/internal/conc"
@@ -12,15 +13,23 @@ import (
 
 // Plan is the compiled form of one constraint set over one database
 // snapshot: every referenced relation coded once, and the CFD and CIND
-// detection groups compiled against those codes. A plan is immutable once
-// NewPlan returns — evaluation only reads it — so any number of Run and
-// Each calls may evaluate one plan concurrently without locks, and a
-// caller may keep it across calls for as long as Current holds.
+// detection groups compiled against those codes. The plan owns the rows
+// it reports, so it keeps describing the snapshot it was built from after
+// the database changes. Its compiled form is immutable once NewPlan
+// returns, so any number of Run and Each calls may evaluate one plan
+// concurrently without locks, and a caller may keep it across calls for
+// as long as Current holds.
+//
+// A plan evaluates once: the first Run or Each that completes without a
+// limit, cancellation or early break publishes its hits, and every later
+// Run and Each replays them instead of running the units again. The
+// report depends only on the snapshot, so a replay is the report.
 type Plan struct {
 	units []unit
 	slots []slotRef // report slot -> unit and member: CFDs, then CINDs
 	ncfd  int       // slots below ncfd are CFDs
 	deps  []planDep
+	memo  atomic.Pointer[[][]hit] // per report slot; nil until published
 }
 
 // slotRef locates one constraint of the input inside the plan: units[u],
@@ -116,8 +125,9 @@ func (u cindUnit) report(rep *Report, mi int, hs []hit) {
 // NewPlan codes every relation the constraints reference, sequentially and
 // with one fresh interner, and compiles the detection groups against the
 // codes. The interner is dropped on return: a plan keeps only codes, which
-// is all evaluation compares. The plan shares the instances' tuple slices
-// rather than copying them, so it describes db only while Current holds.
+// is all evaluation compares, and its own copy of each relation's tuple
+// slice (the tuples themselves are shared: Insert and Delete never mutate
+// one).
 func NewPlan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Plan {
 	it := types.NewInterner()
 	p := &Plan{slots: make([]slotRef, len(cfds)+len(cinds)), ncfd: len(cfds)}
@@ -171,40 +181,56 @@ func (p *Plan) Current(db *instance.Database) bool {
 }
 
 // Run evaluates the plan into the violation report, fanning the units out
-// over the worker pool. Every evaluation unit polls ctx, so a cancelled run
-// stops the pool promptly — mid pair enumeration, mid index build, mid
-// anti-join scan — and returns ctx's error, discarding the partial result.
+// over the worker pool, or materialises it from the published hits when
+// an earlier evaluation completed. Every evaluation unit polls ctx, so a
+// cancelled run stops the pool promptly — mid pair enumeration, mid index
+// build, mid anti-join scan — and returns ctx's error, discarding the
+// partial result. A run without a Limit publishes its hits.
 func (p *Plan) Run(ctx context.Context, opts Options) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stop := stopFunc(ctx)
-	// Each unit appends only to its own members' slots, so the fan-out is
-	// race-free by construction and the merge is deterministic.
-	out := make([][]hit, len(p.slots))
-	conc.ForEachIdx(opts.workers(len(p.units)), len(p.units), func(i int) {
-		if stop() {
-			return
+	var out [][]hit
+	if m := p.memo.Load(); m != nil {
+		out = *m
+	} else {
+		stop := stopFunc(ctx)
+		// Each unit appends only to its own members' slots, so the fan-out
+		// is race-free by construction and the merge is deterministic.
+		out = make([][]hit, len(p.slots))
+		conc.ForEachIdx(opts.workers(len(p.units)), len(p.units), func(i int) {
+			if stop() {
+				return
+			}
+			u := p.units[i]
+			u.stream(stop, collect(out, u, opts.Limit, stop))
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		u := p.units[i]
-		u.stream(stop, collect(out, u, opts.Limit, stop))
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		if opts.Limit == 0 {
+			p.memo.CompareAndSwap(nil, &out)
+		}
 	}
 
-	// Cut the slots to the Limit prefix of their concatenation, size the
-	// report, then materialise it in slot (report) order.
-	left, ncfd, ncind := opts.Limit, 0, 0
-	for s := range out {
-		if opts.Limit > 0 {
-			out[s] = out[s][:min(len(out[s]), left)]
-			left -= len(out[s])
+	// Cut the slots to the Limit prefix of their concatenation — in a new
+	// slot list, as out may be the published hits (a limited run never
+	// publishes its own) — size the report, then materialise it in slot
+	// (report) order.
+	if opts.Limit > 0 {
+		cut, left := make([][]hit, len(out)), opts.Limit
+		for s, hs := range out {
+			cut[s] = hs[:min(len(hs), left)]
+			left -= len(cut[s])
 		}
+		out = cut
+	}
+	ncfd, ncind := 0, 0
+	for s, hs := range out {
 		if s < p.ncfd {
-			ncfd += len(out[s])
+			ncfd += len(hs)
 		} else {
-			ncind += len(out[s])
+			ncind += len(hs)
 		}
 	}
 	res := &Report{}

@@ -156,9 +156,29 @@ func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*
 // otherwise; it does not return until every helper has exited, so no engine
 // goroutine outlives the call. Helpers never wait on the consumer, so their
 // feeds hold at most the report's hits, which is what Run buffers.
+//
+// A stream the consumer drained to its end, uncancelled, publishes its
+// hits as Run does. Once a plan's hits are published, Each replays them
+// in report order on the calling goroutine, polling ctx before each
+// violation, and starts no helpers.
 func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if m := p.memo.Load(); m != nil {
+		stop := stopFunc(ctx)
+		for s, hs := range *m {
+			u, mi := p.units[p.slots[s].u], p.slots[s].mi
+			for _, h := range hs {
+				if stop() {
+					return ctx.Err()
+				}
+				if !yield(u.violation(mi, h)) {
+					return nil
+				}
+			}
+		}
+		return nil
 	}
 	inner, cancel := context.WithCancel(ctx)
 	stop := stopFunc(inner)
@@ -184,6 +204,7 @@ func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) boo
 		}
 	}
 
+	out := make([][]hit, len(p.slots)) // what the consumer was sent
 	for s, ref := range p.slots {
 		u, mi := p.units[ref.u], ref.mi
 		send := func(h hit) bool {
@@ -191,6 +212,7 @@ func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) boo
 				cancel()
 				return false
 			}
+			out[s] = append(out[s], h)
 			return true
 		}
 		var ok bool
@@ -200,10 +222,11 @@ func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) boo
 			ok = f.drain(s, send)
 		}
 		if !ok || stop() {
-			break
+			return ctx.Err()
 		}
 	}
-	return ctx.Err()
+	p.memo.CompareAndSwap(nil, &out)
+	return nil
 }
 
 // feedChunk is how many hits a unit's runner publishes to a report slot at

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"cind/internal/detect"
 	"cind/internal/instance"
@@ -207,9 +208,7 @@ func parseRecord(body []byte, off int, dec *batchReader, v *Violation) (Record, 
 	}
 	tupStart := 0
 	if dec != nil {
-		if dec.intern == nil {
-			dec.intern = new(internCache)
-		}
+		dec.acquire()
 		v.Kind = dec.cached(&dec.lastKind, kind)
 		v.Constraint = dec.cached(&dec.lastConstraint, id)
 		v.Relation = dec.cached(&dec.lastRelation, rel)
@@ -255,7 +254,7 @@ func parseRecord(body []byte, off int, dec *batchReader, v *Violation) (Record, 
 // verbatim.
 func appendRecord(dst []byte, r Record) []byte { return append(dst, r.raw...) }
 
-// batchReader is parseRecord's decoding state. kind,
+// batchReader is the decoding state of parseRecord and parseLine. kind,
 // constraint and relation are nearly always runs of the same value, so
 // each has a single-entry cache checked with one compare, no hash; witness
 // values go through the hashed intern cache. Witness slices are carved out
@@ -270,6 +269,33 @@ type batchReader struct {
 
 	vals []string
 	tups [][]string
+
+	// The NDJSON parser's scratch (parseLine): an unescaped string, and
+	// the values and tuples of a witness before it moves to the slabs.
+	esc     []byte
+	tmpVals []string
+	tmpTups [][]string
+}
+
+// internPool recycles intern caches between readers: a Decoder takes one
+// at its first violation and returns it with its terminal result, so a
+// stream of a few violations does not allocate a cache of its own.
+var internPool = sync.Pool{New: func() any { return new(internCache) }}
+
+// acquire gives the reader an intern cache.
+func (r *batchReader) acquire() {
+	if r.intern == nil {
+		r.intern = internPool.Get().(*internCache)
+	}
+}
+
+// release returns the reader's intern cache to the pool; the strings it
+// handed out stay valid.
+func (r *batchReader) release() {
+	if r.intern != nil {
+		internPool.Put(r.intern)
+		r.intern = nil
+	}
 }
 
 // cached returns b as a string, reusing *last when the bytes match it.
@@ -280,23 +306,29 @@ func (r *batchReader) cached(last *string, b []byte) string {
 	return *last
 }
 
-// slabSize is the capacity of a fresh witness slab: big enough to
-// amortize allocation across hundreds of violations, small enough that a
-// retired slab pins little memory once its violations are dropped.
+// slabSize is the capacity witness slabs grow to: big enough to amortize
+// allocation across hundreds of violations, small enough that a retired
+// slab pins little memory once its violations are dropped. A reader's
+// first slab is small and each next one doubles up to slabSize, so a
+// stream of a few violations allocates for a few.
 const slabSize = 4096
+
+// nextSlab is the capacity of the slab that follows one of capacity prev
+// when n more elements did not fit.
+func nextSlab(prev, n int) int { return max(min(2*prev, slabSize), 32, n) }
 
 // reserveVals guarantees room for n contiguous values at the slab tail,
 // starting a fresh slab when the current one is full. Retired slabs stay
 // with whatever violations reference them.
 func (r *batchReader) reserveVals(n int) {
 	if cap(r.vals)-len(r.vals) < n {
-		r.vals = make([]string, 0, max(slabSize, n))
+		r.vals = make([]string, 0, nextSlab(cap(r.vals), n))
 	}
 }
 
 func (r *batchReader) reserveTups(n int) {
 	if cap(r.tups)-len(r.tups) < n {
-		r.tups = make([][]string, 0, max(slabSize, n))
+		r.tups = make([][]string, 0, nextSlab(cap(r.tups), n))
 	}
 }
 

@@ -32,6 +32,12 @@ func (e *RemoteError) Error() string { return "stream: server reported: " + e.Ms
 // *RemoteError, a cut connection as ErrTruncated, and corruption (binary
 // CRC mismatch, malformed JSON) as a descriptive error. The terminal
 // result is sticky.
+//
+// After the terminal record — the trailer or the server's error record —
+// the decoder reads its source to the end before it reports the result,
+// so an HTTP response body is drained and its connection can be reused.
+// Only whitespace may follow an NDJSON or JSON terminal record, and
+// nothing a binary one: any other byte there is an error.
 type Decoder struct {
 	enc Encoding
 	br  *bufio.Reader
@@ -46,9 +52,12 @@ type Decoder struct {
 	jsonRead  bool
 	jsonFinal error
 
-	// Binary-decode scratch, reused across frames: the payload buffer and
+	// Decode scratch, reused across frames and lines: the payload buffer,
+	// an NDJSON line longer than the read buffer and the decoded line, and
 	// the batch reader with its intern cache and witness slabs.
 	payload bytes.Buffer
+	long    []byte
+	line    ndjsonLine
 	batch   batchReader
 
 	// The record view's queue (NextRecord).
@@ -86,6 +95,7 @@ func (d *Decoder) Next() (Violation, error) {
 		}
 		if err != nil {
 			d.fin, d.ferr = true, err
+			d.batch.release()
 		}
 	}
 }
@@ -117,6 +127,7 @@ func (d *Decoder) NextRecord() (Record, error) {
 		}
 		if err != nil {
 			d.fin, d.ferr = true, err
+			d.batch.release()
 		}
 	}
 }
@@ -132,10 +143,39 @@ func (d *Decoder) checkTrailer() error {
 	return io.EOF
 }
 
+// end reads the source to its end after a terminal record whose result is
+// res, and returns res — or an error for a byte the encoding does not
+// allow there.
+func (d *Decoder) end(res error) error {
+	for {
+		b, err := d.br.ReadByte()
+		if err == io.EOF {
+			return res
+		}
+		if err != nil {
+			return err
+		}
+		if d.enc == Binary || !isSpace(b) {
+			return fmt.Errorf("stream: byte 0x%02x after the stream's terminal record", b)
+		}
+	}
+}
+
+// isSpace reports whether b is JSON whitespace.
+func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
+
 // fillNDJSON consumes one line: a violation, the error line, or the
 // trailer.
 func (d *Decoder) fillNDJSON() error {
-	line, rerr := d.br.ReadBytes('\n')
+	line, rerr := d.br.ReadSlice('\n')
+	if rerr == bufio.ErrBufferFull {
+		d.long = append(d.long[:0], line...)
+		for rerr == bufio.ErrBufferFull {
+			line, rerr = d.br.ReadSlice('\n')
+			d.long = append(d.long, line...)
+		}
+		line = d.long
+	}
 	trim := bytes.TrimSpace(line)
 	if len(trim) == 0 {
 		if rerr != nil {
@@ -143,27 +183,22 @@ func (d *Decoder) fillNDJSON() error {
 		}
 		return nil // blank line between records: skip
 	}
-	var probe struct {
-		Violation
-		Done  *bool   `json:"done"`
-		Count *int64  `json:"count"`
-		Error *string `json:"error"`
-	}
-	if err := json.Unmarshal(trim, &probe); err != nil {
+	l := &d.line
+	if err := d.batch.parseLine(trim, l); err != nil {
 		return fmt.Errorf("stream: bad ndjson line: %v", err)
 	}
 	switch {
-	case probe.Error != nil:
-		return &RemoteError{Msg: *probe.Error}
-	case probe.Done != nil && *probe.Done:
-		if probe.Count != nil {
-			d.count = *probe.Count
+	case l.Error != nil:
+		return d.end(&RemoteError{Msg: *l.Error})
+	case l.Done != nil && *l.Done:
+		if l.Count != nil {
+			d.count = *l.Count
 		}
-		return d.checkTrailer()
-	case probe.Kind == "":
+		return d.end(d.checkTrailer())
+	case l.Kind == "":
 		return fmt.Errorf("stream: line %q is neither a violation, an error, nor the trailer", trim)
 	default:
-		d.queue = append(d.queue, probe.Violation)
+		d.queue = append(d.queue, l.Violation)
 		d.seen++
 		return nil
 	}
@@ -263,14 +298,14 @@ func (d *Decoder) fillBinary(records bool) error {
 		d.seen += int64(len(d.queue) - nq + len(d.recs) - nr)
 		return nil
 	case 'E':
-		return &RemoteError{Msg: string(payload[1:])}
+		return d.end(&RemoteError{Msg: string(payload[1:])})
 	case 'Z':
 		c, k := binary.Uvarint(payload[1:])
 		if k <= 0 || k != len(payload)-1 {
 			return errors.New("stream: bad trailer frame")
 		}
 		d.count = int64(c)
-		return d.checkTrailer()
+		return d.end(d.checkTrailer())
 	default:
 		return fmt.Errorf("stream: unknown frame tag 0x%02x", payload[0])
 	}

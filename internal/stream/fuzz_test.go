@@ -34,7 +34,8 @@ func str(s string) []byte {
 }
 
 // seedStreams returns hand-built binary streams covering the protocol's
-// corners: clean, error-terminated, truncated, and corrupt.
+// corners: clean, error-terminated, truncated, corrupt, and a clean stream
+// with a byte after its trailer.
 func seedStreams() [][]byte {
 	// One violation: kind, constraint, relation, row 0 (zigzag), one
 	// witness tuple of two values.
@@ -57,7 +58,8 @@ func seedStreams() [][]byte {
 	corrupt[9] ^= 0xFF
 	badTag := frame([]byte{'Q', 1, 2, 3})
 	badCount := append(frame(batch), frame(append([]byte{'Z'}, uv(9)...))...)
-	return [][]byte{clean, empty, errTerm, truncated, corrupt, badTag, badCount, {}, []byte("garbage")}
+	trailing := append(bytes.Clone(clean), 0)
+	return [][]byte{clean, empty, errTerm, truncated, corrupt, badTag, badCount, {}, []byte("garbage"), trailing}
 }
 
 // FuzzStreamDecode hammers the binary frame decoder: arbitrary bytes must
@@ -66,7 +68,8 @@ func seedStreams() [][]byte {
 // same terminal state twice. It is also differential: the record view
 // (NextRecord) must accept exactly what Next accepts, yield as many
 // records as Next yields violations, end in the same terminal state, and
-// each record must decode to the violation Next returned in its place.
+// each record must decode to the violation Next returned in its place. A
+// clean stream ends at its trailer: one more byte makes it an error.
 func FuzzStreamDecode(f *testing.F) {
 	for _, seed := range seedStreams() {
 		f.Add(seed)
@@ -118,6 +121,9 @@ func FuzzStreamDecode(f *testing.F) {
 			}
 			if int64(n) != d.Count() {
 				t.Fatalf("decoded %d violations, trailer says %d", n, d.Count())
+			}
+			if _, err := DecodeAll(bytes.NewReader(append(bytes.Clone(data), 0)), Binary); err == nil {
+				t.Fatal("a byte after a clean stream's trailer decoded cleanly")
 			}
 		}
 	})

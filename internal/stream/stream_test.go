@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -573,27 +572,7 @@ func TestTrailerCountMismatch(t *testing.T) {
 // writes — over every single byte, HTML and JSONP escapes, multi-byte and
 // invalid UTF-8, nil and empty witnesses, and random strings.
 func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
-	strs := []string{"", "plain", "a\"b\\c", "<&>", "  ", "é ü 中文 🙂", "\xff", "a\xc3", "\xed\xa0\x80", "\x7f"}
-	for b := 0; b < 256; b++ {
-		strs = append(strs, string([]byte{'x', byte(b), 'y'}))
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	for i := 0; i < 2000; i++ {
-		b := make([]byte, rng.IntN(12))
-		for j := range b {
-			b[j] = byte(rng.IntN(256))
-		}
-		strs = append(strs, string(b))
-	}
-	vs := []Violation{
-		{Kind: "cfd", Constraint: "phi", Relation: "r", Row: -3},
-		{Kind: "cind", Witness: [][]string{}},
-		{Kind: "cind", Witness: [][]string{nil, {}}},
-	}
-	for i, s := range strs {
-		vs = append(vs, Violation{Kind: s, Constraint: strs[(i+1)%len(strs)], Relation: s, Row: i,
-			Witness: [][]string{{s, strs[(i+7)%len(strs)]}, {strs[(i+3)%len(strs)]}}})
-	}
+	vs := jsonViolations()
 	for i := range vs {
 		want, err := json.Marshal(vs[i])
 		if err != nil {
