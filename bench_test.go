@@ -610,8 +610,9 @@ func sessionChecker(b *testing.B, size int) *cindapi.Checker {
 }
 
 // BenchmarkIncrementalReport prices materialising the full report from the
-// resident session state on demand (the report is cached until the next
-// change, so this is the worst case: every read follows a write).
+// resident session state on demand (the first read after a change
+// publishes the version's plan and later reads replay it, so this is the
+// worst case: every read follows a write).
 func BenchmarkIncrementalReport(b *testing.B) {
 	ctx := context.Background()
 	chk := sessionChecker(b, 10000)
@@ -623,6 +624,28 @@ func BenchmarkIncrementalReport(b *testing.B) {
 		}
 		if _, err := chk.Detect(ctx); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionStream drains Violations on a checker after its first
+// Apply over the dirty 10k-tuple workload, the read a router shard serves
+// for every scan: the session's version is published once, so each
+// iteration prices replaying its hits as violations.
+func BenchmarkSessionStream(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background()) // a request's context: it can be cancelled
+	defer cancel()
+	db, set := dirtyBankDB(10000)
+	chk := benchChecker(b, db, set.CFDs(), set.CINDs())
+	if _, err := chk.Apply(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, err := range chk.Violations(ctx) {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

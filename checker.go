@@ -230,40 +230,41 @@ func WithSQLBackend(db *sql.DB) CheckerOption {
 // and incremental maintenance under writes (Apply) for one database and one
 // ConstraintSet.
 //
-// Until the first Apply, Detect and Violations evaluate the database
-// through the batched engine, over a resident detection plan: the
-// referenced relations coded once and the constraint groups compiled
-// against those codes (detect.Plan). The plan is keyed on each referenced
-// relation's Instance.Version, and it evaluates once: the first complete
-// read of a version keeps its result, and every later read of the same
-// version replays it instead of running the engine again. The first read
-// after a direct write to the database codes it afresh. The first Apply
-// drops the plan and builds the resident incremental session (interned
-// projection indexes kept resident, violations maintained in
-// O(affected-group) time per delta); from then on the Checker owns the
-// database — do not mutate it directly — and Detect/Violations serve the
-// maintained report, which always equals what batch detection over the
-// current contents would produce, violation for violation, in the same
-// order.
+// Every read evaluates one version of the database through a detection
+// plan (detect.Plan): the referenced relations coded and the constraint
+// groups compiled against those codes. A plan evaluates once: the first
+// complete read of a version keeps its result, and every later read of the
+// same version replays it instead of running the engine again. Until the
+// first Apply, the checker keeps a resident plan keyed on each referenced
+// relation's Instance.Version, so the first read after a direct write to
+// the database codes it afresh. The first Apply drops that plan and builds
+// the resident incremental session (interned projection indexes kept
+// resident, violations maintained in O(affected-group) time per delta);
+// from then on the Checker owns the database — do not mutate it directly —
+// and each version's plan is the session's, published by the first read
+// after an Apply with the maintained report as its result. Either way a
+// read reports what batch detection over the current contents would
+// produce, violation for violation, in the same order.
 //
 // A Checker is safe for concurrent use: Apply takes the write lock, and a
-// read takes the read lock only while it pins the version it reports — the
-// resident plan, the session's report, or the SQL backend's result — so a
-// read never observes a half-applied write. A read evaluates and yields
-// without the lock, so a long-lived Violations iteration never blocks a
-// writer, and calling any method of the same Checker from inside the loop
-// is supported. Repair holds the read lock for its whole run: it repairs a
-// copy of the database itself.
+// read takes the read lock only while it pins the version it reports — its
+// plan, or the SQL backend's result — so a read never observes a
+// half-applied write. A read evaluates and yields without the lock, so a
+// long-lived Violations iteration never blocks a writer, and calling any
+// method of the same Checker from inside the loop is supported. Repair
+// holds the read lock for its whole run: it repairs a copy of the database
+// itself.
 type Checker struct {
 	db  *Database
 	set *ConstraintSet
 	cfg checkerConfig
 
-	// mu orders database readers against Apply. The resident session has
-	// its own finer lock, but the first Apply mutates the database while
-	// building it, and every later Apply mutates the database — so a read
-	// holds mu.RLock while it scans the database: while it checks or
-	// rebuilds the plan, runs the SQL backend, or clones for a repair.
+	// mu orders database readers against Apply, and so the session's
+	// version publication against its writes: the session has no lock of
+	// its own. Apply holds the write lock while it builds the session or
+	// applies a batch; a read holds the read lock while it pins its
+	// version — while it checks or rebuilds the plan, publishes the
+	// session's version, runs the SQL backend, or clones for a repair.
 	mu   sync.RWMutex
 	sess *detect.Session
 
@@ -372,21 +373,21 @@ func (c *Checker) engineOpts() detect.Options {
 	return detect.Options{Parallel: c.cfg.parallel, Limit: c.cfg.limit}
 }
 
-// pin returns, under the read lock, the version a read reports: after the
-// first Apply the session's maintained report, on the SQL backend its
-// report, and otherwise the resident plan, which the caller evaluates
-// without the lock. The reports are cut to the checker's limit.
-func (c *Checker) pin(ctx context.Context) (*Report, *detect.Plan, error) {
+// pin returns, under the read lock, the version a read reports: the
+// session's plan after the first Apply, the resident plan before it, and
+// on the SQL backend before the first Apply its report, cut to the
+// checker's limit. The caller evaluates a plan without the lock.
+func (c *Checker) pin(ctx context.Context) (*detect.Plan, *Report, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.sess != nil {
-		return c.sess.Report().Truncate(c.cfg.limit), nil, nil
-	}
-	if c.backend != nil {
+	switch {
+	case c.sess != nil:
+		return c.sess.Plan(), nil, nil
+	case c.backend != nil:
 		rep, err := c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
-		return rep, nil, err
+		return nil, rep, err
 	}
-	return nil, c.detectPlan(), nil
+	return c.detectPlan(), nil, nil
 }
 
 // detectPlan returns the resident plan, rebuilding it first when a
@@ -405,20 +406,19 @@ func (c *Checker) detectPlan() *detect.Plan {
 // Detect evaluates every constraint and returns the violation report:
 // violations grouped per constraint in set order, CFDs' pair semantics and
 // CINDs' inclusion semantics exactly as the per-constraint reference
-// implementations define them. Before the first Apply, the first read of
-// each database version runs the engine, and ctx cancels that run
-// cooperatively — the worker pool stops mid enumeration and ctx's error is
-// returned; later reads of the same version materialise the kept result.
-// After the first Apply, Detect serves the session's maintained (usually
-// cached) report. Where no evaluation is left to cancel, ctx is checked
-// only on entry. With WithLimit(n) the report is the first n violations of
-// the unlimited run. The checker's lock is held only while Detect pins the
-// version it reports, never while the engine evaluates it.
+// implementations define them. Detect is the pinned plan's Run: the first
+// read of a database version before the first Apply runs the engine, and
+// ctx cancels that run cooperatively — the worker pool stops mid
+// enumeration and ctx's error is returned; later reads of the version, and
+// every read after the first Apply, materialise the kept result, checking
+// ctx only on entry. With WithLimit(n) the report is the first n
+// violations of the unlimited run. The checker's lock is held only while
+// Detect pins the version it reports, never while the plan is evaluated.
 func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep, plan, err := c.pin(ctx)
+	plan, rep, err := c.pin(ctx)
 	if plan == nil {
 		return rep, err
 	}
@@ -439,21 +439,22 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 // before the stream completes, one final (zero Violation, ctx.Err()) pair
 // is yielded and the stream ends.
 //
-// The iterator pins the current version when it starts — the resident
-// plan before the first Apply, an immutable snapshot of the maintained
-// report after it — and holds no lock while it evaluates or yields. It
+// The iterator pins the current version when it starts — its plan,
+// streamed through Plan.Each, or the SQL backend's report — and holds no
+// lock while it evaluates or yields. It
 // yields exactly the report of the version it pinned, whatever writes land
 // meanwhile, and in-loop calls to the same Checker — the detect-and-fix
-// idiom, Apply included — are supported at any point of its life. A
-// consumer that drains an unlimited stream of a new version leaves its
-// result behind for the next read, as Detect does.
+// idiom, Apply included — are supported at any point of its life. Before
+// the first Apply, a consumer that drains an unlimited stream of a new
+// version leaves its result behind for the next read, as Detect does;
+// after it, every version's plan already holds its result.
 func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 	return func(yield func(Violation, error) bool) {
 		if err := ctx.Err(); err != nil {
 			yield(Violation{}, err)
 			return
 		}
-		rep, plan, err := c.pin(ctx)
+		plan, rep, err := c.pin(ctx)
 		if err != nil {
 			yield(Violation{}, err)
 			return
@@ -462,18 +463,11 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 			yieldReport(ctx, rep, yield)
 			return
 		}
-		n := 0
-		broke := false
+		n, broke := 0, false
 		err = plan.Each(ctx, c.engineOpts(), func(v Violation) bool {
-			if !yield(v, nil) {
-				broke = true
-				return false
-			}
-			if n++; c.cfg.limit > 0 && n >= c.cfg.limit {
-				broke = true
-				return false
-			}
-			return true
+			n++
+			broke = !yield(v, nil) || n == c.cfg.limit
+			return !broke
 		})
 		if err != nil && !broke {
 			yield(Violation{}, err)
@@ -481,9 +475,9 @@ func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 	}
 }
 
-// yieldReport yields rep's violations in report order without copying the
-// report, polling ctx before each one: a cancelled context ends the walk
-// with one final (zero Violation, ctx.Err()) pair.
+// yieldReport yields the SQL backend's report rep in report order without
+// copying it, polling ctx before each violation: a cancelled context ends
+// the walk with one final (zero Violation, ctx.Err()) pair.
 func yieldReport(ctx context.Context, rep *Report, yield func(Violation, error) bool) {
 	for i := 0; i < rep.Total(); i++ {
 		if err := ctx.Err(); err != nil {
@@ -506,14 +500,15 @@ func yieldReport(ctx context.Context, rep *Report, yield func(Violation, error) 
 // report change — violations added and removed, disjoint and
 // deterministically ordered. The first Apply builds the resident
 // incremental session over the database's current contents (ctx cancels
-// that seeding pass, the one full-database replay a checker ever pays;
-// an empty Apply is the idiomatic way to pay it eagerly); every
-// subsequent batch is maintained in time proportional to the affected
-// projection groups, not the database size. The batch is validated up
-// front and rejected whole on error; duplicate inserts and absent deletes
-// are per-delta no-ops (set semantics). Apply waits only for reads that
-// are pinning a version, never for a Violations loop in progress: that
-// loop keeps yielding the version it pinned.
+// that seeding pass, the one full-database pass a checker ever pays; an
+// empty Apply is the idiomatic way to pay it eagerly); every subsequent
+// batch is maintained in time proportional to the affected projection
+// groups, not the database size, and ends the current version: the next
+// read publishes the new one. The batch is validated up front and rejected
+// whole on error; duplicate inserts and absent deletes are per-delta
+// no-ops (set semantics). Apply waits only for reads that are pinning a
+// version, never for a Violations loop in progress: that loop keeps
+// yielding the version it pinned.
 func (c *Checker) Apply(ctx context.Context, deltas ...Delta) (*ReportDiff, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

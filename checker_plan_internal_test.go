@@ -108,3 +108,40 @@ func TestCheckerSQLBackendBuildsNoPlan(t *testing.T) {
 		t.Fatal("a checker on the SQL backend built a plan")
 	}
 }
+
+// TestCheckerPinsSessionVersions: after the first Apply every read pins
+// the session's version, a plan like the one before it; reads of one
+// version share its plan, and an Apply that changes the database makes
+// the next read pin a new one.
+func TestCheckerPinsSessionVersions(t *testing.T) {
+	ctx := context.Background()
+	chk, db := bankChecker(t)
+	pin := func() *detect.Plan {
+		t.Helper()
+		p, rep, err := chk.pin(ctx)
+		if err != nil || p == nil || rep != nil {
+			t.Fatalf("pin = (%v, %v, %v), want a plan", p, rep, err)
+		}
+		return p
+	}
+	if _, err := chk.Apply(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first := pin()
+	if pin() != first {
+		t.Fatal("two reads of one version pinned different plans")
+	}
+	if _, err := chk.Apply(ctx, DeleteDelta("checking", Consts("no", "such", "tuple", "at", "all"))); err != nil {
+		t.Fatal(err)
+	}
+	if pin() != first {
+		t.Fatal("an Apply that changed nothing ended the version")
+	}
+	if _, err := chk.Apply(ctx, DeleteDelta("interest", Consts("EDI", "UK", "checking", "10.5%"))); err != nil {
+		t.Fatal(err)
+	}
+	next := pin()
+	if next == first || first.Current(db) || !next.Current(db) {
+		t.Fatal("the Apply did not end the version it changed")
+	}
+}

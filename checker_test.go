@@ -382,8 +382,10 @@ func TestCheckerApplyMatchesBatch(t *testing.T) {
 }
 
 // TestCheckerConcurrentReadersAndFirstApply drives batch readers against
-// the first Apply (the session build mutates the shared database) — the
-// documented concurrency guarantee, which go test -race verifies.
+// the first Apply (the session build mutates the shared database) and then
+// against many more: each read pins a version, concurrent pins race to
+// publish it, and the writer drops it — the documented concurrency
+// guarantee, which go test -race verifies.
 func TestCheckerConcurrentReadersAndFirstApply(t *testing.T) {
 	ctx := context.Background()
 	sch, set := bankSet(t)
@@ -391,14 +393,25 @@ func TestCheckerConcurrentReadersAndFirstApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if _, err := chk.Detect(ctx); err != nil {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rep, err := chk.Detect(ctx)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if rep.Total() == 0 {
+					t.Error("a read saw a clean report; every version has the Figure 1 violations")
 					return
 				}
 				for _, err := range chk.Violations(ctx) {
@@ -410,17 +423,17 @@ func TestCheckerConcurrentReadersAndFirstApply(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			tu := instance.Consts(fmt.Sprintf("c%04d", i), "Cust", "Addr", "555", "NYC")
-			if _, err := chk.Apply(ctx, cindapi.InsertDelta("checking", tu)); err != nil {
-				t.Error(err)
-				return
-			}
+	for i := 0; i < 400; i++ {
+		tu := instance.Consts(fmt.Sprintf("c%04d", i%50), "Cust", "Addr", "555", "NYC")
+		d := cindapi.InsertDelta("checking", tu)
+		if i%100 >= 50 {
+			d = cindapi.DeleteDelta("checking", tu)
 		}
-	}()
+		if _, err := chk.Apply(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
 	wg.Wait()
 
 	rep, err := chk.Detect(ctx)

@@ -46,6 +46,12 @@ fi
 echo "== cindlint ./..."
 go run ./cmd/cindlint ./...
 
+# cmd/cindbench is a nested module (its own go.mod), so ./... above never
+# reaches it: vet and test it from inside, so a root API change that breaks
+# the benchmark fails here rather than in a benchmark run.
+echo "== cmd/cindbench: go vet ./... && go test ./..."
+(cd cmd/cindbench && go vet ./... && go test ./...)
+
 echo "== go test -race ./..."
 go test -race ./...
 

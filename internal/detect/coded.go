@@ -53,9 +53,9 @@ func codeRelation(in *instance.Instance, it *types.Interner) *codedRel {
 
 // appendTuple codes one tuple and appends it as a new row, returning the
 // row id. The incremental session grows its resident coded relations through
-// this path: rows are append-only (deletions tombstone elsewhere), so row
-// ids — and the code sequences behind keyGroups representatives — stay
-// valid for the lifetime of the session.
+// this path: rows are append-only (a delete drops the row from the session's
+// groups and leaves it in place), so row ids — and the code sequences behind
+// keyGroups representatives — stay valid for the lifetime of the session.
 func (cr *codedRel) appendTuple(t instance.Tuple, it *types.Interner) int32 {
 	row := int32(len(cr.tuples))
 	cr.tuples = append(cr.tuples, t)
@@ -63,6 +63,13 @@ func (cr *codedRel) appendTuple(t instance.Tuple, it *types.Interner) int32 {
 		cr.codes = append(cr.codes, it.Code(v))
 	}
 	return row
+}
+
+// frozen returns a copy of cr's slice headers: the rows cr holds now, which
+// appendTuple never rewrites.
+func (cr *codedRel) frozen() *codedRel {
+	c := *cr
+	return &c
 }
 
 // projHash mixes the projected codes of one tuple into a 64-bit hash.

@@ -2,10 +2,12 @@ package detect
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"cind/internal/cfd"
 	"cind/internal/conc"
+	"cind/internal/constraint"
 	core "cind/internal/core"
 	"cind/internal/instance"
 	"cind/internal/types"
@@ -23,7 +25,9 @@ import (
 // A plan evaluates once: the first Run or Each that completes without a
 // limit, cancellation or early break publishes its hits, and every later
 // Run and Each replays them instead of running the units again. The
-// report depends only on the snapshot, so a replay is the report.
+// report depends only on the snapshot, so a replay is the report. A
+// Session's versions (Session.Plan) are published with their hits, so
+// their units never run.
 type Plan struct {
 	units []unit
 	slots []slotRef // report slot -> unit and member: CFDs, then CINDs
@@ -66,8 +70,16 @@ type unit interface {
 	slot(mi int) int
 	// violation materialises one hit of member mi.
 	violation(mi int, h hit) Violation
+	// replay yields member mi's hits as violations, in order, until stop
+	// fires or yield returns false; it reports whether it yielded them
+	// all. It is violation in a loop, with the member's constraint and
+	// rows loaded once and each violation built in place, which spares it
+	// an interface call and copies of its result.
+	replay(mi int, hs []hit, stop func() bool, yield func(Violation) bool) bool
 	// report appends member mi's hits to rep as typed violations.
 	report(rep *Report, mi int, hs []hit)
+	// frozen returns the unit bound to its coded relations' current rows.
+	frozen() unit
 }
 
 type cfdUnit struct {
@@ -89,10 +101,25 @@ func (u cfdUnit) cfd(mi int, h hit) cfd.Violation {
 
 func (u cfdUnit) violation(mi int, h hit) Violation { return CFDViolation(u.cfd(mi, h)) }
 
+func (u cfdUnit) replay(mi int, hs []hit, stop func() bool, yield func(Violation) bool) bool {
+	c, rows := u.g.m[mi].c, u.cr.tuples
+	for _, h := range hs {
+		if stop() || !yield(Violation{kind: constraint.KindCFD, cfdV: cfd.Violation{CFD: c, RowIdx: int(h.row), T1: rows[h.t1], T2: rows[h.t2]}}) {
+			return false
+		}
+	}
+	return true
+}
+
 func (u cfdUnit) report(rep *Report, mi int, hs []hit) {
 	for _, h := range hs {
 		rep.CFD = append(rep.CFD, u.cfd(mi, h))
 	}
+}
+
+func (u cfdUnit) frozen() unit {
+	u.cr = u.cr.frozen()
+	return u
 }
 
 type cindUnit struct {
@@ -116,10 +143,28 @@ func (u cindUnit) cind(mi int, h hit) core.Violation {
 
 func (u cindUnit) violation(mi int, h hit) Violation { return CINDViolation(u.cind(mi, h)) }
 
+func (u cindUnit) replay(mi int, hs []hit, stop func() bool, yield func(Violation) bool) bool {
+	c, rows := u.g.m[mi].c, u.lhs[mi].tuples
+	for _, h := range hs {
+		if stop() || !yield(Violation{kind: constraint.KindCIND, cindV: core.Violation{CIND: c, RowIdx: int(h.row), T: rows[h.t1]}}) {
+			return false
+		}
+	}
+	return true
+}
+
 func (u cindUnit) report(rep *Report, mi int, hs []hit) {
 	for _, h := range hs {
 		rep.CIND = append(rep.CIND, u.cind(mi, h))
 	}
+}
+
+func (u cindUnit) frozen() unit {
+	u.rhs, u.lhs = u.rhs.frozen(), slices.Clone(u.lhs)
+	for mi, cr := range u.lhs {
+		u.lhs[mi] = cr.frozen()
+	}
+	return u
 }
 
 // NewPlan codes every relation the constraints reference, sequentially and
@@ -129,7 +174,14 @@ func (u cindUnit) report(rep *Report, mi int, hs []hit) {
 // slice (the tuples themselves are shared: Insert and Delete never mutate
 // one).
 func NewPlan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Plan {
-	it := types.NewInterner()
+	p, _ := compile(db, cfds, cinds, types.NewInterner())
+	return p
+}
+
+// compile is NewPlan over the caller's interner, returning the coded
+// relations by name too: the incremental session keeps both, to code the
+// tuples it appends to them.
+func compile(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, it *types.Interner) (*Plan, map[string]*codedRel) {
 	p := &Plan{slots: make([]slotRef, len(cfds)+len(cinds)), ncfd: len(cfds)}
 	coded := map[string]*codedRel{}
 	ensure := func(rel string) {
@@ -158,7 +210,7 @@ func NewPlan(db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND) *Plan {
 		}
 		p.add(u)
 	}
-	return p
+	return p, coded
 }
 
 func (p *Plan) add(u unit) {
@@ -166,6 +218,21 @@ func (p *Plan) add(u unit) {
 		p.slots[u.slot(mi)] = slotRef{u: len(p.units), mi: mi}
 	}
 	p.units = append(p.units, u)
+}
+
+// frozen returns the version of p whose report is hits: every unit bound
+// to its coded relations' rows as they stand, which appends past them
+// never change, and every dependency at its instance's current Version.
+func (p *Plan) frozen(hits [][]hit) *Plan {
+	v := &Plan{units: make([]unit, len(p.units)), slots: p.slots, ncfd: p.ncfd, deps: slices.Clone(p.deps)}
+	for i, u := range p.units {
+		v.units[i] = u.frozen()
+	}
+	for i := range v.deps {
+		v.deps[i].next, v.deps[i].n = v.deps[i].in.Version()
+	}
+	v.memo.Store(&hits)
+	return v
 }
 
 // Current reports whether the plan still describes db: every relation it

@@ -122,16 +122,6 @@ func (v Violation) String() string {
 	return "[no violation]"
 }
 
-// Each evaluates every constraint against the database through the batched
-// engine — a fresh Plan, evaluated by Plan.Each — and calls yield for each
-// violation of the report, in report order, as it is found.
-func Each(ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options, yield func(Violation) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return NewPlan(db, cfds, cinds).Each(ctx, opts, yield)
-}
-
 // Each evaluates the plan and calls yield for each violation as it is
 // found, instead of materialising the full report first. The stream is the
 // report, violation for violation, at every worker count: a consumer that
@@ -168,14 +158,8 @@ func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) boo
 	if m := p.memo.Load(); m != nil {
 		stop := stopFunc(ctx)
 		for s, hs := range *m {
-			u, mi := p.units[p.slots[s].u], p.slots[s].mi
-			for _, h := range hs {
-				if stop() {
-					return ctx.Err()
-				}
-				if !yield(u.violation(mi, h)) {
-					return nil
-				}
+			if ref := p.slots[s]; !p.units[ref.u].replay(ref.mi, hs, stop, yield) {
+				return ctx.Err() // nil when the consumer broke off
 			}
 		}
 		return nil

@@ -32,11 +32,11 @@ func denseDirtyBank(n, groups int) (*instance.Database, []*cfd.CFD, []*core.CIND
 	return db, bank.CFDs(sch), bank.CINDs(sch)
 }
 
-// collectEach drains Each into a slice.
+// collectEach drains a fresh plan's Each into a slice.
 func collectEach(t *testing.T, ctx context.Context, db *instance.Database, cfds []*cfd.CFD, cinds []*core.CIND, opts Options) []Violation {
 	t.Helper()
 	var out []Violation
-	if err := Each(ctx, db, cfds, cinds, opts, func(v Violation) bool {
+	if err := NewPlan(db, cfds, cinds).Each(ctx, opts, func(v Violation) bool {
 		out = append(out, v)
 		return true
 	}); err != nil {
@@ -166,7 +166,7 @@ func TestEachMatchesRunInOrder(t *testing.T) {
 				// still being filled, the long one most of them finished.
 				for _, stall := range []time.Duration{200 * time.Microsecond, 2 * time.Millisecond} {
 					var got []Violation
-					if err := Each(context.Background(), wl.db, wl.cfds, wl.cinds, Options{Parallel: width}, func(v Violation) bool {
+					if err := NewPlan(wl.db, wl.cfds, wl.cinds).Each(context.Background(), Options{Parallel: width}, func(v Violation) bool {
 						if got = append(got, v); len(got) == 1 {
 							time.Sleep(stall)
 						}
@@ -324,7 +324,7 @@ func TestEachEarlyBreakStopsWorkers(t *testing.T) {
 			before := runtime.NumGoroutine()
 			start := time.Now()
 			var got []Violation
-			err := Each(context.Background(), db, cfds, cinds, Options{Parallel: width}, func(v Violation) bool {
+			err := NewPlan(db, cfds, cinds).Each(context.Background(), Options{Parallel: width}, func(v Violation) bool {
 				got = append(got, v)
 				return len(got) < k
 			})
@@ -351,7 +351,7 @@ func TestEachCtxCancelMidStream(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			var got []Violation
-			err := Each(ctx, db, cfds, cinds, Options{Parallel: width}, func(v Violation) bool {
+			err := NewPlan(db, cfds, cinds).Each(ctx, Options{Parallel: width}, func(v Violation) bool {
 				if got = append(got, v); len(got) == k {
 					cancel() // keep consuming; cancellation alone must end the stream
 				}
@@ -377,7 +377,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if err != context.Canceled || res != nil {
 		t.Fatalf("RunContext(cancelled) = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
-	if err := Each(ctx, bank.Data(sch), bank.CFDs(sch), bank.CINDs(sch), Options{}, func(Violation) bool {
+	if err := NewPlan(bank.Data(sch), bank.CFDs(sch), bank.CINDs(sch)).Each(ctx, Options{}, func(Violation) bool {
 		t.Fatal("yield must not run under a cancelled context")
 		return false
 	}); err != context.Canceled {

@@ -560,12 +560,13 @@ func (d *local) loadCSV(ctx context.Context, rel string, r io.Reader) error {
 	}
 	chk := d.chk
 	d.mu.Unlock()
-	// A checker exists: direct writes could race a stream's scan, so
-	// validate into a scratch instance with the same hardened loader, then
-	// let Apply absorb the rows under the checker's write lock. The
-	// dataset mutex is released first — Apply can wait behind an in-flight
-	// stream, and holding the mutex meanwhile would stall every other
-	// endpoint of the dataset.
+	// A checker exists: direct writes could race a read pinning its
+	// version (which scans the database), so validate into a scratch
+	// instance with the same hardened loader, then let Apply absorb the
+	// rows under the checker's write lock. The dataset mutex is released
+	// first — the first Apply seeds the session over the whole database,
+	// and holding the mutex meanwhile would stall every other endpoint of
+	// the dataset.
 	scratch := cind.NewDatabase(d.set.Schema())
 	if err := cind.LoadCSV(scratch, rel, r, true); err != nil {
 		return err
@@ -585,10 +586,12 @@ func (d *local) loadCSV(ctx context.Context, rel string, r io.Reader) error {
 	return nil
 }
 
-// applyDeltas runs Apply outside the dataset mutex: it can legitimately
-// wait behind an in-flight pre-Apply stream (the Checker's documented
-// write-after-reader ordering), and the rest of the dataset's endpoints
-// must stay live meanwhile. writeMu keeps the WAL append adjacent to the
+// applyDeltas runs Apply outside the dataset mutex: Apply holds the
+// checker's write lock while it seeds the session (the first time) and
+// applies the batch, and the rest of the dataset's endpoints must stay
+// live meanwhile. A stream in progress never holds Apply up — it keeps
+// yielding the version it pinned — so Apply waits only for reads that are
+// pinning a version. writeMu keeps the WAL append adjacent to the
 // apply so log order equals apply order; in-memory mode writers are
 // already serialized by the checker's write lock, so the extra mutex costs
 // no concurrency.

@@ -763,11 +763,12 @@ func denseDirtyCSV(n, groups int) []byte {
 }
 
 // TestInfoStaysLiveBehindBlockedWriter pins the liveness of the dataset's
-// read-only endpoints, on a single node and on a router: a stream the
-// client stopped reading holds the dataset's read side — the checker's
-// read lock pre-Apply, a router's gather lock — a delta writer queues
-// behind it on the write side, and dataset info must still answer
-// promptly.
+// endpoints behind a stream the client stopped reading, on a single node
+// and on a router. On a single node the stalled stream holds no lock — it
+// pinned its version and yields it without the checker's lock — so a delta
+// writer completes meanwhile, and dataset info answers. On a router the
+// stream holds the gather lock's read side, a delta writer queues behind
+// it on the write side, and dataset info must still answer promptly.
 func TestInfoStaysLiveBehindBlockedWriter(t *testing.T) {
 	for _, mode := range serveModes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -787,24 +788,10 @@ func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 	if !ok {
 		t.Fatal("no dataset")
 	}
-	// writerQueued reports whether a writer holds or awaits the write side
-	// the stream's read side blocks.
-	writerQueued := func() bool {
-		switch d := d.(type) {
-		case *local:
-			_, ok := d.checker().TryRelationSizes()
-			return !ok
-		case *routed:
-			if !d.mu.TryRLock() {
-				return true
-			}
-			d.mu.RUnlock()
-		}
-		return false
-	}
+	rt, routed := d.(*routed)
 
 	// A slow reader: open the stream, take one line, then stop reading so
-	// the handler stays mid-stream holding the read side.
+	// the handler stays mid-stream.
 	resp, err := c.Get(base + "/violations")
 	if err != nil {
 		t.Fatal(err)
@@ -814,7 +801,6 @@ func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 		t.Fatal(err)
 	}
 
-	// A writer that queues behind the stream.
 	writerDone := make(chan error, 1)
 	go func() {
 		body, _ := json.Marshal(deltasRequest{Deltas: []deltaWire{
@@ -822,16 +808,35 @@ func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 		wresp, err := c.Post(base+"/deltas", "application/json", bytes.NewReader(body))
 		if err == nil {
 			wresp.Body.Close()
+			if wresp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("deltas = %d", wresp.StatusCode)
+			}
 		}
 		writerDone <- err
 	}()
-	for deadline := time.Now().Add(10 * time.Second); !writerQueued(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the delta writer never queued behind the stream")
+	if routed {
+		// The writer queues behind the stream on the gather lock.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if !rt.mu.TryRLock() {
+				break
+			}
+			rt.mu.RUnlock()
+			if time.Now().After(deadline) {
+				t.Fatal("the delta writer never queued behind the stream")
+			}
+		}
+	} else {
+		select {
+		case err := <-writerDone:
+			if err != nil {
+				t.Fatalf("writer failed beside the stalled stream: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("the delta writer waited on the stalled stream")
 		}
 	}
 
-	// Info must answer while the writer waits.
+	// Info must answer, whether or not a writer waits.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base, nil)
@@ -840,11 +845,14 @@ func testInfoStaysLive(t *testing.T, s *Server, ts *httptest.Server) {
 	}
 	iresp, err := c.Do(req)
 	if err != nil {
-		t.Fatalf("info stalled behind the blocked writer: %v", err)
+		t.Fatalf("info stalled behind the stalled stream: %v", err)
 	}
 	iresp.Body.Close()
 	if iresp.StatusCode != http.StatusOK {
 		t.Fatalf("info = %d", iresp.StatusCode)
+	}
+	if !routed {
+		return
 	}
 
 	// Unblock: dropping the stream cancels its request context, the read

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"cind/internal/wal"
 )
@@ -65,10 +66,29 @@ type Decoder struct {
 	rpos int
 }
 
+// readerPool recycles decoders' 64 KiB read buffers: a Decoder takes one
+// when it is made and returns it with its terminal result, so a client
+// that decodes many short streams — a router decodes one per shard per
+// scan — does not allocate a buffer per stream.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // NewDecoder wraps r, which must carry a stream in encoding enc (match it
 // to the response Content-Type).
 func NewDecoder(r io.Reader, enc Encoding) *Decoder {
-	return &Decoder{enc: enc, br: bufio.NewReaderSize(r, 64<<10)}
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &Decoder{enc: enc, br: br}
+}
+
+// finish makes err the decoder's sticky terminal result and returns its
+// pooled buffers; the violations and records it handed out stay valid, as
+// none of them aliases a buffer.
+func (d *Decoder) finish(err error) {
+	d.fin, d.ferr = true, err
+	d.batch.release()
+	d.br.Reset(nil)
+	readerPool.Put(d.br)
+	d.br = nil
 }
 
 // Next returns the next violation, or the stream's terminal result.
@@ -94,8 +114,7 @@ func (d *Decoder) Next() (Violation, error) {
 			err = d.fillNDJSON()
 		}
 		if err != nil {
-			d.fin, d.ferr = true, err
-			d.batch.release()
+			d.finish(err)
 		}
 	}
 }
@@ -126,8 +145,7 @@ func (d *Decoder) NextRecord() (Record, error) {
 			err = fmt.Errorf("stream: records need the binary encoding, not %s", d.enc)
 		}
 		if err != nil {
-			d.fin, d.ferr = true, err
-			d.batch.release()
+			d.finish(err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -580,6 +581,48 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		if got := appendJSON(nil, &vs[i]); !bytes.Equal(got, want) {
 			t.Fatalf("appendJSON(%+v)\n got  %s\n want %s", vs[i], got, want)
+		}
+	}
+}
+
+// TestDecoderRecyclesReadBuffer decodes a stream in each encoding, then a
+// second one through the read buffer the first returned to the pool: the
+// first stream's violations must be unchanged, and a decode must no
+// longer allocate a 64 KiB buffer of its own.
+func TestDecoderRecyclesReadBuffer(t *testing.T) {
+	first, second := testViolations(t, 60), testViolations(t, 90)
+	for _, enc := range allEncodings {
+		rawA := encodeStream(t, engineWriter, first, enc, "")
+		rawB := encodeStream(t, engineWriter, second, enc, "")
+		gotA, err := DecodeAll(bytes.NewReader(rawA), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshot, _ := json.Marshal(gotA)
+		gotB, err := DecodeAll(bytes.NewReader(rawB), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameViolations(t, enc.String()+": second stream", gotB, wantWire(second))
+		if after, _ := json.Marshal(gotA); !bytes.Equal(after, snapshot) {
+			t.Fatalf("%v: decoding a second stream changed the first one's violations", enc)
+		}
+
+		// A decoder with a buffer of its own allocates at least 64 KiB per
+		// stream; a recycled one allocates less than that on average, even
+		// where the race detector makes the pool drop some buffers.
+		rawC := encodeStream(t, engineWriter, first[:1], enc, "")
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := DecodeAll(bytes.NewReader(rawC), enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perDecode := (after.TotalAlloc - before.TotalAlloc) / runs; perDecode >= 64<<10 {
+			t.Fatalf("%v: a one-violation decode allocates %d bytes; the read buffer is not recycled", enc, perDecode)
 		}
 	}
 }
