@@ -667,6 +667,41 @@ func BenchmarkIncrementalSessionSeed(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionBulkLoad times loading the dense dirty 10k bank
+// (dirtyBankDB) into a checker primed with an empty Apply, one Apply of
+// inserts per relation: what a router shard does with every CSV load and
+// WAL recovery with every replayed one. Each 50-row X bucket of checking
+// violates pairwise, so the loads price the session's batch end, which
+// recomputes every touched CFD bucket once.
+func BenchmarkSessionBulkLoad(b *testing.B) {
+	ctx := context.Background()
+	src, set := dirtyBankDB(10000)
+	var loads [][]cindapi.Delta
+	for _, rel := range src.Schema().Relations() {
+		var load []cindapi.Delta
+		for _, t := range src.Instance(rel.Name()).Tuples() {
+			load = append(load, cindapi.InsertDelta(rel.Name(), t))
+		}
+		loads = append(loads, load)
+	}
+	added := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chk := benchChecker(b, instance.NewDatabase(src.Schema()), set.CFDs(), set.CINDs())
+		if _, err := chk.Apply(ctx); err != nil {
+			b.Fatal(err)
+		}
+		for _, load := range loads {
+			diff, err := chk.Apply(ctx, load...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			added += diff.Added.Total()
+		}
+	}
+	b.ReportMetric(float64(added)/float64(b.N), "added/op")
+}
+
 // redundantDirtyBank builds the dirty 10k-tuple bank workload served with a
 // constraint set carrying 3 redundant copies of every CIND — the input the
 // reasoning engine's ConstraintSet.Minimize is built to clean up. Copies of

@@ -68,6 +68,11 @@ go test -race -count=3 ./internal/server ./internal/shard ./internal/stream ./in
 echo "== go test -race -count=3 ./internal/implication ./internal/consistency"
 go test -race -count=3 ./internal/implication ./internal/consistency
 
+# The benchmarks are otherwise only compiled: run each once, so one that
+# panics or fails its own checks fails here rather than in a timed run.
+echo "== go test -run '^\$' -bench . -benchtime 1x ./..."
+go test -run '^$' -bench . -benchtime 1x ./...
+
 echo "== examples smoke: go run ./examples/*"
 for d in examples/*/; do
 	echo "-- go run ./$d"

@@ -27,8 +27,8 @@ import (
 //     growing append-only (a delete drops its row from every group; the
 //     row's codes stay valid so keyGroups representatives never dangle);
 //   - per (relation, X) CFD group, the X-projection buckets plus each
-//     bucket's current violating pairs, recomputed per delta only for the
-//     one bucket the changed tuple projects into;
+//     bucket's current violating pairs, recomputed once per batch, and only
+//     for the buckets the batch's tuples project into;
 //   - per (RHS relation, Y) CIND group, the demanded-key slots with a
 //     per-(tableau row, slot) count of satisfying RHS tuples and the
 //     matching LHS tuples per slot — so both delta directions are O(slot):
@@ -54,15 +54,13 @@ type Session struct {
 	cinds []*core.CIND
 
 	it    *types.Interner
-	plan  *Plan                       // compiled over rels, which Apply grows
-	rels  map[string]*codedRel        // relation -> its resident coded rows
-	rowOf map[string]map[string]int32 // relation -> tuple key -> live row
+	plan  *Plan                // compiled over rels, which Apply grows
+	rels  map[string]*codedRel // relation -> its resident coded rows
+	byRel map[string]*relState // relation -> its live rows and watchers
 
 	cfdStates  []*cfdState
 	cindStates []*cindState
-	cfdByRel   map[string][]*cfdState
-	cindByRHS  map[string][]*cindState
-	worksByLHS map[string][]*workState
+	pairs      int // violating pairs bucket recomputation has enumerated
 
 	// events accumulates the net violation changes of the running Apply
 	// batch, keyed by public violation identity so that a violation
@@ -75,14 +73,24 @@ type Session struct {
 	version atomic.Pointer[Plan]
 }
 
+// relState is one coded relation's routing state: its live rows by tuple
+// key, and the resident groups each of its rows is routed to.
+type relState struct {
+	rowOf map[string]int32 // tuple key -> live row
+	cfds  []*cfdState      // CFD groups over the relation
+	rhs   []*cindState     // CIND groups the relation supplies
+	lhs   []*workState     // anti-join works demanding from the relation
+}
+
 // cfdBucket is the resident state of one X-projection group: its live rows
 // in scan order, the row that created it, whose X projection every row
-// shares, and per (member, tableau row) the current violating pairs as hits
-// (t1 == t2 for single-tuple violations).
+// shares, and per (member, tableau row) the violating pairs as hits (t1 ==
+// t2 for single-tuple violations) as of the last batch end.
 type cfdBucket struct {
-	rows  []int32 // live rows, ascending (== scan order)
-	rep   int32
-	viols [][]hit // flat (member, tableau row) -> pairs
+	rows    []int32 // live rows, ascending (== scan order)
+	rep     int32
+	viols   [][]hit // flat (member, tableau row) -> pairs
+	touched bool    // rows changed in the running batch
 }
 
 // cfdState is one CFD detection group kept resident: the group plan, its
@@ -94,7 +102,8 @@ type cfdState struct {
 	cr      *codedRel
 	kg      keyGroups
 	buckets []*cfdBucket
-	flatOff []int // member -> offset of its (member, row) flat indices
+	touched []int32 // buckets to recompute at the batch's end
+	flatOff []int   // member -> offset of its (member, row) flat indices
 	nFlat   int
 }
 
@@ -147,10 +156,11 @@ func NewSessionContext(ctx context.Context, db *instance.Database, cfds []*cfd.C
 }
 
 // seed (re)builds every resident structure from the database: it codes and
-// compiles through the Plan constructor, adds every coded row to the groups
-// with events muted, and computes each CFD bucket's violations once, after
-// its rows (per-row recomputation would be quadratic in the bucket size).
-// stop is polled every 1024 steps; seed reports false once it fires.
+// compiles through the Plan constructor, then runs one muted batch over
+// every coded row, relation by relation in scan order. Rows are routed 8192
+// at a time, as routed one by one the groups' tables evict each other from
+// the cache. stop is polled per run and per bucket; seed reports false
+// once it fires.
 func (s *Session) seed(stop func() bool) bool {
 	// One poll before planning: constraint plans are O(|Σ| × rows), so a
 	// context already cancelled on entry skips the whole build.
@@ -159,18 +169,11 @@ func (s *Session) seed(stop func() bool) bool {
 	}
 	s.it = types.NewInterner()
 	s.plan, s.rels = compile(s.db, s.cfds, s.cinds, s.it)
-	s.rowOf = make(map[string]map[string]int32, len(s.rels))
-	for rel, cr := range s.rels {
-		rows := make(map[string]int32, len(cr.tuples))
-		for i, t := range cr.tuples {
-			rows[tupleKey(t)] = int32(i)
-		}
-		s.rowOf[rel] = rows
-	}
 	s.cfdStates, s.cindStates = nil, nil
-	s.cfdByRel = map[string][]*cfdState{}
-	s.cindByRHS = map[string][]*cindState{}
-	s.worksByLHS = map[string][]*workState{}
+	s.byRel = make(map[string]*relState, len(s.plan.deps))
+	for _, d := range s.plan.deps {
+		s.byRel[d.rel] = &relState{rowOf: make(map[string]int32, len(s.rels[d.rel].tuples))}
+	}
 	for _, u := range s.plan.units {
 		switch u := u.(type) {
 		case cfdUnit:
@@ -180,7 +183,7 @@ func (s *Session) seed(stop func() bool) bool {
 				st.nFlat += len(u.g.m[mi].rows)
 			}
 			s.cfdStates = append(s.cfdStates, st)
-			s.cfdByRel[u.g.rel] = append(s.cfdByRel[u.g.rel], st)
+			s.byRel[u.g.rel].cfds = append(s.byRel[u.g.rel].cfds, st)
 		case cindUnit:
 			st := &cindState{g: u.g, rhs: u.rhs, kg: newKeyGroups(0)}
 			for mi := range u.g.m {
@@ -192,47 +195,27 @@ func (s *Session) seed(stop func() bool) bool {
 			}
 			for wi := range st.works { // built: pointers into works are stable now
 				w := &st.works[wi]
-				s.worksByLHS[w.m.lhsRel] = append(s.worksByLHS[w.m.lhsRel], w)
+				s.byRel[w.m.lhsRel].lhs = append(s.byRel[w.m.lhsRel].lhs, w)
 			}
 			s.cindStates = append(s.cindStates, st)
-			s.cindByRHS[u.g.rhsRel] = append(s.cindByRHS[u.g.rhsRel], st)
+			s.byRel[u.g.rhsRel].rhs = append(s.byRel[u.g.rhsRel].rhs, st)
 		}
 	}
 
-	n := 0
-	stopped := func() bool { n++; return n&1023 == 0 && stop() }
-	for _, st := range s.cfdStates {
-		for row := range int32(len(st.cr.tuples)) {
-			if stopped() {
+	for _, d := range s.plan.deps {
+		rs, tuples := s.byRel[d.rel], s.rels[d.rel].tuples
+		for lo := 0; lo < len(tuples); lo += 8192 {
+			if stop() {
 				return false
 			}
-			st.add(row)
-		}
-		for _, b := range st.buckets {
-			if stopped() {
-				return false
+			hi := min(lo+8192, len(tuples))
+			for i := lo; i < hi; i++ {
+				rs.rowOf[tupleKey(tuples[i])] = int32(i)
 			}
-			s.recomputeCFDBucket(st, b)
+			s.route(rs, int32(lo), int32(hi), +1)
 		}
 	}
-	for _, st := range s.cindStates {
-		for row := range int32(len(st.rhs.tuples)) {
-			if stopped() {
-				return false
-			}
-			s.cindRHSUpdate(st, row, +1)
-		}
-		for wi := range st.works {
-			w := &st.works[wi]
-			for row := range int32(len(w.lhs.tuples)) {
-				if stopped() {
-					return false
-				}
-				s.cindLHSInsert(w, row)
-			}
-		}
-	}
-	return true
+	return s.finish(stop)
 }
 
 // Apply applies the deltas in order, as one batch, and returns the net
@@ -258,21 +241,17 @@ func (s *Session) Apply(deltas ...Delta) (*Diff, error) {
 	mutated := false
 	for _, d := range deltas {
 		in := s.db.Instance(d.Rel)
-		switch d.Op {
-		case OpInsert:
-			if !in.Insert(d.Tuple) {
-				continue
-			}
-			mutated = true
+		switch {
+		case d.Op == OpInsert && in.Insert(d.Tuple):
 			s.stateInsert(d.Rel, d.Tuple)
-		case OpDelete:
-			if !in.Delete(d.Tuple) {
-				continue
-			}
-			mutated = true
+		case d.Op == OpDelete && in.Delete(d.Tuple):
 			s.stateDelete(d.Rel, d.Tuple)
+		default:
+			continue
 		}
+		mutated = true
 	}
+	s.finish(never)
 	diff := s.flushEvents()
 	if mutated {
 		// Even a net-empty batch (delete t, re-insert t) can reorder the
@@ -293,14 +272,16 @@ func (s *Session) Apply(deltas ...Delta) (*Diff, error) {
 func (s *Session) maybeCompact() {
 	dead, live := 0, 0
 	for rel, cr := range s.rels {
-		live += len(s.rowOf[rel])
-		dead += len(cr.tuples) - len(s.rowOf[rel])
+		live += len(s.byRel[rel].rowOf)
+		dead += len(cr.tuples) - len(s.byRel[rel].rowOf)
 	}
 	if dead <= live || dead < 4096 {
 		return
 	}
-	s.seed(func() bool { return false })
+	s.seed(never)
 }
+
+func never() bool { return false }
 
 // Plan returns the plan of the session's current version: its units bound
 // to the coded relations as they stand, its memo the maintained report in
@@ -363,73 +344,96 @@ func (s *Session) hits() [][]hit {
 	return out
 }
 
-// stateInsert codes a newly inserted tuple as a row of its relation and
-// routes it through every resident group that watches the relation: CFD
-// buckets, then the RHS (supply) side of CIND groups, then the LHS (demand)
-// side. The order is immaterial for correctness — the sides update disjoint
-// state and diff events cancel — but is fixed for determinism.
+// stateInsert codes a newly inserted tuple as a row and routes it.
 func (s *Session) stateInsert(rel string, t instance.Tuple) {
-	cr := s.rels[rel]
-	if cr == nil {
-		return
-	}
-	row := cr.appendTuple(t, s.it)
-	s.rowOf[rel][tupleKey(t)] = row
-	for _, st := range s.cfdByRel[rel] {
-		s.recomputeCFDBucket(st, st.add(row))
-	}
-	for _, st := range s.cindByRHS[rel] {
-		s.cindRHSUpdate(st, row, +1)
-	}
-	for _, w := range s.worksByLHS[rel] {
-		s.cindLHSInsert(w, row)
+	if rs := s.byRel[rel]; rs != nil {
+		row := s.rels[rel].appendTuple(t, s.it)
+		rs.rowOf[tupleKey(t)] = row
+		s.route(rs, row, row+1, +1)
 	}
 }
 
+// stateDelete routes the deleted tuple's live row out of the groups.
 func (s *Session) stateDelete(rel string, t instance.Tuple) {
-	rows := s.rowOf[rel]
-	if rows == nil {
+	rs := s.byRel[rel]
+	if rs == nil {
 		return
 	}
 	k := tupleKey(t)
-	row, ok := rows[k]
+	row, ok := rs.rowOf[k]
 	if !ok {
 		// The database and the session's mirror can only diverge if the
 		// caller mutated the database directly; fail loudly.
 		panic("detect: session state diverged from database on delete of " + t.String())
 	}
-	delete(rows, k)
-	for _, st := range s.cfdByRel[rel] {
-		bi := st.kg.find(st.cr, int(row), st.g.xCols)
-		b := st.buckets[bi]
-		b.rows = removeSorted(b.rows, row)
-		s.recomputeCFDBucket(st, b)
+	delete(rs.rowOf, k)
+	s.route(rs, row, row+1, -1)
+}
+
+// route tells every resident group watching a relation about its rows lo
+// to hi-1, in order, all inserted (sign +1) or all deleted (sign -1). The
+// group order is immaterial for correctness — the sides update disjoint
+// state and diff events cancel — but is fixed for determinism.
+func (s *Session) route(rs *relState, lo, hi, sign int32) {
+	for _, st := range rs.cfds {
+		for row := lo; row < hi; row++ {
+			st.move(row, sign)
+		}
 	}
-	for _, st := range s.cindByRHS[rel] {
-		s.cindRHSUpdate(st, row, -1)
+	for _, st := range rs.rhs {
+		for row := lo; row < hi; row++ {
+			s.cindRHSUpdate(st, row, sign)
+		}
 	}
-	for _, w := range s.worksByLHS[rel] {
-		s.cindLHSDelete(w, row)
+	for _, w := range rs.lhs {
+		for row := lo; row < hi; row++ {
+			s.cindLHSUpdate(w, row, sign)
+		}
 	}
 }
 
-// add appends the row to its X bucket, creating the bucket on first sight
-// of the projection.
-func (st *cfdState) add(row int32) *cfdBucket {
+// move adds the row to its X bucket (sign +1), creating the bucket on first
+// sight of the projection, or removes it (sign -1), and marks it touched.
+func (st *cfdState) move(row, sign int32) {
 	bi := st.kg.findOrAdd(st.cr, int(row), st.g.xCols)
 	if int(bi) == len(st.buckets) {
 		st.buckets = append(st.buckets, &cfdBucket{rep: row, viols: make([][]hit, st.nFlat)})
 	}
 	b := st.buckets[bi]
-	b.rows = append(b.rows, row) // row ids are monotone, so order stays ascending
-	return b
+	if sign > 0 {
+		b.rows = append(b.rows, row) // row ids are monotone, so order stays ascending
+	} else {
+		b.rows = removeSorted(b.rows, row)
+	}
+	if !b.touched {
+		b.touched = true
+		st.touched = append(st.touched, bi)
+	}
 }
 
-// recomputeCFDBucket re-derives the violating pairs of one bucket for every
-// (member, tableau row) whose LHS pattern the bucket matches, and, within
-// Apply, emits diff events against the previous pairs. This is the O(affected-group)
-// step: the rest of the relation is untouched.
+// finish ends a batch: it recomputes each bucket the batch touched once,
+// from its final rows, which is exact as a bucket's violations depend only
+// on its rows. stop is polled per bucket; finish reports false once it fires.
+func (s *Session) finish(stop func() bool) bool {
+	for _, st := range s.cfdStates {
+		for _, bi := range st.touched {
+			if stop() {
+				return false
+			}
+			s.recomputeCFDBucket(st, st.buckets[bi])
+		}
+		st.touched = st.touched[:0]
+	}
+	return true
+}
+
+// recomputeCFDBucket re-derives the violating pairs of one touched bucket
+// for every (member, tableau row) whose LHS pattern the bucket matches, and,
+// within Apply, emits diff events against the pairs it held when the batch
+// began; it clears the touched mark. It runs only at a batch's end (finish):
+// the O(affected-group) step, which leaves the rest of the relation alone.
 func (s *Session) recomputeCFDBucket(st *cfdState, b *cfdBucket) {
+	b.touched = false
 	for mi := range st.g.m {
 		m := &st.g.m[mi]
 		for ri := range m.rows {
@@ -443,6 +447,7 @@ func (s *Session) recomputeCFDBucket(st *cfdState, b *cfdBucket) {
 					nv = append(nv, hit{row: int32(ri), t1: r1, t2: r2})
 					return true
 				})
+				s.pairs += len(nv)
 			}
 			if s.events != nil {
 				s.diffCFDPairs(st.cr, m, b.viols[fi], nv)
@@ -459,7 +464,8 @@ func (s *Session) diffCFDPairs(cr *codedRel, m *cfdMember, old, nu []hit) {
 		return
 	}
 	// Both lists are of one tableau row, so the witness rows identify a
-	// pair, and a two-int32 key takes the map's 8-byte fast path.
+	// pair, and a two-int32 key takes the map's 8-byte fast path. Neither
+	// list repeats a pair, so a count ends at -1, 0 or +1.
 	cnt := make(map[[2]int32]int, len(old)+len(nu))
 	for _, p := range old {
 		cnt[[2]int32{p.t1, p.t2}]--
@@ -468,15 +474,13 @@ func (s *Session) diffCFDPairs(cr *codedRel, m *cfdMember, old, nu []hit) {
 		cnt[[2]int32{p.t1, p.t2}]++
 	}
 	for _, p := range nu {
-		if k := [2]int32{p.t1, p.t2}; cnt[k] > 0 {
+		if cnt[[2]int32{p.t1, p.t2}] > 0 {
 			s.emitCFD(+1, cr, m, p)
-			cnt[k] = 0
 		}
 	}
 	for _, p := range old {
-		if k := [2]int32{p.t1, p.t2}; cnt[k] < 0 {
+		if cnt[[2]int32{p.t1, p.t2}] < 0 {
 			s.emitCFD(-1, cr, m, p)
-			cnt[k] = 0
 		}
 	}
 }
@@ -511,35 +515,31 @@ func (s *Session) cindRHSUpdate(st *cindState, row int32, sign int32) {
 	}
 }
 
-// cindLHSInsert registers an inserted LHS tuple with every tableau row
-// whose LHS pattern it matches; it violates immediately iff its demanded
-// key is unsatisfied.
-func (s *Session) cindLHSInsert(w *workState, row int32) {
-	crL := w.lhs
-	r := &w.m.rows[w.ri]
-	if !matchCoded(crL, int(row), w.m.lhsCols, r.lhs) {
-		return
+// cindLHSUpdate registers an inserted LHS row (sign +1) with the work if it
+// matches the tableau row's LHS pattern, or drops a deleted one (sign -1);
+// its violation comes or goes with it iff its demanded key is unsatisfied.
+func (s *Session) cindLHSUpdate(w *workState, row, sign int32) {
+	var slot int32
+	if sign > 0 {
+		if !matchCoded(w.lhs, int(row), w.m.lhsCols, w.m.rows[w.ri].lhs) {
+			return
+		}
+		slot = w.st.kg.findOrAdd(w.lhs, int(row), w.m.xCols)
+		w.rows = append(w.rows, row) // ascending by construction
+		w.slots = append(w.slots, slot)
+		w.byKey[slot] = append(w.byKey[slot], row)
+	} else {
+		i, ok := slices.BinarySearch(w.rows, row)
+		if !ok {
+			return // the row never matched this work's LHS pattern
+		}
+		slot = w.slots[i]
+		w.rows = slices.Delete(w.rows, i, i+1)
+		w.slots = slices.Delete(w.slots, i, i+1)
+		w.byKey[slot] = removeSorted(w.byKey[slot], row)
 	}
-	slot := w.st.kg.findOrAdd(crL, int(row), w.m.xCols)
-	w.rows = append(w.rows, row) // ascending by construction
-	w.slots = append(w.slots, slot)
-	w.byKey[slot] = append(w.byKey[slot], row)
 	if !w.satisfied(slot) {
-		s.emitCIND(+1, w, row)
-	}
-}
-
-func (s *Session) cindLHSDelete(w *workState, row int32) {
-	i, ok := slices.BinarySearch(w.rows, row)
-	if !ok {
-		return // the tuple never matched this work's LHS pattern
-	}
-	slot := w.slots[i]
-	w.rows = slices.Delete(w.rows, i, i+1)
-	w.slots = slices.Delete(w.slots, i, i+1)
-	w.byKey[slot] = removeSorted(w.byKey[slot], row)
-	if !w.satisfied(slot) {
-		s.emitCIND(-1, w, row)
+		s.emitCIND(int(sign), w, row)
 	}
 }
 

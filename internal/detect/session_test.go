@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,79 +131,101 @@ func resultsEqual(a, b *Report) bool {
 	return reflect.DeepEqual(a.CFD, b.CFD) && reflect.DeepEqual(a.CIND, b.CIND)
 }
 
-// replayFails re-runs a recorded script on a fresh database and reports
-// whether any step diverges from the oracle (used by the shrinker; the
-// session is rebuilt so the replay is self-contained).
-func replayFails(w *streamWorkload, script []Delta) bool {
+// replayFails re-runs a recorded script of batches on a fresh database and
+// reports whether any batch diverges from the oracle (used by the shrinker;
+// the session is rebuilt so the replay is self-contained).
+func replayFails(w *streamWorkload, script [][]Delta) bool {
 	db := w.freshDB()
 	sess := NewSession(db, w.cfds, w.cinds)
-	for _, d := range script {
-		if _, err := sess.Apply(d); err != nil {
+	prev := sess.Report()
+	for _, b := range script {
+		diff, err := sess.Apply(b...)
+		if err != nil {
 			return true
 		}
-		if !resultsEqual(sess.Report(), recompute(db, w)) {
+		got := sess.Report()
+		if !resultsEqual(got, recompute(db, w)) || checkDiffConsistent(prev, got, diff) != "" {
 			return true
 		}
+		prev = got
 	}
 	return false
 }
 
 // shrinkScript greedily minimises a failing script: it repeatedly drops
-// single deltas while the replay still fails. The result is 1-minimal
-// (removing any one delta makes it pass).
-func shrinkScript(w *streamWorkload, script []Delta) []Delta {
-	shrunk := append([]Delta(nil), script...)
+// single deltas, and batches left empty, while the replay still fails. The
+// result is 1-minimal (removing any one delta makes it pass).
+func shrinkScript(w *streamWorkload, script [][]Delta) [][]Delta {
+	shrunk := slices.Clone(script)
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(shrunk); i++ {
-			cand := append(append([]Delta(nil), shrunk[:i]...), shrunk[i+1:]...)
-			if replayFails(w, cand) {
-				shrunk = cand
-				changed = true
-				i--
+			for j := 0; j < len(shrunk[i]); j++ {
+				cand := slices.Clone(shrunk)
+				if cand[i] = slices.Delete(slices.Clone(cand[i]), j, j+1); len(cand[i]) == 0 {
+					cand = slices.Delete(cand, i, i+1)
+				}
+				if replayFails(w, cand) {
+					shrunk, changed = cand, true
+					break
+				}
 			}
 		}
 	}
 	return shrunk
 }
 
-func formatScript(script []Delta) string {
-	lines := make([]string, len(script))
-	for i, d := range script {
-		lines[i] = fmt.Sprintf("  %3d: %s", i, d)
+func formatScript(script [][]Delta) string {
+	var lines []string
+	for i, b := range script {
+		for j, d := range b {
+			lines = append(lines, fmt.Sprintf("  %3d.%d: %s", i, j, d))
+		}
 	}
 	return strings.Join(lines, "\n")
 }
 
-// runDifferentialScript drives one seeded script, checking session-vs-batch
-// equality and diff consistency after every step. On mismatch it shrinks
-// and logs the minimal failing script before failing the test.
+// runDifferentialScript drives one seeded script of single deltas, checking
+// session-vs-batch equality and diff consistency after every step.
 func runDifferentialScript(t *testing.T, w *streamWorkload, seed int64, steps int) {
+	t.Helper()
+	runDifferential(t, w, seed, steps, func(rng *rand.Rand, db *instance.Database, _ *Report) []Delta {
+		return []Delta{randDelta(rng, w, db)}
+	})
+}
+
+// runDifferential drives one seeded script of steps batches, each drawn by
+// next from the database and the report before it, and checks
+// session-vs-batch equality and diff consistency after every batch. On
+// mismatch it shrinks and logs the minimal failing script before failing
+// the test.
+func runDifferential(t *testing.T, w *streamWorkload, seed int64, steps int,
+	next func(rng *rand.Rand, db *instance.Database, prev *Report) []Delta) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := w.freshDB()
 	sess := NewSession(db, w.cfds, w.cinds)
-	script := make([]Delta, 0, steps)
+	script := make([][]Delta, 0, steps)
 	prev := sess.Report()
 	for i := 0; i < steps; i++ {
-		d := randDelta(rng, w, db)
-		script = append(script, d)
-		diff, err := sess.Apply(d)
+		b := next(rng, db, prev)
+		script = append(script, b)
+		diff, err := sess.Apply(b...)
 		if err != nil {
-			t.Fatalf("%s seed=%d step %d: Apply(%s): %v", w.name, seed, i, d, err)
+			t.Fatalf("%s seed=%d step %d: Apply(%v): %v", w.name, seed, i, b, err)
 		}
 		got := sess.Report()
 		want := recompute(db, w)
 		if !resultsEqual(got, want) {
 			min := shrinkScript(w, script)
-			t.Fatalf("%s seed=%d: session diverges from batch recompute at step %d (%s)\n"+
-				"got  %d violations, want %d\nminimal failing script (%d of %d deltas):\n%s",
-				w.name, seed, i, d, got.Total(), want.Total(), len(min), len(script), formatScript(min))
+			t.Fatalf("%s seed=%d: session diverges from batch recompute at step %d (%v)\n"+
+				"got  %d violations, want %d\nminimal failing script (%d of %d batches):\n%s",
+				w.name, seed, i, b, got.Total(), want.Total(), len(min), len(script), formatScript(min))
 		}
 		if msg := checkDiffConsistent(prev, got, diff); msg != "" {
 			min := shrinkScript(w, script)
-			t.Fatalf("%s seed=%d step %d (%s): inconsistent diff: %s\nminimal failing script:\n%s",
-				w.name, seed, i, d, msg, formatScript(min))
+			t.Fatalf("%s seed=%d step %d (%v): inconsistent diff: %s\nminimal failing script:\n%s",
+				w.name, seed, i, b, msg, formatScript(min))
 		}
 		prev = got
 	}
