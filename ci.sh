@@ -109,6 +109,9 @@ go test -run '^$' -fuzz '^FuzzWALDecode$' -fuzztime 10s ./internal/wal
 echo "== fuzz smoke: violation stream decoder (10s)"
 go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime 10s ./internal/stream
 
+echo "== fuzz smoke: violation stream relay (10s)"
+go test -run '^$' -fuzz '^FuzzRelay$' -fuzztime 10s ./internal/stream
+
 echo "== fuzz smoke: NDJSON line parser vs encoding/json (10s)"
 go test -run '^$' -fuzz '^FuzzNDJSONLine$' -fuzztime 10s ./internal/stream
 

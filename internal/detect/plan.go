@@ -68,18 +68,29 @@ type unit interface {
 	members() int
 	// slot returns member mi's position in report order.
 	slot(mi int) int
-	// violation materialises one hit of member mi.
-	violation(mi int, h hit) Violation
-	// replay yields member mi's hits as violations, in order, until stop
-	// fires or yield returns false; it reports whether it yielded them
-	// all. It is violation in a loop, with the member's constraint and
-	// rows loaded once and each violation built in place, which spares it
-	// an interface call and copies of its result.
-	replay(mi int, hs []hit, stop func() bool, yield func(Violation) bool) bool
+	// maker returns member mi's violation builder.
+	maker(mi int) maker
 	// report appends member mi's hits to rep as typed violations.
 	report(rep *Report, mi int, hs []hit)
 	// frozen returns the unit bound to its coded relations' current rows.
 	frozen() unit
+}
+
+// maker builds one member's violations from its hits, with the member's
+// constraint and witness rows loaded once: each violation is built in
+// place, with no interface call or copy per hit.
+type maker struct {
+	kind constraint.Kind
+	cfd  *cfd.CFD
+	cind *core.CIND
+	rows []instance.Tuple
+}
+
+func (m *maker) violation(h hit) Violation {
+	if m.kind == constraint.KindCFD {
+		return Violation{kind: constraint.KindCFD, cfdV: cfd.Violation{CFD: m.cfd, RowIdx: int(h.row), T1: m.rows[h.t1], T2: m.rows[h.t2]}}
+	}
+	return Violation{kind: constraint.KindCIND, cindV: core.Violation{CIND: m.cind, RowIdx: int(h.row), T: m.rows[h.t1]}}
 }
 
 type cfdUnit struct {
@@ -99,16 +110,8 @@ func (u cfdUnit) cfd(mi int, h hit) cfd.Violation {
 	return cfd.Violation{CFD: u.g.m[mi].c, RowIdx: int(h.row), T1: u.cr.tuples[h.t1], T2: u.cr.tuples[h.t2]}
 }
 
-func (u cfdUnit) violation(mi int, h hit) Violation { return CFDViolation(u.cfd(mi, h)) }
-
-func (u cfdUnit) replay(mi int, hs []hit, stop func() bool, yield func(Violation) bool) bool {
-	c, rows := u.g.m[mi].c, u.cr.tuples
-	for _, h := range hs {
-		if stop() || !yield(Violation{kind: constraint.KindCFD, cfdV: cfd.Violation{CFD: c, RowIdx: int(h.row), T1: rows[h.t1], T2: rows[h.t2]}}) {
-			return false
-		}
-	}
-	return true
+func (u cfdUnit) maker(mi int) maker {
+	return maker{kind: constraint.KindCFD, cfd: u.g.m[mi].c, rows: u.cr.tuples}
 }
 
 func (u cfdUnit) report(rep *Report, mi int, hs []hit) {
@@ -141,16 +144,8 @@ func (u cindUnit) cind(mi int, h hit) core.Violation {
 	return core.Violation{CIND: u.g.m[mi].c, RowIdx: int(h.row), T: u.lhs[mi].tuples[h.t1]}
 }
 
-func (u cindUnit) violation(mi int, h hit) Violation { return CINDViolation(u.cind(mi, h)) }
-
-func (u cindUnit) replay(mi int, hs []hit, stop func() bool, yield func(Violation) bool) bool {
-	c, rows := u.g.m[mi].c, u.lhs[mi].tuples
-	for _, h := range hs {
-		if stop() || !yield(Violation{kind: constraint.KindCIND, cindV: core.Violation{CIND: c, RowIdx: int(h.row), T: rows[h.t1]}}) {
-			return false
-		}
-	}
-	return true
+func (u cindUnit) maker(mi int) maker {
+	return maker{kind: constraint.KindCIND, cind: u.g.m[mi].c, rows: u.lhs[mi].tuples}
 }
 
 func (u cindUnit) report(rep *Report, mi int, hs []hit) {

@@ -158,8 +158,12 @@ func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) boo
 	if m := p.memo.Load(); m != nil {
 		stop := stopFunc(ctx)
 		for s, hs := range *m {
-			if ref := p.slots[s]; !p.units[ref.u].replay(ref.mi, hs, stop, yield) {
-				return ctx.Err() // nil when the consumer broke off
+			ref := p.slots[s]
+			mk := p.units[ref.u].maker(ref.mi)
+			for _, h := range hs {
+				if stop() || !yield(mk.violation(h)) {
+					return ctx.Err() // nil when the consumer broke off
+				}
 			}
 		}
 		return nil
@@ -191,8 +195,9 @@ func (p *Plan) Each(ctx context.Context, opts Options, yield func(Violation) boo
 	out := make([][]hit, len(p.slots)) // what the consumer was sent
 	for s, ref := range p.slots {
 		u, mi := p.units[ref.u], ref.mi
+		mk := u.maker(mi)
 		send := func(h hit) bool {
-			if stop() || !yield(u.violation(mi, h)) {
+			if stop() || !yield(mk.violation(h)) {
 				cancel()
 				return false
 			}

@@ -88,7 +88,7 @@ func drainCount(tb testing.TB, r io.Reader, enc stream.Encoding) int {
 				tb.Fatalf("frame cut: %v", err)
 			}
 			switch tag {
-			case 'V':
+			case 'B':
 				if _, err := br.Discard(n - 1); err != nil {
 					tb.Fatalf("frame cut: %v", err)
 				}

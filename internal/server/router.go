@@ -50,8 +50,9 @@ type RouterOptions struct {
 //   - answers GET /violations by scattering binary-encoded streams to
 //     every shard and k-way merging their records, undecoded, through
 //     shard.Merge into the exact single-node report order: a binary
-//     client gets each record spliced verbatim, an NDJSON or JSON client
-//     gets it converted — a violation of a constraint its shard does not
+//     client gets each record with its constraint and tuple ids
+//     renumbered into the output stream's own tables, an NDJSON or JSON
+//     client gets it converted — a violation of a constraint its shard does not
 //     own fails the stream, since the shard then holds a stale Σ, and so
 //     does a malformed record, whose whole frame is never relayed;
 //   - mirrors the fleet's tuple insertion order in a shard.Order so every
@@ -592,8 +593,8 @@ func (s recordSource) Next() (stream.Record, error) { return s.d.NextRecord() }
 // gather is an opened scatter: one binary-encoded stream per shard, all
 // taken under the dataset's read lock, which release gives back. Binary
 // frames are the inter-node wire format regardless of what the client
-// asked for — they key without decoding, splice into a binary response
-// verbatim, and round-trip values exactly.
+// asked for — they key without decoding, relay into a binary response
+// with only their ids rewritten, and round-trip values exactly.
 type gather struct {
 	d      *routed
 	resps  []*http.Response
@@ -629,9 +630,9 @@ func (d *routed) violations(ctx context.Context) (violationStream, error) {
 }
 
 // run k-way merges the shard streams' undecoded records into the
-// single-node global order and hands them to a relay writer, which splices
-// them into a binary stream or converts them for an NDJSON or JSON client,
-// off the merge loop.
+// single-node global order and hands them to a relay writer, which
+// renumbers them into a binary stream or converts them for an NDJSON or
+// JSON client, off the merge loop.
 func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
 	d := g.d
 	sw := stream.NewRelayWriter(out, fl, enc)

@@ -205,17 +205,19 @@ func TestOrderKeyErrors(t *testing.T) {
 func recordOf(t testing.TB, v stream.Violation) stream.Record {
 	t.Helper()
 	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
-	body := []byte{'V'}
-	body = str(body, v.Kind)
-	body = str(body, v.Constraint)
-	body = str(body, v.Relation)
-	body = binary.AppendVarint(body, int64(v.Row))
-	body = binary.AppendUvarint(body, uint64(len(v.Witness)))
+	// A 'B' batch: the constraint's declaration, one per witness tuple,
+	// then the violation citing them by id.
+	body := str(str(str([]byte{'B', 'C'}, v.Kind), v.Constraint), v.Relation)
 	for _, tup := range v.Witness {
-		body = binary.AppendUvarint(body, uint64(len(tup)))
+		body = binary.AppendUvarint(append(body, 'T'), uint64(len(tup)))
 		for _, val := range tup {
 			body = str(body, val)
 		}
+	}
+	body = binary.AppendVarint(append(body, 'V', 0), int64(v.Row))
+	body = binary.AppendUvarint(body, uint64(len(v.Witness)))
+	for i := range v.Witness {
+		body = binary.AppendUvarint(body, uint64(i))
 	}
 	var raw bytes.Buffer
 	wal.AppendFrame(&raw, body)

@@ -4,54 +4,150 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
+	"cind/internal/constraint"
 	"cind/internal/detect"
 	"cind/internal/instance"
+	"cind/internal/types"
 )
 
-// Binary 'V' frame body: violations back to back, each
+// Binary 'B' frame body: a batch of entries back to back, each a one-byte
+// tag and its fields:
 //
-//	uvarint len + bytes   kind
-//	uvarint len + bytes   constraint id
-//	uvarint len + bytes   relation
-//	zigzag varint         row
-//	uvarint               witness tuple count
-//	  per tuple: uvarint value count, then uvarint len + bytes per value
+//	'C'  constraint declaration: uvarint len + bytes each of kind,
+//	     constraint id and relation
+//	'T'  tuple declaration: uvarint value count, then uvarint len + bytes
+//	     per value
+//	'V'  violation: uvarint constraint ref, zigzag varint row, uvarint
+//	     witness count, then one uvarint tuple ref per witness tuple
+//
+// Declarations build two stream-scoped tables whose ids are implicit: the
+// n-th 'C' of a stream, counted across its frames from 0, is constraint n,
+// and the n-th 'T' is tuple n. A ref names an id declared earlier in the
+// stream. A writer declares a constraint or tuple in the entries just
+// before the first violation that cites it — the constraint first, then
+// witness tuples in witness order — so each tuple's values cross the wire once,
+// however many violations it witnesses: a CFD group of n tuples that
+// agree on X sends n tuples for its n(n-1)/2 pair violations.
 //
 // The framing layer (internal/wal) already guarantees the body is intact
 // (CRC) and bounded (MaxRecord), so the body codec only has to be exact:
-// every length is validated against the remaining bytes, and trailing
-// garbage is an error, never silently skipped.
+// every length is validated against the remaining bytes, every ref against
+// the ids declared so far, and trailing garbage is an error, never
+// silently skipped. Each entry takes at least two bytes, so the tables
+// grow no faster than the bytes received.
 
-// appendBinaryViolation appends one violation's binary form to dst,
-// straight from the engine value — no intermediate wire struct. The
-// witness tuples come from AsCFD/AsCIND rather than Witness(), which
+// Entry tags of a 'B' body.
+const (
+	declConstraint = 'C'
+	declTuple      = 'T'
+	entryViolation = 'V'
+)
+
+// encoder is NewWriter's binary body state: the ids it has declared so
+// far. Constraints are keyed on their pointer and tuples on their backing
+// array, so encoding hashes no strings. Every row of a plan version keeps
+// one backing array, so a tuple cited by many violations is declared once;
+// a source that hands out copies of a tuple costs extra declarations,
+// never a wrong decode.
+type encoder struct {
+	cons map[constraint.Constraint]uint64
+	tups map[*types.Value]tupleID // by the backing array's first element
+
+	// The last constraint, and the last tuple at each witness position,
+	// with their ids: a report's violations come in runs of one
+	// constraint, and a CFD's pairs in runs of one first tuple.
+	lastCon   constraint.Constraint
+	lastConID uint64
+	last      [2]tupleID
+
+	ntups uint64 // tuples declared
+}
+
+// tupleKey identifies a tuple by its backing array. Holding the pointer
+// keeps the array alive, so no other tuple can take its address for the
+// rest of the stream.
+type tupleKey struct {
+	p *types.Value
+	n int
+}
+
+type tupleID struct {
+	k  tupleKey
+	id uint64
+}
+
+func newEncoder() *encoder {
+	return &encoder{cons: map[constraint.Constraint]uint64{}, tups: map[*types.Value]tupleID{}}
+}
+
+// appendViolation appends one violation to dst, straight from the engine
+// value: the declarations it is the first to cite, then its 'V' entry.
+// The witness tuples come from AsCFD/AsCIND rather than Witness(), which
 // would allocate a fresh slice per violation; callers reuse dst as
 // scratch, so the steady state is allocation-free.
-func appendBinaryViolation(dst []byte, v detect.Violation) []byte {
-	dst = appendStr(dst, v.Kind().String())
-	dst = appendStr(dst, v.ConstraintID())
-	dst = appendStr(dst, v.Relation())
-	dst = binary.AppendVarint(dst, int64(v.Row()))
+func (e *encoder) appendViolation(dst []byte, v *detect.Violation) []byte {
+	c, con := v.Constraint(), e.lastConID
+	if c != e.lastCon || len(e.cons) == 0 {
+		var ok bool
+		if con, ok = e.cons[c]; !ok {
+			con = uint64(len(e.cons))
+			e.cons[c] = con
+			dst = append(dst, declConstraint)
+			dst = appendStr(dst, v.Kind().String())
+			dst = appendStr(dst, v.ConstraintID())
+			dst = appendStr(dst, v.Relation())
+		}
+		e.lastCon, e.lastConID = c, con
+	}
+	var wit [2]instance.Tuple
+	n := 0
 	if cv, ok := v.AsCFD(); ok {
-		dst = binary.AppendUvarint(dst, 2)
-		dst = appendTuple(dst, cv.T1)
-		dst = appendTuple(dst, cv.T2)
+		wit, n = [2]instance.Tuple{cv.T1, cv.T2}, 2
 	} else if iv, ok := v.AsCIND(); ok {
-		dst = binary.AppendUvarint(dst, 1)
-		dst = appendTuple(dst, iv.T)
-	} else {
-		dst = binary.AppendUvarint(dst, 0)
+		wit[0], n = iv.T, 1
+	}
+	var refs [2]uint64
+	for i, t := range wit[:n] {
+		k := tupleKey{unsafe.SliceData(t), len(t)}
+		if e.last[i].k != k || e.ntups == 0 {
+			e.last[i] = tupleID{k, 0}
+			e.last[i].id, dst = e.tuple(dst, k, t)
+		}
+		refs[i] = e.last[i].id
+	}
+	dst = append(dst, entryViolation)
+	dst = binary.AppendUvarint(dst, con)
+	dst = binary.AppendVarint(dst, int64(v.Row()))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, r := range refs[:n] {
+		dst = binary.AppendUvarint(dst, r)
 	}
 	return dst
 }
 
-func appendTuple(dst []byte, t instance.Tuple) []byte {
+// tuple returns the id of t, whose key is k, first appending its
+// declaration to dst when t is new to the stream. The table is keyed on
+// the pointer alone, which hashes fastest; a tuple that shares its first
+// element with a known one of another length, which no relation's rows
+// do, is declared afresh each time, as a copy would be.
+func (e *encoder) tuple(dst []byte, k tupleKey, t instance.Tuple) (uint64, []byte) {
+	ti, ok := e.tups[k.p]
+	if ok && ti.k == k {
+		return ti.id, dst
+	}
+	id := e.ntups
+	e.ntups++
+	if !ok {
+		e.tups[k.p] = tupleID{k, id}
+	}
+	dst = append(dst, declTuple)
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, val := range t {
 		dst = appendStr(dst, val.String())
 	}
-	return dst
+	return id, dst
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -86,21 +182,51 @@ func (c *internCache) get(b []byte) string {
 	return s
 }
 
-// Record is one violation of a 'V' body left undecoded: its bytes exactly
-// as the body carries them, plus views of the three fields a router keys
-// it by. Decoder.NextRecord hands records out only after validating their
-// whole frame, so a Record is always well formed. It is what a router
-// relays: a binary client gets the bytes verbatim, and only the NDJSON
-// and JSON encodings decode it.
+// dict is one binary stream's declaration tables as decoded so far: the
+// stream's n-th 'C' is cons[n], its n-th 'T' tuples[n] (Next) or raws[n]
+// (the record view). Next keeps each declaration decoded, so every
+// violation citing a tuple shares one []string; the record view keeps each
+// declaration's wire bytes.
+type dict struct {
+	cons   []conDecl
+	tuples [][]string
+	raws   [][]byte
+}
+
+// conDecl is one constraint declaration: decoded for Next, in wire form
+// for the record view.
+type conDecl struct {
+	kind, id, rel string
+	raw, rawID    []byte // the declaration's fields, and the id's bytes
+}
+
+// frameDict is what a record view frame's records resolve their refs
+// through: the frame's body, and its stream's tables as they stood at the
+// end of the frame. The table slices are capped copies of the stream's, so
+// the stream may go on declaring while another goroutine reads records.
+type frameDict struct {
+	src  *dict // the stream, which a relay keys its id maps by
+	body []byte
+	cons []conDecl
+	tups [][]byte
+}
+
+// Record is one violation of a 'B' body left undecoded: its refs, resolved
+// through its stream's tables. Decoder.NextRecord hands records out only
+// after validating their whole frame, so a Record is always well formed.
+// It is what a router relays: a binary client gets its declarations and
+// entry with the refs renumbered, and only the NDJSON and JSON encodings
+// decode it.
 type Record struct {
-	raw  []byte
-	row  int
-	cons [2]uint32 // constraint id, as offsets into raw
-	wit  [2]uint32 // first witness tuple, as offsets into raw; empty when none
+	f   *frameDict
+	row int
+	con int
+	wit int    // the first witness tuple's id; -1 when there is none
+	off uint32 // the entry's witness count, as an offset into f.body
 }
 
 // Constraint returns the bytes of the violated constraint's id.
-func (r *Record) Constraint() []byte { return r.raw[r.cons[0]:r.cons[1]] }
+func (r *Record) Constraint() []byte { return r.f.cons[r.con].rawID }
 
 // Row returns the violation's pattern row.
 func (r *Record) Row() int { return r.row }
@@ -109,21 +235,21 @@ func (r *Record) Row() int { return r.row }
 // uvarint value count, then each value as a uvarint length and its bytes —
 // or nil when the record carries no witness.
 func (r *Record) Witness() []byte {
-	if r.wit[1] == 0 {
+	if r.wit < 0 {
 		return nil
 	}
-	return r.raw[r.wit[0]:r.wit[1]]
+	return r.f.tups[r.wit]
 }
 
-// cursor reads a 'V' body with bounds checking on every read.
+// cursor reads a 'B' body with bounds checking on every read.
 type cursor struct {
 	body []byte
 	off  int
 }
 
 func (c *cursor) uvarint() (uint64, error) {
-	// Single-byte values — almost every length, count and arity — skip
-	// the generic decoder.
+	// Single-byte values — almost every length, count, arity and small
+	// ref — skip the generic decoder.
 	if c.off < len(c.body) {
 		if b := c.body[c.off]; b < 0x80 {
 			c.off++
@@ -174,94 +300,259 @@ func (c *cursor) count(what string) (int, error) {
 	return int(u), nil
 }
 
-// parseRecord validates the record starting at body[off:] and returns it
-// with the offset just past it. Every length is checked against the bytes
-// left, so a record cut short is an error; a body must be consumed
-// exactly, so a partial trailing record is corruption (the CRC passed, so
-// the producer never wrote it), not truncation. Given a batchReader, it
-// also decodes the record into v, which must be zero, in the same pass —
-// Next's path; the record view passes nil and builds no strings.
-func parseRecord(body []byte, off int, dec *batchReader, v *Violation) (Record, int, error) {
-	c := cursor{body: body, off: off}
-	var rec Record
-	kind, err := c.str()
+// ref reads a constraint or tuple ref, which must name one of the n ids
+// declared so far.
+func (c *cursor) ref(n int, what string) (int, error) {
+	at := c.off
+	u, err := c.uvarint()
 	if err != nil {
-		return rec, 0, err
+		return 0, err
 	}
-	id, err := c.str()
-	if err != nil {
-		return rec, 0, err
+	if u >= uint64(n) {
+		return 0, fmt.Errorf("stream: %s ref %d at frame offset %d names no declared %s (%d so far)", what, u, at, what, n)
 	}
-	rec.cons = [2]uint32{uint32(c.off - len(id) - off), uint32(c.off - off)}
-	rel, err := c.str()
-	if err != nil {
-		return rec, 0, err
-	}
-	row, err := c.varint()
-	if err != nil {
-		return rec, 0, err
-	}
-	rec.row = int(row)
-	nt, err := c.count("witness count")
-	if err != nil {
-		return rec, 0, err
-	}
-	tupStart := 0
-	if dec != nil {
-		dec.acquire()
-		v.Kind = dec.cached(&dec.lastKind, kind)
-		v.Constraint = dec.cached(&dec.lastConstraint, id)
-		v.Relation = dec.cached(&dec.lastRelation, rel)
-		v.Row = rec.row
-		dec.reserveTups(nt)
-		tupStart = len(dec.tups)
-	}
-	for i := 0; i < nt; i++ {
-		start := c.off
-		nv, err := c.count("tuple arity")
-		if err != nil {
-			return rec, 0, err
-		}
-		valStart := 0
-		if dec != nil {
-			dec.reserveVals(nv)
-			valStart = len(dec.vals)
-		}
-		for j := 0; j < nv; j++ {
-			b, err := c.str()
-			if err != nil {
-				return rec, 0, err
-			}
-			if dec != nil {
-				dec.vals = append(dec.vals, dec.intern.get(b))
-			}
-		}
-		if dec != nil {
-			dec.tups = append(dec.tups, dec.vals[valStart:len(dec.vals):len(dec.vals)])
-		}
-		if i == 0 {
-			rec.wit = [2]uint32{uint32(start - off), uint32(c.off - off)}
-		}
-	}
-	if dec != nil {
-		v.Witness = dec.tups[tupStart:len(dec.tups):len(dec.tups)]
-	}
-	rec.raw = body[off:c.off:c.off]
-	return rec, c.off, nil
+	return int(u), nil
 }
 
-// appendRecord is the relay's binary body function: a record is spliced
-// verbatim.
-func appendRecord(dst []byte, r Record) []byte { return append(dst, r.raw...) }
+// parse validates one 'B' body, adds its declarations to the stream's
+// tables and returns its violations appended to vs — decoded through r —
+// or, when r is nil, its records appended to recs. It is the one decode
+// path of both views, so the record view accepts exactly what Next
+// accepts. A body must be consumed exactly, so a partial trailing entry is
+// corruption (the CRC passed, so the producer never wrote it), not
+// truncation. On error the tables may hold some of the body's
+// declarations; the error is the stream's terminal result.
+func (d *dict) parse(body []byte, r *batchReader, vs []Violation, recs []Record) ([]Violation, []Record, error) {
+	var f *frameDict
+	if r == nil {
+		f = &frameDict{src: d, body: body}
+	} else {
+		r.acquire()
+	}
+	c := cursor{body: body}
+	for c.off < len(body) {
+		tag := body[c.off]
+		c.off++
+		switch tag {
+		case declConstraint:
+			start := c.off
+			kind, err := c.str()
+			if err != nil {
+				return vs, recs, err
+			}
+			id, err := c.str()
+			if err != nil {
+				return vs, recs, err
+			}
+			rel, err := c.str()
+			if err != nil {
+				return vs, recs, err
+			}
+			if r != nil {
+				d.cons = append(d.cons, conDecl{kind: r.intern.get(kind), id: r.intern.get(id), rel: r.intern.get(rel)})
+			} else {
+				d.cons = append(d.cons, conDecl{raw: body[start:c.off:c.off], rawID: id})
+			}
+		case declTuple:
+			start := c.off
+			t, err := r.tuple(&c)
+			if err != nil {
+				return vs, recs, err
+			}
+			if r != nil {
+				d.tuples = append(d.tuples, t)
+			} else {
+				d.raws = append(d.raws, body[start:c.off:c.off])
+			}
+		case entryViolation:
+			con, err := c.ref(len(d.cons), "constraint")
+			if err != nil {
+				return vs, recs, err
+			}
+			row, err := c.varint()
+			if err != nil {
+				return vs, recs, err
+			}
+			at := c.off
+			n, err := c.count("witness count")
+			if err != nil {
+				return vs, recs, err
+			}
+			if r != nil {
+				// Decode in place: no by-value struct copy per violation.
+				vs = append(vs, Violation{})
+				v, cd := &vs[len(vs)-1], &d.cons[con]
+				v.Kind, v.Constraint, v.Relation, v.Row = cd.kind, cd.id, cd.rel, int(row)
+				r.reserveTups(n)
+				start := len(r.tups)
+				for range n {
+					ref, err := c.ref(len(d.tuples), "tuple")
+					if err != nil {
+						return vs, recs, err
+					}
+					r.tups = append(r.tups, d.tuples[ref])
+				}
+				v.Witness = r.tups[start:len(r.tups):len(r.tups)]
+				continue
+			}
+			rec := Record{f: f, row: int(row), con: con, wit: -1, off: uint32(at)}
+			for i := range n {
+				ref, err := c.ref(len(d.raws), "tuple")
+				if err != nil {
+					return vs, recs, err
+				}
+				if i == 0 {
+					rec.wit = ref
+				}
+			}
+			recs = append(recs, rec)
+		default:
+			return vs, recs, fmt.Errorf("stream: unknown batch entry tag 0x%02x at frame offset %d", tag, c.off-1)
+		}
+	}
+	if f != nil {
+		f.cons = d.cons[:len(d.cons):len(d.cons)]
+		f.tups = d.raws[:len(d.raws):len(d.raws)]
+	}
+	return vs, recs, nil
+}
 
-// batchReader is the decoding state of parseRecord and parseLine. kind,
+// tuple reads a tuple's value count and values at c. A nil reader only
+// validates them; otherwise the tuple is decoded into the value slab.
+func (r *batchReader) tuple(c *cursor) ([]string, error) {
+	nv, err := c.count("tuple arity")
+	if err != nil {
+		return nil, err
+	}
+	if r == nil {
+		for range nv {
+			if _, err := c.str(); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	r.reserveVals(nv)
+	start := len(r.vals)
+	for range nv {
+		b, err := c.str()
+		if err != nil {
+			return nil, err
+		}
+		r.vals = append(r.vals, r.intern.get(b))
+	}
+	return r.vals[start:len(r.vals):len(r.vals)], nil
+}
+
+// decodeRecord fills v, which must be zero, with the wire violation of a
+// record parse accepted.
+func (r *batchReader) decodeRecord(rec *Record, v *Violation) {
+	r.acquire()
+	f := rec.f
+	c := cursor{body: f.cons[rec.con].raw}
+	kind, _ := c.str()
+	id, _ := c.str()
+	rel, _ := c.str()
+	v.Kind = r.cached(&r.lastKind, kind)
+	v.Constraint = r.cached(&r.lastConstraint, id)
+	v.Relation = r.cached(&r.lastRelation, rel)
+	v.Row = rec.row
+	c = cursor{body: f.body, off: int(rec.off)}
+	n, _ := c.uvarint()
+	r.reserveTups(int(n))
+	start := len(r.tups)
+	for range n {
+		ref, _ := c.uvarint()
+		t, _ := r.tuple(&cursor{body: f.tups[ref]})
+		r.tups = append(r.tups, t)
+	}
+	v.Witness = r.tups[start:len(r.tups):len(r.tups)]
+}
+
+// relayDict is NewRelayWriter's binary body state: the output ids it has
+// declared, and for each source stream the output id of every source
+// declaration a relayed record has cited. Each output id is declared the
+// first time a relayed record cites it, exactly as NewWriter declares at
+// first citation. A tuple lives on one shard and a constraint is declared
+// once per shard stream, so constraints are matched across sources by
+// their declaration bytes and tuples by (source, id): a router's merged
+// stream then declares what a single node's would, in the same order.
+type relayDict struct {
+	srcs  map[*dict]*relayIDs
+	last  *dict
+	ids   *relayIDs
+	cons  map[string]uint64 // output constraint ids, by declaration bytes
+	ntups uint64
+}
+
+// relayIDs maps one source stream's ids to output ids plus one; zero marks
+// an id no relayed record has cited yet.
+type relayIDs struct{ cons, tups []uint64 }
+
+// appendRecord appends rec to dst: the declarations it is the first to
+// cite, then its 'V' entry with its refs renumbered.
+func (rd *relayDict) appendRecord(dst []byte, rec *Record) []byte {
+	f := rec.f
+	if f.src != rd.last {
+		if rd.srcs == nil {
+			rd.srcs, rd.cons = map[*dict]*relayIDs{}, map[string]uint64{}
+		}
+		ids := rd.srcs[f.src]
+		if ids == nil {
+			ids = &relayIDs{}
+			rd.srcs[f.src] = ids
+		}
+		rd.last, rd.ids = f.src, ids
+	}
+	ids := rd.ids
+	if len(ids.cons) <= rec.con {
+		ids.cons = append(ids.cons, make([]uint64, len(f.cons)-len(ids.cons))...)
+	}
+	if ids.cons[rec.con] == 0 {
+		raw := f.cons[rec.con].raw
+		con, ok := rd.cons[string(raw)]
+		if !ok {
+			con = uint64(len(rd.cons))
+			rd.cons[string(raw)] = con
+			dst = append(append(dst, declConstraint), raw...)
+		}
+		ids.cons[rec.con] = con + 1
+	}
+	// The entry is validated: its count and refs need no checks.
+	c := cursor{body: f.body, off: int(rec.off)}
+	n, _ := c.uvarint()
+	refs := c.off
+	if len(ids.tups) < len(f.tups) {
+		ids.tups = append(ids.tups, make([]uint64, len(f.tups)-len(ids.tups))...)
+	}
+	for range n {
+		ref, _ := c.uvarint()
+		if ids.tups[ref] == 0 {
+			rd.ntups++
+			ids.tups[ref] = rd.ntups
+			dst = append(append(dst, declTuple), f.tups[ref]...)
+		}
+	}
+	dst = append(dst, entryViolation)
+	dst = binary.AppendUvarint(dst, ids.cons[rec.con]-1)
+	dst = binary.AppendVarint(dst, int64(rec.row))
+	dst = binary.AppendUvarint(dst, n)
+	c.off = refs
+	for range n {
+		ref, _ := c.uvarint()
+		dst = binary.AppendUvarint(dst, ids.tups[ref]-1)
+	}
+	return dst
+}
+
+// batchReader is the decoding state of dict.parse and parseLine. kind,
 // constraint and relation are nearly always runs of the same value, so
 // each has a single-entry cache checked with one compare, no hash; witness
-// values go through the hashed intern cache. Witness slices are carved out
-// of per-reader slabs — two allocations per frame in the steady state, not
-// two per violation. Sub-slices handed out before a slab grows keep the
-// old backing array, which stays valid; only the slab's tail is ever
-// appended to.
+// values go through the hashed intern cache. Tuples and witness slices are
+// carved out of per-reader slabs — two allocations per few thousand values
+// or witnesses, not two per violation. Sub-slices handed out before a slab
+// grows keep the old backing array, which stays valid; only the slab's
+// tail is ever appended to.
 type batchReader struct {
 	intern *internCache
 
@@ -330,10 +621,4 @@ func (r *batchReader) reserveTups(n int) {
 	if cap(r.tups)-len(r.tups) < n {
 		r.tups = make([][]string, 0, nextSlab(cap(r.tups), n))
 	}
-}
-
-// decode fills v, which must be zero, with the wire violation of a record
-// parseRecord accepted.
-func (r *batchReader) decode(rec *Record, v *Violation) {
-	parseRecord(rec.raw, 0, r, v)
 }

@@ -61,6 +61,9 @@ type Decoder struct {
 	line    ndjsonLine
 	batch   batchReader
 
+	// The binary stream's declaration tables.
+	dict dict
+
 	// The record view's queue (NextRecord).
 	recs []Record
 	rpos int
@@ -80,11 +83,13 @@ func NewDecoder(r io.Reader, enc Encoding) *Decoder {
 	return &Decoder{enc: enc, br: br}
 }
 
-// finish makes err the decoder's sticky terminal result and returns its
-// pooled buffers; the violations and records it handed out stay valid, as
-// none of them aliases a buffer.
+// finish makes err the decoder's sticky terminal result, drops its
+// declaration tables and returns its pooled buffers; the violations and
+// records it handed out stay valid, as none of them aliases a buffer or
+// the tables.
 func (d *Decoder) finish(err error) {
 	d.fin, d.ferr = true, err
+	d.dict = dict{}
 	d.batch.release()
 	d.br.Reset(nil)
 	readerPool.Put(d.br)
@@ -121,10 +126,12 @@ func (d *Decoder) Next() (Violation, error) {
 
 // NextRecord is Next without the decode, for a relay: it returns the next
 // violation as an undecoded Record, validated exactly as Next validates
-// it — frame CRC, every length bounds-checked, a frame handed out only
-// once all of it parsed — or the stream's terminal result, the same one
-// Next would return. Each frame's records share a copy of the frame of
-// their own, so a Record stays valid for as long as the caller keeps it.
+// it — frame CRC, every length bounds-checked, every ref checked against
+// the declarations before it, a frame handed out only once all of it
+// parsed — or the stream's terminal result, the same one Next would
+// return. Each frame's records share a copy of the frame of their own and
+// a view of the stream's tables as of that frame, so a Record stays valid
+// for as long as the caller keeps it, on any goroutine.
 // The record view needs the Binary encoding; a Decoder serves either
 // Next or NextRecord, not both.
 func (d *Decoder) NextRecord() (Record, error) {
@@ -259,10 +266,10 @@ func (d *Decoder) fillJSON() error {
 	return nil
 }
 
-// fillBinary consumes one frame: a 'V' violation batch, the 'E' error
-// record, or the 'Z' trailer. A batch's records are queued as Records or,
-// decoded, as Violations; either way a batch with any malformed record is
-// dropped whole.
+// fillBinary consumes one frame: a 'B' batch of declarations and
+// violations, the 'E' error record, or the 'Z' trailer. A batch's
+// violations are queued as Records or, decoded, as Violations; either way
+// a batch with any malformed entry is dropped whole.
 func (d *Decoder) fillBinary(records bool) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
@@ -290,28 +297,18 @@ func (d *Decoder) fillBinary(records bool) error {
 		return errors.New("stream: frame CRC mismatch")
 	}
 	switch payload[0] {
-	case 'V':
+	case 'B':
 		body := payload[1:]
+		r := &d.batch
 		if records {
 			body = bytes.Clone(body) // the payload buffer is reused next frame
+			r = nil
 		}
 		nq, nr := len(d.queue), len(d.recs)
-		for off := 0; off < len(body); {
-			var err error
-			if records {
-				var rec Record
-				if rec, off, err = parseRecord(body, off, nil, nil); err == nil {
-					d.recs = append(d.recs, rec)
-				}
-			} else {
-				// Decode in place: no by-value struct copy per violation.
-				d.queue = append(d.queue, Violation{})
-				_, off, err = parseRecord(body, off, &d.batch, &d.queue[len(d.queue)-1])
-			}
-			if err != nil {
-				d.queue, d.recs = d.queue[:nq], d.recs[:nr]
-				return err
-			}
+		var err error
+		if d.queue, d.recs, err = d.dict.parse(body, r, d.queue, d.recs); err != nil {
+			d.queue, d.recs = d.queue[:nq], d.recs[:nr]
+			return err
 		}
 		d.seen += int64(len(d.queue) - nq + len(d.recs) - nr)
 		return nil

@@ -8,7 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -34,32 +35,86 @@ func str(s string) []byte {
 }
 
 // seedStreams returns hand-built binary streams covering the protocol's
-// corners: clean, error-terminated, truncated, corrupt, and a clean stream
-// with a byte after its trailer.
-func seedStreams() [][]byte {
-	// One violation: kind, constraint, relation, row 0 (zigzag), one
-	// witness tuple of two values.
-	var v bytes.Buffer
-	v.Write(str("cfd"))
-	v.Write(str("phi"))
-	v.Write(str("r"))
-	v.WriteByte(0) // zigzag varint 0
-	v.Write(uv(1))
-	v.Write(uv(2))
-	v.Write(str("a"))
-	v.Write(str("b"))
-	batch := append([]byte{'V'}, v.Bytes()...)
+// corners: clean in one frame and across two, error-terminated, truncated,
+// corrupt, a clean stream with a byte after its trailer, and batches that
+// break the tables — refs to undeclared ids, a ref to an id declared only
+// in a later frame, a cut-short tuple declaration, a re-declared tuple, and
+// a batch in the retired one-frame-per-violation format.
+func seedStreams() []seed {
+	// A constraint and a two-value tuple, then one violation citing them:
+	// constraint 0, row 0 (zigzag), one witness tuple, tuple 0.
+	con := append(append(append([]byte{declConstraint}, str("cfd")...), str("phi")...), str("r")...)
+	tup := append(append(append([]byte{declTuple}, uv(2)...), str("a")...), str("b")...)
+	viol := []byte{entryViolation, 0, 0, 1, 0}
+	batch := func(entries ...[]byte) []byte { return frame(append([]byte{'B'}, bytes.Join(entries, nil)...)) }
+	trailer := func(n uint64) []byte { return frame(append([]byte{'Z'}, uv(n)...)) }
+	stream := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 
-	clean := append(frame(batch), frame(append([]byte{'Z'}, uv(1)...))...)
-	empty := frame(append([]byte{'Z'}, uv(0)...))
-	errTerm := append(frame(batch), frame(append([]byte{'E'}, "context canceled"...))...)
-	truncated := clean[:len(clean)-5]
+	clean := stream(batch(con, tup, viol), trailer(1))
 	corrupt := bytes.Clone(clean)
 	corrupt[9] ^= 0xFF
-	badTag := frame([]byte{'Q', 1, 2, 3})
-	badCount := append(frame(batch), frame(append([]byte{'Z'}, uv(9)...))...)
-	trailing := append(bytes.Clone(clean), 0)
-	return [][]byte{clean, empty, errTerm, truncated, corrupt, badTag, badCount, {}, []byte("garbage"), trailing}
+	return []seed{
+		{"clean", clean, ""},
+		{"empty", trailer(0), ""},
+		{"error-terminated", stream(batch(con, tup, viol), frame(append([]byte{'E'}, "context canceled"...))), "server reported"},
+		{"truncated", clean[:len(clean)-5], "truncated"},
+		{"corrupt", corrupt, "CRC mismatch"},
+		{"bad-tag", frame([]byte{'Q', 1, 2, 3}), "unknown frame tag"},
+		{"bad-count", stream(batch(con, tup, viol), trailer(9)), "trailer count"},
+		{"nothing", []byte{}, "truncated"},
+		{"garbage", []byte("garbage"), "truncated"},
+		{"trailing-byte", append(bytes.Clone(clean), 0), "after the stream's terminal record"},
+		// The second frame cites what the first declared, and a pair
+		// witness cites one tuple twice.
+		{"two-frames", stream(batch(con, tup, viol), batch([]byte{entryViolation, 0, 2, 2, 0, 0}), trailer(2)), ""},
+		{"undeclared-constraint", stream(batch(tup, viol), trailer(1)), "names no declared constraint"},
+		{"undeclared-tuple", stream(batch(con, viol), trailer(1)), "names no declared tuple"},
+		{"declared-later", stream(batch(con, viol), batch(tup, viol), trailer(2)), "names no declared tuple"},
+		{"cut-tuple", stream(batch(con, tup[:len(tup)-2]), trailer(0)), "bad uvarint"},
+		// A source that copies a tuple declares it twice: legal, and both
+		// ids decode to the same values.
+		{"redeclared-tuple", stream(batch(con, tup, tup, []byte{entryViolation, 0, 0, 2, 0, 1}), trailer(1)), ""},
+		{"retired-format", stream(frame(append([]byte{'V'}, append(append(append(str("cfd"), str("phi")...), str("r")...), 0, 1, 2, 1, 'a', 1, 'b')...)), trailer(1)), "unknown frame tag 0x56"},
+	}
+}
+
+// seed is one hand-built binary stream and how its decode ends: "" for a
+// clean end, else a fragment of the terminal error.
+type seed struct {
+	name string
+	data []byte
+	err  string
+}
+
+// TestSeedStreams pins how each seed stream's decode ends, so the fuzz
+// corpus keeps covering what its names say.
+func TestSeedStreams(t *testing.T) {
+	for _, sd := range seedStreams() {
+		_, err := DecodeAll(bytes.NewReader(sd.data), Binary)
+		if sd.err == "" && err != nil || sd.err != "" && (err == nil || !strings.Contains(err.Error(), sd.err)) {
+			t.Errorf("%s: decode ends in %v, want %q", sd.name, err, sd.err)
+		}
+	}
+}
+
+// sameViolations reports whether two decodes agree violation for
+// violation, field for field; a nil and an empty witness are alike.
+func sameViolations(a, b []Violation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Kind != y.Kind || x.Constraint != y.Constraint || x.Relation != y.Relation || x.Row != y.Row || len(x.Witness) != len(y.Witness) {
+			return false
+		}
+		for j := range x.Witness {
+			if !slices.Equal(x.Witness[j], y.Witness[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // FuzzStreamDecode hammers the binary frame decoder: arbitrary bytes must
@@ -71,36 +126,24 @@ func seedStreams() [][]byte {
 // each record must decode to the violation Next returned in its place. A
 // clean stream ends at its trailer: one more byte makes it an error.
 func FuzzStreamDecode(f *testing.F) {
-	for _, seed := range seedStreams() {
-		f.Add(seed)
+	for _, sd := range seedStreams() {
+		f.Add(sd.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vs1, err1 := DecodeAll(bytes.NewReader(data), Binary)
 		vs2, err2 := DecodeAll(bytes.NewReader(data), Binary)
-		if (err1 == nil) != (err2 == nil) || len(vs1) != len(vs2) {
+		if (err1 == nil) != (err2 == nil) || !sameViolations(vs1, vs2) {
 			t.Fatalf("non-deterministic decode: (%d, %v) vs (%d, %v)", len(vs1), err1, len(vs2), err2)
 		}
-		rd := NewDecoder(bytes.NewReader(data), Binary)
-		var recs []Record
-		var rerr error
-		for {
-			rec, err := rd.NextRecord()
-			if err != nil {
-				if err != io.EOF {
-					rerr = err
-				}
-				break
-			}
-			recs = append(recs, rec)
-		}
+		recs, rerr := readRecords(data)
 		if fmt.Sprint(rerr) != fmt.Sprint(err1) || len(recs) != len(vs1) {
 			t.Fatalf("record view diverges: %d records, %v; Next: %d violations, %v", len(recs), rerr, len(vs1), err1)
 		}
 		var br batchReader
 		for i := range recs {
 			var v Violation
-			br.decode(&recs[i], &v)
-			if !reflect.DeepEqual(v, vs1[i]) {
+			br.decodeRecord(&recs[i], &v)
+			if !sameViolations([]Violation{v}, vs1[i:i+1]) {
 				t.Fatalf("record %d decodes to %+v, Next returned %+v", i, v, vs1[i])
 			}
 		}
@@ -129,6 +172,57 @@ func FuzzStreamDecode(f *testing.F) {
 	})
 }
 
+// readRecords reads a binary stream through the record view: its records,
+// and its terminal result (nil for a clean end).
+func readRecords(data []byte) ([]Record, error) {
+	d := NewDecoder(bytes.NewReader(data), Binary)
+	var recs []Record
+	for {
+		rec, err := d.NextRecord()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// FuzzRelay pins the relay's renumbering: for any stream that decodes
+// cleanly, its records relayed through a binary relay writer make a stream
+// that decodes cleanly to exactly the violations the input decodes to.
+func FuzzRelay(f *testing.F) {
+	for _, sd := range seedStreams() {
+		f.Add(sd.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, err := DecodeAll(bytes.NewReader(data), Binary)
+		if err != nil {
+			return
+		}
+		recs, err := readRecords(data)
+		if err != nil {
+			t.Fatalf("Next decodes cleanly, the record view fails: %v", err)
+		}
+		var buf bytes.Buffer
+		w := NewRelayWriter(&buf, nil, Binary)
+		for _, rec := range recs {
+			w.Send(rec)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeAll(&buf, Binary)
+		if err != nil {
+			t.Fatalf("relayed stream: %v", err)
+		}
+		if !sameViolations(got, want) {
+			t.Fatalf("relayed stream decodes to %+v, input to %+v", got, want)
+		}
+	})
+}
+
 // TestRegenerateFuzzCorpus rewrites the committed seed corpus under
 // testdata/fuzz/FuzzStreamDecode when STREAM_REGEN_CORPUS=1 — run it after
 // changing the binary format, commit the result. Otherwise it verifies the
@@ -136,11 +230,14 @@ func FuzzStreamDecode(f *testing.F) {
 func TestRegenerateFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzStreamDecode")
 	if os.Getenv("STREAM_REGEN_CORPUS") == "1" {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for i, seed := range seedStreams() {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		for i, sd := range seedStreams() {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", sd.data)
 			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 				t.Fatal(err)

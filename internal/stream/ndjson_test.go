@@ -103,8 +103,8 @@ func TestHandParserTakesTheWritersGrammar(t *testing.T) {
 // or rejects.
 func ndjsonLineSeeds() [][]byte {
 	var seeds [][]byte
-	for _, stream := range seedStreams() {
-		vs, err := DecodeAll(bytes.NewReader(stream), Binary)
+	for _, sd := range seedStreams() {
+		vs, err := DecodeAll(bytes.NewReader(sd.data), Binary)
 		for i := range vs {
 			seeds = append(seeds, appendJSON(nil, &vs[i]))
 		}

@@ -26,41 +26,55 @@ func wireFixture(n int) []Violation {
 	return out
 }
 
-// appendWire encodes a wire violation in the binary record format — what
-// a shard's NewWriter emits for the engine violation it came from.
-func appendWire(dst []byte, v Violation) []byte {
-	dst = appendStr(dst, v.Kind)
-	dst = appendStr(dst, v.Constraint)
-	dst = appendStr(dst, v.Relation)
-	dst = binary.AppendVarint(dst, int64(v.Row))
-	dst = binary.AppendUvarint(dst, uint64(len(v.Witness)))
-	for _, t := range v.Witness {
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		for _, val := range t {
-			dst = appendStr(dst, val)
+// wireBody encodes wire violations as one 'B' body, declaring each
+// distinct constraint and tuple at its first citation — what a shard's
+// NewWriter emits for the engine violations they came from, whose tuples
+// are one row each.
+func wireBody(vs []Violation) []byte {
+	cons, tups := map[string]uint64{}, map[string]uint64{}
+	var body []byte
+	for _, v := range vs {
+		decl := string(appendStr(appendStr(appendStr(nil, v.Kind), v.Constraint), v.Relation))
+		con, ok := cons[decl]
+		if !ok {
+			con = uint64(len(cons))
+			cons[decl] = con
+			body = append(append(body, declConstraint), decl...)
+		}
+		refs := make([]uint64, len(v.Witness))
+		for i, t := range v.Witness {
+			raw := binary.AppendUvarint(nil, uint64(len(t)))
+			for _, val := range t {
+				raw = appendStr(raw, val)
+			}
+			id, ok := tups[string(raw)]
+			if !ok {
+				id = uint64(len(tups))
+				tups[string(raw)] = id
+				body = append(append(body, declTuple), raw...)
+			}
+			refs[i] = id
+		}
+		body = append(body, entryViolation)
+		body = binary.AppendUvarint(body, con)
+		body = binary.AppendVarint(body, int64(v.Row))
+		body = binary.AppendUvarint(body, uint64(len(refs)))
+		for _, r := range refs {
+			body = binary.AppendUvarint(body, r)
 		}
 	}
-	return dst
+	return body
 }
 
-// recordsOf encodes wire violations into one 'V' body and scans it back
+// recordsOf encodes wire violations into one 'B' body and scans it back
 // into the records a relay receives.
 func recordsOf(t testing.TB, vs []Violation) []Record {
 	t.Helper()
-	var body []byte
-	for _, v := range vs {
-		body = appendWire(body, v)
+	_, recs, err := new(dict).parse(wireBody(vs), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]Record, 0, len(vs))
-	for off := 0; off < len(body); {
-		rec, next, err := parseRecord(body, off, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, rec)
-		off = next
-	}
-	return out
+	return recs
 }
 
 func TestWireWriterRoundTrip(t *testing.T) {

@@ -4,7 +4,7 @@
 // tests consume streams through. The Writer has two instantiations: over
 // engine violations (a single node's detection loop) and over undecoded
 // binary records (a router relaying merged shard streams, which a binary
-// client receives spliced verbatim). Both flush the first violation
+// client receives with their ids renumbered). Both flush the first violation
 // eagerly and later bytes at 32KiB or 50ms, and for the same violations
 // both write the same bytes in every encoding. The Decoder yields decoded
 // violations (Next) or, for a relay, the same stream's validated records
@@ -25,9 +25,14 @@
 //     WAL's [u32le len][u32le IEEE CRC32][payload] framing discipline
 //     (internal/wal), so the same torn-tail properties hold: corruption is
 //     detected, never misparsed. Each payload is a one-byte tag plus body —
-//     'V' a batch of violations (uvarint-framed strings), 'E' a terminal
-//     error message, 'Z' the end-of-stream trailer carrying the violation
-//     count. A stream that does not end in a 'Z' or 'E' frame is truncated.
+//     'B' a batch of declarations and violations, 'E' a terminal error
+//     message, 'Z' the end-of-stream trailer carrying the violation count.
+//     A stream that does not end in a 'Z' or 'E' frame is truncated. A
+//     batch declares each constraint and witness tuple once per stream,
+//     before the first violation that cites it, and each violation cites
+//     them by id (binary.go), so a tuple's values cross the wire once
+//     however many violations it witnesses. Decoded violations that cite
+//     one tuple share its []string: callers must not mutate witnesses.
 //
 // In every encoding the Decoder surfaces exactly one of three terminal
 // states: clean end (io.EOF, with the trailer count cross-checked against

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	cind "cind"
 
@@ -36,9 +37,18 @@ cind psi: r[a; nil] <= s[a; nil] {
 }
 `
 
-// testViolations runs the real engine over a generated instance and
-// returns the violations in deterministic (parallelism-1) stream order.
+// testViolations runs the real engine over a generated instance of rows
+// r tuples, three to a key, and returns the violations in deterministic
+// (parallelism-1) stream order.
 func testViolations(t testing.TB, rows int) []detect.Violation {
+	t.Helper()
+	return groupedViolations(t, rows, 3)
+}
+
+// groupedViolations is testViolations with perKey r tuples to a key: a
+// key's tuples witness perKey(perKey-1)/2 pair violations of phi, each
+// tuple perKey-1 of them.
+func groupedViolations(t testing.TB, rows, perKey int) []detect.Violation {
 	t.Helper()
 	set, err := cind.ParseConstraints(testSpec)
 	if err != nil {
@@ -47,7 +57,7 @@ func testViolations(t testing.TB, rows int) []detect.Violation {
 	db := cind.NewDatabase(set.Schema())
 	var sb strings.Builder
 	sb.WriteString("a,b,c\n")
-	keys := rows/3 + 1
+	keys := rows/perKey + 1
 	for i := 0; i < rows; i++ {
 		fmt.Fprintf(&sb, "key-%d,val-%d,c%d\n", i%keys, i, i)
 	}
@@ -99,12 +109,15 @@ var (
 	}}
 	relayWriter = writerKind{"relay", func(out io.Writer, enc Encoding) testWriter {
 		w := NewRelayWriter(out, nil, enc)
+		// Each violation becomes a one-violation batch of one source
+		// stream, read back through the record view.
+		e, src := newEncoder(), &dict{}
 		return testWriter{func(v detect.Violation) bool {
-			rec, _, err := parseRecord(appendBinaryViolation(nil, v), 0, nil, nil)
+			_, recs, err := src.parse(e.appendViolation(nil, &v), nil, nil, nil)
 			if err != nil {
 				panic(err)
 			}
-			return w.Send(rec)
+			return w.Send(recs[0])
 		}, w}
 	}}
 	writerKinds = []writerKind{engineWriter, relayWriter}
@@ -251,7 +264,7 @@ func TestErrorTerminal(t *testing.T) {
 // TestRelayMatchesEngine pins the relay promise: the relay writer fed the
 // binary records of engine violations writes what the engine writer fed
 // the violations writes — the same NDJSON and JSON bytes, and binary with
-// the same 'V' bodies, byte for byte, and the same terminal frame (batch
+// the same 'B' bodies, byte for byte, and the same terminal frame (batch
 // boundaries follow flush timing, which the Decoder is indifferent to).
 func TestRelayMatchesEngine(t *testing.T) {
 	vs := testViolations(t, 200)
@@ -269,7 +282,7 @@ func TestRelayMatchesEngine(t *testing.T) {
 	}
 }
 
-// splitFrames concatenates a binary stream's 'V' bodies and appends its
+// splitFrames concatenates a binary stream's 'B' bodies and appends its
 // terminal payload: the stream's content with the batch boundaries
 // removed.
 func splitFrames(t testing.TB, raw []byte) []byte {
@@ -282,13 +295,42 @@ func splitFrames(t testing.TB, raw []byte) []byte {
 		n := int(binary.LittleEndian.Uint32(raw[:4]))
 		payload := raw[8 : 8+n]
 		raw = raw[8+n:]
-		if payload[0] != 'V' {
+		if payload[0] != 'B' {
 			return append(bodies, payload...)
 		}
 		bodies = append(bodies, payload[1:]...)
 	}
 	t.Fatal("binary stream without a terminal frame")
 	return nil
+}
+
+// TestDecodedWitnessesShareTuples: in a decoded dense stream every
+// violation that cites a tuple holds the same []string for it, so a tuple
+// costs one decode and one slice however many violations it witnesses.
+func TestDecodedWitnessesShareTuples(t *testing.T) {
+	vs := groupedViolations(t, 300, 21)
+	raw := encodeStream(t, engineWriter, vs, Binary, "")
+	got, err := DecodeAll(bytes.NewReader(raw), Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameViolations(t, "dense", got, wantWire(vs))
+	arrays := map[string]*string{}
+	cites := 0
+	for _, v := range got {
+		for _, tup := range v.Witness {
+			key := strings.Join(tup, "\x00")
+			p := unsafe.SliceData(tup)
+			if q, ok := arrays[key]; ok && q != p {
+				t.Fatalf("tuple %q decoded into two backing arrays", tup)
+			}
+			arrays[key] = p
+			cites++
+		}
+	}
+	if cites < 10*len(arrays) {
+		t.Fatalf("%d citations of %d tuples: the fixture does not repeat witnesses", cites, len(arrays))
+	}
 }
 
 // TestTruncationDetected: every proper prefix of a valid stream must fail
@@ -357,8 +399,8 @@ func TestWALFrameCompatibility(t *testing.T) {
 		if last && tag != 'Z' {
 			t.Fatalf("final frame tag %q, want Z", tag)
 		}
-		if !last && tag != 'V' {
-			t.Fatalf("frame %d tag %q, want V", i, tag)
+		if !last && tag != 'B' {
+			t.Fatalf("frame %d tag %q, want B", i, tag)
 		}
 	}
 	if _, validEnd := wal.Decode(raw[:len(raw)-3]); validEnd >= int64(len(raw)-3) {

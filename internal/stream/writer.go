@@ -60,8 +60,8 @@ type Writer[V any] struct {
 	out  io.Writer
 	fl   Flusher
 	enc  Encoding
-	wire func(V) Violation      // the JSON form
-	body func([]byte, V) []byte // appends the binary 'V' body
+	wire func(V) Violation       // the JSON form
+	body func([]byte, *V) []byte // appends the binary body, declarations and all
 
 	mu      sync.Mutex
 	room    sync.Cond // Send waits here while maxPending violations are pending
@@ -78,15 +78,17 @@ type Writer[V any] struct {
 
 // NewWriter starts a writer of engine violations over out. fl may be nil.
 func NewWriter(out io.Writer, fl Flusher, enc Encoding, _ Options) *Writer[detect.Violation] {
-	return newWriter(out, fl, enc, Convert, appendBinaryViolation)
+	return newWriter(out, fl, enc, Convert, newEncoder().appendViolation)
 }
 
 // NewRelayWriter starts a writer of undecoded binary records over out: the
 // router's half, relaying the records it merged from shard streams. A
-// Binary stream splices each record's bytes verbatim; NDJSON and JSON
-// decode each record once, through one intern cache and one witness
-// buffer the writer reuses, and write what a single node's NewWriter would
-// for the same violations. fl may be nil.
+// Binary stream relays each record's entry with its refs renumbered into
+// the output's tables, declaring each constraint and tuple the first time
+// a relayed record cites it; NDJSON and JSON decode each record once,
+// through one intern cache and one witness buffer the writer reuses. Either
+// way it writes what a single node's NewWriter would for the same
+// violations. fl may be nil.
 func NewRelayWriter(out io.Writer, fl Flusher, enc Encoding) *Writer[Record] {
 	var r batchReader
 	wire := func(rec Record) Violation {
@@ -94,13 +96,13 @@ func NewRelayWriter(out io.Writer, fl Flusher, enc Encoding) *Writer[Record] {
 		// rewinds the witness slabs instead of filling fresh ones.
 		r.vals, r.tups = r.vals[:0], r.tups[:0]
 		var v Violation
-		r.decode(&rec, &v)
+		r.decodeRecord(&rec, &v)
 		return v
 	}
-	return newWriter(out, fl, enc, wire, appendRecord)
+	return newWriter(out, fl, enc, wire, new(relayDict).appendRecord)
 }
 
-func newWriter[V any](out io.Writer, fl Flusher, enc Encoding, wire func(V) Violation, body func([]byte, V) []byte) *Writer[V] {
+func newWriter[V any](out io.Writer, fl Flusher, enc Encoding, wire func(V) Violation, body func([]byte, *V) []byte) *Writer[V] {
 	w := &Writer[V]{
 		out: out, fl: fl, enc: enc, wire: wire, body: body,
 		wake: make(chan struct{}, 1),
@@ -195,7 +197,7 @@ func (w *Writer[V]) run() {
 		}
 	}()
 	if w.enc == Binary {
-		startBatch(buf, 'V')
+		startBatch(buf, 'B')
 	}
 	timer := time.NewTimer(flushInterval)
 	timer.Stop()
@@ -253,7 +255,7 @@ func startBatch(buf *bytes.Buffer, tag byte) {
 // buffered is the number of payload bytes awaiting a flush.
 func (w *Writer[V]) buffered(buf *bytes.Buffer) int {
 	if w.enc == Binary {
-		return buf.Len() - wal.FrameHeader - 1 // the standing header and 'V' tag are not payload
+		return buf.Len() - wal.FrameHeader - 1 // the standing header and 'B' tag are not payload
 	}
 	return buf.Len()
 }
@@ -271,7 +273,7 @@ func (w *Writer[V]) encode(buf *bytes.Buffer, v *V, count int64) {
 		wv := w.wire(*v)
 		buf.Write(appendJSON(buf.AvailableBuffer(), &wv))
 	case Binary:
-		buf.Write(w.body(buf.AvailableBuffer(), *v))
+		buf.Write(w.body(buf.AvailableBuffer(), v))
 	default:
 		wv := w.wire(*v)
 		buf.Write(append(appendJSON(buf.AvailableBuffer(), &wv), '\n'))
@@ -279,7 +281,7 @@ func (w *Writer[V]) encode(buf *bytes.Buffer, v *V, count int64) {
 }
 
 // flush sends the buffered payload to the client and reports failure. For
-// Binary the buffer is one 'V' batch frame, sealed in place exactly like a
+// Binary the buffer is one 'B' batch frame, sealed in place exactly like a
 // WAL record; the buffer is re-seeded for the next batch.
 func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 	var err error
@@ -290,7 +292,7 @@ func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 		}
 		err = writeFrame(w.out, buf.Bytes())
 		buf.Reset()
-		startBatch(buf, 'V')
+		startBatch(buf, 'B')
 	default:
 		if buf.Len() == 0 {
 			return false
