@@ -373,23 +373,6 @@ func (c *Checker) engineOpts() detect.Options {
 	return detect.Options{Parallel: c.cfg.parallel, Limit: c.cfg.limit}
 }
 
-// pin returns, under the read lock, the version a read reports: the
-// session's plan after the first Apply, the resident plan before it, and
-// on the SQL backend before the first Apply its report, cut to the
-// checker's limit. The caller evaluates a plan without the lock.
-func (c *Checker) pin(ctx context.Context) (*detect.Plan, *Report, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	switch {
-	case c.sess != nil:
-		return c.sess.Plan(), nil, nil
-	case c.backend != nil:
-		rep, err := c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
-		return nil, rep, err
-	}
-	return c.detectPlan(), nil, nil
-}
-
 // detectPlan returns the resident plan, rebuilding it first when a
 // referenced relation changed since it was built. Callers hold c.mu's read
 // lock, so no Apply runs meanwhile.
@@ -415,14 +398,11 @@ func (c *Checker) detectPlan() *detect.Plan {
 // violations of the unlimited run. The checker's lock is held only while
 // Detect pins the version it reports, never while the plan is evaluated.
 func (c *Checker) Detect(ctx context.Context) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	v, err := c.Pin(ctx)
+	if v.plan == nil {
+		return v.rep, err
 	}
-	plan, rep, err := c.pin(ctx)
-	if plan == nil {
-		return rep, err
-	}
-	return plan.Run(ctx, c.engineOpts())
+	return v.plan.Run(ctx, v.opts)
 }
 
 // Violations streams the report as the engine finds it, instead of
@@ -450,23 +430,66 @@ func (c *Checker) Detect(ctx context.Context) (*Report, error) {
 // after it, every version's plan already holds its result.
 func (c *Checker) Violations(ctx context.Context) iter.Seq2[Violation, error] {
 	return func(yield func(Violation, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(Violation{}, err)
-			return
-		}
-		plan, rep, err := c.pin(ctx)
+		v, err := c.Pin(ctx)
 		if err != nil {
 			yield(Violation{}, err)
 			return
 		}
-		if plan == nil {
-			yieldReport(ctx, rep, yield)
+		v.Violations(ctx)(yield)
+	}
+}
+
+// Version is one version of a checker's database, pinned by Pin: its
+// report is fixed at the pin, whatever writes land after it. Versions are
+// comparable, and every pin of one plan-backed version returns an equal
+// Version, so a caller may key what it derives from a version's report on
+// the Version itself when Recurs holds.
+type Version struct {
+	plan *detect.Plan
+	rep  *Report // the SQL backend's report, when plan is nil
+	opts detect.Options
+}
+
+// Pin pins, under the read lock, the version a read reports: the session's
+// published version after the first Apply, the resident plan before it,
+// and on the SQL backend before the first Apply its report, cut to the
+// checker's limit. The version's Violations evaluates it without the lock.
+func (c *Checker) Pin(ctx context.Context) (Version, error) {
+	if err := ctx.Err(); err != nil {
+		return Version{}, err
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	v := Version{opts: c.engineOpts()}
+	var err error
+	switch {
+	case c.sess != nil:
+		v.plan = c.sess.Plan()
+	case c.backend != nil:
+		v.rep, err = c.backend.Detect(ctx, c.db, c.set.cfds, c.set.cinds, c.cfg.limit)
+	default:
+		v.plan = c.detectPlan()
+	}
+	return v, err
+}
+
+// Recurs reports whether a later Pin can return this version again: true
+// for a plan, false for the SQL backend's report, which every pin runs
+// afresh.
+func (v Version) Recurs() bool { return v.plan != nil }
+
+// Violations streams the version's report as Checker.Violations does;
+// that method is Pin followed by this one.
+func (v Version) Violations(ctx context.Context) iter.Seq2[Violation, error] {
+	return func(yield func(Violation, error) bool) {
+		if v.plan == nil {
+			yieldReport(ctx, v.rep, yield)
 			return
 		}
 		n, broke := 0, false
-		err = plan.Each(ctx, c.engineOpts(), func(v Violation) bool {
+		err := v.plan.Each(ctx, v.opts, func(x Violation) bool {
 			n++
-			broke = !yield(v, nil) || n == c.cfg.limit
+			broke = !yield(x, nil) || n == v.opts.Limit
 			return !broke
 		})
 		if err != nil && !broke {

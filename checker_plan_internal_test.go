@@ -83,7 +83,7 @@ func TestCheckerPlanLifetime(t *testing.T) {
 }
 
 // TestCheckerSQLBackendBuildsNoPlan: a checker on the SQL backend detects
-// through SQL and never codes the relations.
+// through SQL and never codes the relations, and its versions never recur.
 func TestCheckerSQLBackendBuildsNoPlan(t *testing.T) {
 	ctx := context.Background()
 	h, err := OpenSQLBackend("mem:")
@@ -107,22 +107,29 @@ func TestCheckerSQLBackendBuildsNoPlan(t *testing.T) {
 	if chk.residentPlan() != nil {
 		t.Fatal("a checker on the SQL backend built a plan")
 	}
+	// Every pin runs the queries afresh: no version recurs, so nothing
+	// may be keyed on one.
+	a, errA := chk.Pin(ctx)
+	b, errB := chk.Pin(ctx)
+	if errA != nil || errB != nil || a.Recurs() || a == b {
+		t.Fatalf("SQL backend pins: recurs %v, equal %v (%v, %v); want distinct versions that do not recur", a.Recurs(), a == b, errA, errB)
+	}
 }
 
 // TestCheckerPinsSessionVersions: after the first Apply every read pins
 // the session's version, a plan like the one before it; reads of one
-// version share its plan, and an Apply that changes the database makes
-// the next read pin a new one.
+// version share its plan, so their Versions are equal, and an Apply that
+// changes the database makes the next read pin a new one.
 func TestCheckerPinsSessionVersions(t *testing.T) {
 	ctx := context.Background()
 	chk, db := bankChecker(t)
-	pin := func() *detect.Plan {
+	pin := func() Version {
 		t.Helper()
-		p, rep, err := chk.pin(ctx)
-		if err != nil || p == nil || rep != nil {
-			t.Fatalf("pin = (%v, %v, %v), want a plan", p, rep, err)
+		v, err := chk.Pin(ctx)
+		if err != nil || v.plan == nil || v.rep != nil || !v.Recurs() {
+			t.Fatalf("Pin = (%+v, %v), want a plan", v, err)
 		}
-		return p
+		return v
 	}
 	if _, err := chk.Apply(ctx); err != nil {
 		t.Fatal(err)
@@ -141,7 +148,7 @@ func TestCheckerPinsSessionVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := pin()
-	if next == first || first.Current(db) || !next.Current(db) {
+	if next == first || first.plan.Current(db) || !next.plan.Current(db) {
 		t.Fatal("the Apply did not end the version it changed")
 	}
 }

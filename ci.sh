@@ -202,14 +202,36 @@ case "$cons" in
 	exit 1
 	;;
 esac
-curl -sSf "$base/metrics" > /dev/null
+# Body memo: the NDJSON read above kept its body, so a second read of the
+# unchanged version writes the same bytes from the memo, which
+# stream_memo_hits counts. A delta that changes the report ends the
+# version: the next read carries the new report.
+ndjson2="$(curl -sSf "$base/datasets/bank/violations")"
+if [ "$ndjson2" != "$ndjson" ]; then
+	echo "ci: a repeated NDJSON read of an unchanged dataset differs:" >&2
+	printf 'first:\n%s\nsecond:\n%s\n' "$ndjson" "$ndjson2" >&2
+	exit 1
+fi
+memo_hits() { curl -sSf "$base/metrics" | grep -o '"stream_memo_hits": *[0-9]*' | grep -o '[0-9]*$'; }
+if [ "$(memo_hits)" != "1" ]; then
+	echo "ci: stream_memo_hits = $(memo_hits) after a repeated read, want 1" >&2
+	exit 1
+fi
+curl -sSf -X POST "$base/datasets/bank/deltas" \
+	-d '{"deltas":[{"op":"-","rel":"interest","tuple":["EDI","UK","checking","10.5%"]},{"op":"+","rel":"interest","tuple":["EDI","UK","checking","1.5%"]}]}' > /dev/null
+repaired="$(curl -sSf "$base/datasets/bank/violations")"
+if [ "$repaired" != '{"done":true,"count":0}' ] || [ "$(memo_hits)" != "1" ]; then
+	echo "ci: the read after a repairing delta was not a fresh, clean report (stream_memo_hits $(memo_hits)):" >&2
+	printf '%s\n' "$repaired" >&2
+	exit 1
+fi
 kill -INT "$serve_pid"
 if ! wait "$serve_pid"; then
 	echo "ci: cindserve did not shut down cleanly:" >&2
 	cat "$serve_log" >&2
 	exit 1
 fi
-echo "cindserve smoke: 2 violations streamed (binary == ndjson), clean shutdown"
+echo "cindserve smoke: 2 violations streamed (binary == ndjson), a repeated read served from the memo, a delta ends it, clean shutdown"
 
 echo "== SQL backend smoke: cindserve -backend mem:, same bank stream byte for byte"
 : > "$serve_log"

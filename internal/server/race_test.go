@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
 	cind "cind"
+	"cind/internal/stream"
 )
 
 // TestConcurrentStreamsDeltasAndRepair hammers one dataset with concurrent
@@ -129,6 +132,93 @@ func TestConcurrentStreamsDeltasAndRepair(t *testing.T) {
 		in.Insert(cind.Consts(row...))
 	}
 	assertSameMultiset(t, "vs direct", initial, collectDirect(t, chk))
+}
+
+// TestMemoReadersRaceApply races readers in every encoding against a
+// writer whose every batch grows the report. Each stream must decode to
+// the report of some version — the direct twin's after some prefix of the
+// batches — and a reader must never see an older version after a newer
+// one, and once the writer is done every encoding serves the last
+// version: a read served a body kept for another version fails one of
+// these. Run under -race (ci.sh does).
+func TestMemoReadersRaceApply(t *testing.T) {
+	_, ts := startServer(t)
+	c := ts.Client()
+	loadBankHTTP(t, c, ts.URL, "bank")
+	base := ts.URL + "/datasets/bank"
+	postDeltas(t, c, base+"/deltas", nil, http.StatusOK)
+
+	twin, _ := bankChecker(t)
+	ctx := context.Background()
+	if _, err := twin.Apply(ctx); err != nil {
+		t.Fatal(err)
+	}
+	key := func(ws []violationWire) string { return strings.Join(wireStrings(t, ws), "\n") }
+	version := map[string]int{key(collectDirect(t, twin)): 0}
+	var batches [][]deltaWire
+	rows := parseCSVRows(t, denseDirtyCSV(24, 3))
+	for i := 0; i < len(rows); i += 2 {
+		batch := []deltaWire{{Op: "+", Rel: "checking", Tuple: rows[i]}, {Op: "+", Rel: "checking", Tuple: rows[i+1]}}
+		if _, err := twin.Apply(ctx,
+			cind.InsertDelta("checking", cind.Consts(rows[i]...)),
+			cind.InsertDelta("checking", cind.Consts(rows[i+1]...))); err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, batch)
+		version[key(collectDirect(t, twin))] = len(batches)
+	}
+	if len(version) != len(batches)+1 {
+		t.Fatalf("%d distinct reports over %d versions; every batch must change the report", len(version), len(batches)+1)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for _, enc := range streamEncodings {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for i := 0; i < 3*len(batches); i++ {
+				req, _ := http.NewRequest(http.MethodGet, base+"/violations", nil)
+				req.Header.Set("Accept", enc.ContentType())
+				resp, err := c.Do(req)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := stream.DecodeAll(resp.Body, enc)
+				resp.Body.Close()
+				if err != nil {
+					errs <- fmt.Errorf("%s read %d: %v", enc, i, err)
+					return
+				}
+				v, ok := version[key(got)]
+				switch {
+				case !ok:
+					errs <- fmt.Errorf("%s read %d: %d violations equal no version's report", enc, i, len(got))
+					return
+				case v < last:
+					errs <- fmt.Errorf("%s read %d: version %d after version %d", enc, i, v, last)
+					return
+				}
+				last = v
+			}
+		}()
+	}
+	for _, batch := range batches {
+		postDeltas(t, c, base+"/deltas", batch, http.StatusOK)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Once the writer is done, every encoding serves the last version.
+	for _, enc := range streamEncodings {
+		if v, ok := version[key(streamViolationsEnc(t, c, base+"/violations", enc))]; !ok || v != len(batches) {
+			t.Fatalf("%s after the writer: version %d (known %v), want %d", enc, v, ok, len(batches))
+		}
+	}
 }
 
 func parseCSVRows(t testing.TB, data []byte) [][]string {

@@ -213,6 +213,8 @@ type local struct {
 	sinceSnap    int   // WAL appends since the last snapshot
 	snapAtOffset int64 // WAL end offset the last snapshot covered
 	snapErrs     *expvar.Int
+
+	memo bodyMemo // stream bodies kept for the latest version
 }
 
 // checker returns the dataset's Checker, building it on first use.
@@ -276,6 +278,9 @@ type Server struct {
 	nRequests     *expvar.Int
 	nStreamed     *expvar.Int // violations streamed (any encoding), lifetime
 	nActiveStream *expvar.Int // streams currently open
+	nMemoHits     *expvar.Int // streams served from a kept body, lifetime
+	nMemoFills    *expvar.Int // stream bodies kept, lifetime
+	nMemoBytes    *expvar.Int // bytes written from kept bodies, lifetime
 	nDeltas       *expvar.Int // deltas applied, lifetime
 	nImplication  *expvar.Int // implication goals decided, lifetime
 	nConsistency  *expvar.Int // consistency checks run, lifetime
@@ -313,6 +318,9 @@ func newServer() *Server {
 		nRequests:     new(expvar.Int),
 		nStreamed:     new(expvar.Int),
 		nActiveStream: new(expvar.Int),
+		nMemoHits:     new(expvar.Int),
+		nMemoFills:    new(expvar.Int),
+		nMemoBytes:    new(expvar.Int),
 		nDeltas:       new(expvar.Int),
 		nImplication:  new(expvar.Int),
 		nConsistency:  new(expvar.Int),
@@ -326,6 +334,9 @@ func newServer() *Server {
 	s.vars.Set("requests", s.nRequests)
 	s.vars.Set("violations_streamed", s.nStreamed)
 	s.vars.Set("active_streams", s.nActiveStream)
+	s.vars.Set("stream_memo_hits", s.nMemoHits)
+	s.vars.Set("stream_memo_fills", s.nMemoFills)
+	s.vars.Set("stream_memo_bytes", s.nMemoBytes)
 	s.vars.Set("deltas_applied", s.nDeltas)
 	s.vars.Set("implication_checks", s.nImplication)
 	s.vars.Set("consistency_checks", s.nConsistency)
@@ -422,7 +433,8 @@ func (s *Server) createLocal(_ context.Context, name string, set *cind.Constrain
 func (s *Server) newLocal(name string, set *cind.ConstraintSet, parallel int) (*local, error) {
 	d := &local{datasetMeta: newMeta(name, set), db: cind.NewDatabase(set.Schema()),
 		parallel: parallel, store: s.store,
-		snapBatches: s.snapBatches, snapBytes: s.snapBytes, snapErrs: s.nSnapErrs}
+		snapBatches: s.snapBatches, snapBytes: s.snapBytes, snapErrs: s.nSnapErrs,
+		memo: bodyMemo{hits: s.nMemoHits, fills: s.nMemoFills, bytes: s.nMemoBytes}}
 	d.lastSizes = make(map[string]int, set.Schema().Len())
 	for _, rel := range set.Schema().Relations() {
 		d.lastSizes[rel.Name()] = 0
@@ -674,20 +686,35 @@ func (d *local) markIncremental() {
 }
 
 func (d *local) violations(ctx context.Context) (violationStream, error) {
-	return &localStream{ctx: ctx, chk: d.checker()}, nil
+	return &localStream{ctx: ctx, chk: d.checker(), memo: &d.memo}, nil
 }
 
-// localStream is Checker.Violations feeding an engine stream.Writer.
+// localStream is a pinned version of the Checker feeding an engine
+// stream.Writer, or its kept body when the dataset's memo holds one.
 type localStream struct {
-	ctx context.Context
-	chk *cind.Checker
+	ctx  context.Context
+	chk  *cind.Checker
+	memo *bodyMemo
 }
 
 func (ls *localStream) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
+	ver, err := ls.chk.Pin(ls.ctx)
+	keep := err == nil && limit == 0 && ver.Recurs()
+	if keep {
+		if k := ls.memo.hit(ver, enc, out, fl); k != nil {
+			return k, k.count, k.writeViolations()
+		}
+	}
 	sw := stream.NewWriter(out, fl, enc, stream.Options{})
+	if err != nil {
+		return sw, 0, err.Error()
+	}
+	if keep {
+		sw.Keep(maxKeptBody, func(body []byte, end int, count int64) { ls.memo.put(ver, enc, body, end, count) })
+	}
 	n := 0
 	endErr := ""
-	for v, err := range ls.chk.Violations(ls.ctx) {
+	for v, err := range ver.Violations(ls.ctx) {
 		if err != nil {
 			// Cancellation (client gone, or Drain): end with the terminal
 			// error record — a disconnected client simply won't read it —

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"cind/internal/stream"
 )
 
 // startBackendServer is startServer with Options.Backend set: every dataset
@@ -26,7 +29,7 @@ func startBackendServer(t testing.TB, spec string) (*Server, *httptest.Server) {
 // violation-for-violation identical to the in-memory engine's, including
 // the ?limit= prefix — the HTTP face of the sqlbackend differential suite.
 func TestBackendServerParity(t *testing.T) {
-	_, ts := startBackendServer(t, "mem:")
+	s, ts := startBackendServer(t, "mem:")
 	c := ts.Client()
 	loadBankHTTP(t, c, ts.URL, "bank")
 
@@ -41,6 +44,14 @@ func TestBackendServerParity(t *testing.T) {
 
 	limited := streamViolations(t, c, ts.URL+"/datasets/bank/violations?limit=1")
 	assertSameOrder(t, "backend stream limit=1", limited, want[:1])
+
+	// The backend pins no plan, so every read runs its queries afresh: a
+	// repeated read neither fills nor hits the body memo.
+	again := rawStream(t, c, ts.URL+"/datasets/bank/violations", stream.NDJSON)
+	if first := rawStream(t, c, ts.URL+"/datasets/bank/violations", stream.NDJSON); !bytes.Equal(again, first) {
+		t.Fatalf("repeated backend reads differ:\n%s\n%s", first, again)
+	}
+	assertMemo(t, s, "backend", 0, 0)
 }
 
 // TestBackendServerReplaceAndDelete: re-PUTting constraints swaps in a

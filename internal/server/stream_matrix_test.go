@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cind"
 	"cind/internal/stream"
 )
 
@@ -49,6 +50,125 @@ func TestStreamEncodingMatrixBank(t *testing.T) {
 				streamViolationsEnc(t, c, url, enc), ref[:limit])
 		}
 	}
+}
+
+// memoCounts reads the server's body-memo counters.
+func memoCounts(s *Server) (hits, fills int64) { return s.nMemoHits.Value(), s.nMemoFills.Value() }
+
+// assertMemo requires the body-memo counters to read hits and fills.
+func assertMemo(t testing.TB, s *Server, label string, hits, fills int64) {
+	t.Helper()
+	if h, f := memoCounts(s); h != hits || f != fills {
+		t.Fatalf("%s: stream_memo_hits %d, stream_memo_fills %d; want %d and %d", label, h, f, hits, fills)
+	}
+}
+
+// TestStreamMemoMatrix: in every encoding, before and after the first
+// Apply, a limited read neither fills the memo nor hits it, the first
+// unlimited read of a version fills it, and the next is a hit whose body
+// equals the fill's byte for byte. The report crosses flush boundaries,
+// so the kept bodies span several frames or writes. /metrics publishes
+// the counters, and the bytes the hits wrote.
+func TestStreamMemoMatrix(t *testing.T) {
+	s, ts := startServer(t)
+	c := ts.Client()
+	loadBankHTTP(t, c, ts.URL, "bank")
+	do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking", denseDirtyCSV(600, 20), http.StatusOK)
+	url := ts.URL + "/datasets/bank/violations"
+
+	var hits, fills, hitBytes int64
+	for _, phase := range []string{"pre-apply", "post-apply"} {
+		if phase == "post-apply" {
+			postDeltas(t, c, ts.URL+"/datasets/bank/deltas", nil, http.StatusOK)
+		}
+		var ref []violationWire
+		for _, enc := range streamEncodings {
+			label := phase + " " + enc.String()
+			if got := streamViolationsEnc(t, c, url+"?limit=3", enc); len(got) != 3 {
+				t.Fatalf("%s: limited read yielded %d violations, want 3", label, len(got))
+			}
+			assertMemo(t, s, label+" limited", hits, fills)
+			fill := rawStream(t, c, url, enc)
+			fills++
+			assertMemo(t, s, label+" fill", hits, fills)
+			hit := rawStream(t, c, url, enc)
+			hits, hitBytes = hits+1, hitBytes+int64(len(hit))
+			assertMemo(t, s, label+" hit", hits, fills)
+			if !bytes.Equal(hit, fill) {
+				t.Fatalf("%s: hit body (%d bytes) differs from its fill (%d bytes)", label, len(hit), len(fill))
+			}
+			got, err := stream.DecodeAll(bytes.NewReader(hit), enc)
+			if err != nil {
+				t.Fatalf("%s: decode hit: %v", label, err)
+			}
+			if ref == nil {
+				ref = got
+			}
+			assertSameOrder(t, label, got, ref)
+		}
+		if len(ref) < 5000 {
+			t.Fatalf("%s: report has %d violations; too few to cross flush boundaries", phase, len(ref))
+		}
+	}
+	m := metricsMap(t, c, ts.URL)
+	for name, want := range map[string]int64{"stream_memo_hits": hits, "stream_memo_fills": fills, "stream_memo_bytes": hitBytes} {
+		if got, _ := m[name].(float64); int64(got) != want {
+			t.Fatalf("/metrics %s = %v, want %d", name, m[name], want)
+		}
+	}
+}
+
+// TestStreamMemoFillsAfterEachWrite: after a delta batch, a CSV load and a
+// constraint PUT, the next read of the dataset is a fill carrying the new
+// report, never a hit on the body kept before the write.
+func TestStreamMemoFillsAfterEachWrite(t *testing.T) {
+	s, ts := startServer(t)
+	c := ts.Client()
+	loadBankHTTP(t, c, ts.URL, "bank")
+	base := ts.URL + "/datasets/bank"
+	twin, _ := bankChecker(t)
+	ctx := context.Background()
+
+	var hits, fills int64
+	read := func(label string, want []violationWire) {
+		t.Helper()
+		for _, enc := range []stream.Encoding{stream.NDJSON, stream.Binary} {
+			got := streamViolationsEnc(t, c, base+"/violations", enc)
+			fills++
+			assertMemo(t, s, label+" "+enc.String()+" first read", hits, fills)
+			assertSameOrder(t, label+" "+enc.String(), got, want)
+			streamViolationsEnc(t, c, base+"/violations", enc)
+			hits++
+			assertMemo(t, s, label+" "+enc.String()+" second read", hits, fills)
+		}
+	}
+	read("initial", collectDirect(t, twin))
+
+	repair := []deltaWire{
+		{Op: "-", Rel: "interest", Tuple: []string{"EDI", "UK", "checking", "10.5%"}},
+		{Op: "+", Rel: "interest", Tuple: []string{"EDI", "UK", "checking", "1.5%"}},
+	}
+	postDeltas(t, c, base+"/deltas", repair, http.StatusOK)
+	if _, err := twin.Apply(ctx,
+		cind.DeleteDelta("interest", cind.Consts(repair[0].Tuple...)),
+		cind.InsertDelta("interest", cind.Consts(repair[1].Tuple...))); err != nil {
+		t.Fatal(err)
+	}
+	read("after delta", collectDirect(t, twin))
+
+	csvRows := denseDirtyCSV(60, 6)
+	do(t, c, http.MethodPut, base+"?relation=checking", csvRows, http.StatusOK)
+	var inserts []cind.Delta
+	for _, row := range parseCSVRows(t, csvRows) {
+		inserts = append(inserts, cind.InsertDelta("checking", cind.Consts(row...)))
+	}
+	if _, err := twin.Apply(ctx, inserts...); err != nil {
+		t.Fatal(err)
+	}
+	read("after CSV", collectDirect(t, twin))
+
+	do(t, c, http.MethodPut, base+"/constraints", []byte(bankSpec(t)), http.StatusOK)
+	read("after constraints", nil)
 }
 
 // TestStreamEncodingMatrixGenerated runs the same matrix over a generated
@@ -130,17 +250,18 @@ func TestStreamLimitZero(t *testing.T) {
 func TestStreamDisconnectPerEncoding(t *testing.T) {
 	type served struct {
 		name string
+		s    *Server
 		c    *http.Client
 		url  string
 	}
 	var modes []served
 	for _, mode := range serveModes {
-		_, ts := mode.start(t)
+		s, ts := mode.start(t)
 		c := ts.Client()
 		loadBankHTTP(t, c, ts.URL, "bank")
 		do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 			denseDirtyCSV(4000, 100), http.StatusOK)
-		modes = append(modes, served{mode.name, c, ts.URL + "/datasets/bank/violations"})
+		modes = append(modes, served{mode.name, s, c, ts.URL + "/datasets/bank/violations"})
 	}
 
 	for _, enc := range streamEncodings {
@@ -191,6 +312,9 @@ func TestStreamDisconnectPerEncoding(t *testing.T) {
 					if got := streamViolationsEnc(t, c, url+"?limit=3", enc); len(got) != 3 {
 						t.Fatalf("post-disconnect stream yielded %d violations, want 3", len(got))
 					}
+					// Neither the abandoned stream nor a limited one kept
+					// a body.
+					assertMemo(t, m.s, "after disconnect", 0, 0)
 				})
 			}
 		})
@@ -442,6 +566,8 @@ func TestStreamDrainErrorRecord(t *testing.T) {
 			if !sawRemote {
 				t.Fatalf("%s: Drain did not surface a terminal error record", enc)
 			}
+			// The stream Drain cut short kept no body.
+			assertMemo(t, s, "after Drain", 0, 0)
 		})
 	}
 }

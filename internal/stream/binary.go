@@ -445,28 +445,57 @@ func (r *batchReader) tuple(c *cursor) ([]string, error) {
 }
 
 // decodeRecord fills v, which must be zero, with the wire violation of a
-// record parse accepted.
+// record parse accepted. Each constraint and witness tuple is decoded once
+// per source stream, at its first citation, and shared by every later one.
 func (r *batchReader) decodeRecord(rec *Record, v *Violation) {
 	r.acquire()
 	f := rec.f
-	c := cursor{body: f.cons[rec.con].raw}
-	kind, _ := c.str()
-	id, _ := c.str()
-	rel, _ := c.str()
-	v.Kind = r.cached(&r.lastKind, kind)
-	v.Constraint = r.cached(&r.lastConstraint, id)
-	v.Relation = r.cached(&r.lastRelation, rel)
-	v.Row = rec.row
-	c = cursor{body: f.body, off: int(rec.off)}
+	if f.src != r.lastSrc {
+		if r.srcs == nil {
+			r.srcs = map[*dict]*decodedSrc{}
+		}
+		if r.src = r.srcs[f.src]; r.src == nil {
+			r.src = &decodedSrc{}
+			r.srcs[f.src] = r.src
+		}
+		r.lastSrc = f.src
+	}
+	src := r.src
+	if len(src.cons) < len(f.cons) {
+		src.cons = append(src.cons, make([]conDecl, len(f.cons)-len(src.cons))...)
+	}
+	if len(src.tups) < len(f.tups) {
+		src.tups = append(src.tups, make([][]string, len(f.tups)-len(src.tups))...)
+	}
+	cd := &src.cons[rec.con]
+	if cd.kind == "" {
+		c := cursor{body: f.cons[rec.con].raw}
+		kind, _ := c.str()
+		id, _ := c.str()
+		rel, _ := c.str()
+		cd.kind, cd.id, cd.rel = r.intern.get(kind), r.intern.get(id), r.intern.get(rel)
+	}
+	v.Kind, v.Constraint, v.Relation, v.Row = cd.kind, cd.id, cd.rel, rec.row
+	c := cursor{body: f.body, off: int(rec.off)}
 	n, _ := c.uvarint()
 	r.reserveTups(int(n))
 	start := len(r.tups)
 	for range n {
 		ref, _ := c.uvarint()
-		t, _ := r.tuple(&cursor{body: f.tups[ref]})
-		r.tups = append(r.tups, t)
+		if src.tups[ref] == nil {
+			src.tups[ref], _ = r.tuple(&cursor{body: f.tups[ref]})
+		}
+		r.tups = append(r.tups, src.tups[ref])
 	}
 	v.Witness = r.tups[start:len(r.tups):len(r.tups)]
+}
+
+// decodedSrc is one source stream's constraints and tuples as
+// decodeRecord decoded them, by id; an entry is zero until a record cites
+// it.
+type decodedSrc struct {
+	cons []conDecl
+	tups [][]string
 }
 
 // relayDict is NewRelayWriter's binary body state: the output ids it has
@@ -560,6 +589,12 @@ type batchReader struct {
 
 	vals []string
 	tups [][]string
+
+	// decodeRecord's declarations, per source stream, and the last
+	// source's.
+	srcs    map[*dict]*decodedSrc
+	lastSrc *dict
+	src     *decodedSrc
 
 	// The NDJSON parser's scratch (parseLine): an unescaped string, and
 	// the values and tuples of a witness before it moves to the slabs.

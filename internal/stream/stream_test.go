@@ -566,6 +566,73 @@ func TestWriterFailure(t *testing.T) {
 	}
 }
 
+// TestWriterKeep: a kept stream hands its hook exactly the bytes it wrote,
+// terminal record included, with its count — once, and only for a clean
+// stream within the cap. An error record, a failed write or an
+// over-the-cap body keeps nothing, and the stream itself is unchanged.
+func TestWriterKeep(t *testing.T) {
+	vs := testViolations(t, 200)
+	for _, enc := range allEncodings {
+		t.Run(enc.String(), func(t *testing.T) {
+			for _, c := range []struct {
+				name   string
+				max    int
+				endErr string
+				out    func() io.Writer
+				keeps  bool
+			}{
+				{"clean", 1 << 20, "", func() io.Writer { return new(bytes.Buffer) }, true},
+				{"error record", 1 << 20, "drain: context canceled", func() io.Writer { return new(bytes.Buffer) }, false},
+				{"failed write", 1 << 20, "", func() io.Writer { return &failAfterWriter{n: 1} }, false},
+				{"over the cap", 64, "", func() io.Writer { return new(bytes.Buffer) }, false},
+			} {
+				t.Run(c.name, func(t *testing.T) {
+					out := c.out()
+					w := NewWriter(out, nil, enc, Options{})
+					calls, end := 0, 0
+					var kept []byte
+					var count int64
+					w.Keep(c.max, func(body []byte, e int, n int64) { calls, kept, end, count = calls+1, body, e, n })
+					for _, v := range vs {
+						w.Send(v)
+					}
+					if c.endErr != "" {
+						w.CloseError(c.endErr)
+					} else {
+						w.Close()
+					}
+					if !c.keeps {
+						if calls != 0 {
+							t.Fatalf("kept a %d-byte body, want none", len(kept))
+						}
+						return
+					}
+					if calls != 1 || count != int64(len(vs)) {
+						t.Fatalf("hook called %d times with count %d, want once with %d", calls, count, len(vs))
+					}
+					if !bytes.Equal(kept, out.(*bytes.Buffer).Bytes()) {
+						t.Fatalf("kept body (%d bytes) differs from the stream written (%d bytes)", len(kept), out.(*bytes.Buffer).Len())
+					}
+					// The terminal record alone follows end.
+					term := kept[end:]
+					want := fmt.Sprintf(`{"done":true,"count":%d}`+"\n", len(vs))
+					switch enc {
+					case JSONArray:
+						want = "]," + want[1:]
+					case Binary:
+						if term[wal.FrameHeader] == 'Z' {
+							want = string(term)
+						}
+					}
+					if string(term) != want {
+						t.Fatalf("body from end = %q, want the terminal record alone", term)
+					}
+				})
+			}
+		})
+	}
+}
+
 // TestSendAfterCloseRefused: a closed stream refuses further violations
 // and does not count them, for both writers.
 func TestSendAfterCloseRefused(t *testing.T) {

@@ -73,6 +73,13 @@ type Writer[V any] struct {
 	wake chan struct{}
 	done chan struct{}
 
+	// Keep's state, the encoder goroutine's alone once Send or Close has
+	// run: the hook, the cap and the body written so far. keep is nil
+	// when the stream keeps nothing or can no longer keep its body.
+	keep    func(body []byte, end int, count int64)
+	keepMax int
+	kept    []byte
+
 	count int64 // violations written; read via Count after Close
 }
 
@@ -86,15 +93,17 @@ func NewWriter(out io.Writer, fl Flusher, enc Encoding, _ Options) *Writer[detec
 // Binary stream relays each record's entry with its refs renumbered into
 // the output's tables, declaring each constraint and tuple the first time
 // a relayed record cites it; NDJSON and JSON decode each record once,
-// through one intern cache and one witness buffer the writer reuses. Either
+// through one intern cache and one witness buffer the writer reuses, and
+// each witness tuple once per shard stream. Either
 // way it writes what a single node's NewWriter would for the same
 // violations. fl may be nil.
 func NewRelayWriter(out io.Writer, fl Flusher, enc Encoding) *Writer[Record] {
 	var r batchReader
 	wire := func(rec Record) Violation {
 		// The violation lives only until it is encoded, so each record
-		// rewinds the witness slabs instead of filling fresh ones.
-		r.vals, r.tups = r.vals[:0], r.tups[:0]
+		// rewinds the witness slab instead of filling a fresh one; the
+		// decoded tuples it cites are kept for the stream.
+		r.tups = r.tups[:0]
 		var v Violation
 		r.decodeRecord(&rec, &v)
 		return v
@@ -136,6 +145,18 @@ func (w *Writer[V]) Send(v V) bool {
 		w.signal()
 	}
 	return ok
+}
+
+// Keep makes the writer keep a copy of every byte it writes, and hand it
+// to keep once a clean stream is complete, before its terminal record
+// reaches out: body is the whole stream, its terminal record starting at
+// body[end], and count its violations. The body is keep's to own. A
+// stream that ends in an error record, fails a write or outgrows maxBytes
+// keeps nothing. Call Keep before the first Send.
+func (w *Writer[V]) Keep(maxBytes int, keep func(body []byte, end int, count int64)) {
+	w.mu.Lock() // the encoder reads the fields after taking mu for a Send or Close
+	w.keep, w.keepMax = keep, maxBytes
+	w.mu.Unlock()
 }
 
 func (w *Writer[V]) signal() {
@@ -290,14 +311,14 @@ func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 		if w.buffered(buf) == 0 {
 			return false
 		}
-		err = writeFrame(w.out, buf.Bytes())
+		err = w.writeFrame(buf.Bytes())
 		buf.Reset()
 		startBatch(buf, 'B')
 	default:
 		if buf.Len() == 0 {
 			return false
 		}
-		_, err = w.out.Write(buf.Bytes())
+		err = w.write(buf.Bytes())
 		buf.Reset()
 	}
 	if err != nil {
@@ -312,18 +333,33 @@ func (w *Writer[V]) flush(buf *bytes.Buffer) bool {
 
 // writeFrame seals a frame whose header startBatch reserved and writes it
 // in one Write.
-func writeFrame(out io.Writer, frame []byte) error {
+func (w *Writer[V]) writeFrame(frame []byte) error {
 	if err := wal.SealFrame(frame); err != nil {
 		return err
 	}
-	_, err := out.Write(frame)
+	return w.write(frame)
+}
+
+// write writes b to out in one Write, first copying it into the kept body
+// while the stream still keeps one.
+func (w *Writer[V]) write(b []byte) error {
+	if w.keep != nil {
+		if len(w.kept)+len(b) > w.keepMax {
+			w.keep, w.kept = nil, nil
+		} else {
+			w.kept = append(w.kept, b...)
+		}
+	}
+	_, err := w.out.Write(b)
 	return err
 }
 
 // writeTerminal flushes what remains and writes the encoding's terminal
-// record: the trailer (clean end, with the count) or the error record.
+// record: the trailer (clean end, with the count) or the error record. A
+// kept clean body is handed over before the trailer goes out, so whatever
+// the hook settles is settled before a client can see the stream end.
 func (w *Writer[V]) writeTerminal(buf *bytes.Buffer, endErr string, count int64) {
-	var err error
+	end := 0 // where in buf the terminal record starts
 	switch w.enc {
 	case Binary:
 		if w.flush(buf) {
@@ -337,27 +373,35 @@ func (w *Writer[V]) writeTerminal(buf *bytes.Buffer, endErr string, count int64)
 			startBatch(buf, 'Z')
 			buf.Write(binary.AppendUvarint(buf.AvailableBuffer(), uint64(count)))
 		}
-		err = writeFrame(w.out, buf.Bytes())
+		if err := wal.SealFrame(buf.Bytes()); err != nil {
+			w.setWerr(err)
+			return
+		}
 	case JSONArray:
 		if count == 0 {
 			buf.WriteString(`{"violations":[`)
 		}
+		end = buf.Len()
 		if endErr != "" {
 			b, _ := json.Marshal(endErr)
 			fmt.Fprintf(buf, `],"error":%s}`+"\n", b)
 		} else {
 			fmt.Fprintf(buf, `],"done":true,"count":%d}`+"\n", count)
 		}
-		_, err = w.out.Write(buf.Bytes())
 	default: // NDJSON: trailer line, or the errorWire-shaped error line
+		end = buf.Len()
 		if endErr != "" {
 			b, _ := json.Marshal(endErr)
 			fmt.Fprintf(buf, `{"error":%s}`+"\n", b)
 		} else {
 			fmt.Fprintf(buf, `{"done":true,"count":%d}`+"\n", count)
 		}
-		_, err = w.out.Write(buf.Bytes())
 	}
+	if w.keep != nil && endErr == "" && len(w.kept)+buf.Len() <= w.keepMax {
+		w.keep(append(w.kept, buf.Bytes()...), len(w.kept)+end, count)
+	}
+	w.keep, w.kept = nil, nil
+	_, err := w.out.Write(buf.Bytes())
 	buf.Reset()
 	if err != nil {
 		w.setWerr(err)
