@@ -12,10 +12,10 @@ import (
 const maxKeptBody = 16 << 20 // a longer stream is served, but not kept
 
 // bodyMemo keeps a local dataset's complete violation stream bodies, one
-// per encoding, of the version last streamed clean and unlimited. A
-// version's bytes never change, so a later unlimited read of it in the same
-// encoding writes the kept body instead of replaying and encoding the
-// report. A write ends the version: the next read misses and fills anew.
+// per encoding, of the version last read unlimited. A version's bytes
+// never change, so its later unlimited reads in an encoding write the kept
+// body instead of replaying and encoding the report. Only a version's
+// second read keeps a body, and a write ends the version.
 type bodyMemo struct {
 	mu     sync.Mutex
 	ver    cind.Version
@@ -37,31 +37,34 @@ type keptBody struct {
 	written int64
 }
 
-// hit returns ver's kept body in enc as the streamWriter that writes it
-// to out, counting the hit and its bytes, or nil when none is kept.
-func (m *bodyMemo) hit(ver cind.Version, enc stream.Encoding, out io.Writer, fl stream.Flusher) *keptBody {
+// lookup returns ver's kept body in enc as a streamWriter to out, counting
+// the hit; else nil, and whether the read should fill: if ver was read before.
+func (m *bodyMemo) lookup(ver cind.Version, enc stream.Encoding, out io.Writer, fl stream.Flusher) (*keptBody, bool) {
 	m.mu.Lock()
-	k, ok := m.bodies[enc], m.ver == ver
-	m.mu.Unlock()
-	if !ok || k.body == nil {
-		return nil
+	defer m.mu.Unlock()
+	if m.ver != ver {
+		m.ver, m.bodies = ver, [len(m.bodies)]keptBody{}
+		return nil, false
+	}
+	k := m.bodies[enc]
+	if k.body == nil {
+		return nil, true
 	}
 	m.hits.Add(1)
 	m.bytes.Add(int64(len(k.body)))
 	k.out, k.fl = out, fl
-	return &k
+	return &k, false
 }
 
-// put keeps body as ver's stream in enc, dropping every body of another
-// version.
+// put keeps body as ver's stream in enc, unless a read of another version
+// came since.
 func (m *bodyMemo) put(ver cind.Version, enc stream.Encoding, body []byte, end int, count int64) {
 	m.mu.Lock()
-	if m.ver != ver {
-		m.ver, m.bodies = ver, [len(m.bodies)]keptBody{}
+	defer m.mu.Unlock()
+	if m.ver == ver {
+		m.bodies[enc] = keptBody{body: body, end: end, count: count}
+		m.fills.Add(1)
 	}
-	m.bodies[enc] = keptBody{body: body, end: end, count: count}
-	m.mu.Unlock()
-	m.fills.Add(1)
 }
 
 // writeViolations writes the kept body up to its terminal record and

@@ -699,9 +699,10 @@ type localStream struct {
 
 func (ls *localStream) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
 	ver, err := ls.chk.Pin(ls.ctx)
-	keep := err == nil && limit == 0 && ver.Recurs()
-	if keep {
-		if k := ls.memo.hit(ver, enc, out, fl); k != nil {
+	keep := false
+	if err == nil && limit == 0 && ver.Recurs() {
+		var k *keptBody
+		if k, keep = ls.memo.lookup(ver, enc, out, fl); k != nil {
 			return k, k.count, k.writeViolations()
 		}
 	}

@@ -63,10 +63,10 @@ func assertMemo(t testing.TB, s *Server, label string, hits, fills int64) {
 	}
 }
 
-// TestStreamMemoMatrix: in every encoding, before and after the first
-// Apply, a limited read neither fills the memo nor hits it, the first
-// unlimited read of a version fills it, and the next is a hit whose body
-// equals the fill's byte for byte. The report crosses flush boundaries,
+// TestStreamMemoMatrix: before and after the first Apply, a version's
+// first unlimited read keeps nothing; then in every encoding a limited read
+// neither fills the memo nor hits it, the next unlimited read fills it, and
+// the one after is a hit whose body equals the fill's byte for byte. The report crosses flush boundaries,
 // so the kept bodies span several frames or writes. /metrics publishes
 // the counters, and the bytes the hits wrote.
 func TestStreamMemoMatrix(t *testing.T) {
@@ -81,6 +81,8 @@ func TestStreamMemoMatrix(t *testing.T) {
 		if phase == "post-apply" {
 			postDeltas(t, c, ts.URL+"/datasets/bank/deltas", nil, http.StatusOK)
 		}
+		rawStream(t, c, url, stream.NDJSON)
+		assertMemo(t, s, phase+" first read", hits, fills)
 		var ref []violationWire
 		for _, enc := range streamEncodings {
 			label := phase + " " + enc.String()
@@ -119,8 +121,9 @@ func TestStreamMemoMatrix(t *testing.T) {
 }
 
 // TestStreamMemoFillsAfterEachWrite: after a delta batch, a CSV load and a
-// constraint PUT, the next read of the dataset is a fill carrying the new
-// report, never a hit on the body kept before the write.
+// constraint PUT, the next read of the dataset carries the new report and
+// keeps nothing, and the one after in each encoding is a fill, never a hit
+// on the body kept before the write.
 func TestStreamMemoFillsAfterEachWrite(t *testing.T) {
 	s, ts := startServer(t)
 	c := ts.Client()
@@ -132,14 +135,17 @@ func TestStreamMemoFillsAfterEachWrite(t *testing.T) {
 	var hits, fills int64
 	read := func(label string, want []violationWire) {
 		t.Helper()
+		got := streamViolations(t, c, base+"/violations")
+		assertMemo(t, s, label+" first read", hits, fills)
+		assertSameOrder(t, label+" first read", got, want)
 		for _, enc := range []stream.Encoding{stream.NDJSON, stream.Binary} {
 			got := streamViolationsEnc(t, c, base+"/violations", enc)
 			fills++
-			assertMemo(t, s, label+" "+enc.String()+" first read", hits, fills)
+			assertMemo(t, s, label+" "+enc.String()+" fill", hits, fills)
 			assertSameOrder(t, label+" "+enc.String(), got, want)
 			streamViolationsEnc(t, c, base+"/violations", enc)
 			hits++
-			assertMemo(t, s, label+" "+enc.String()+" second read", hits, fills)
+			assertMemo(t, s, label+" "+enc.String()+" hit", hits, fills)
 		}
 	}
 	read("initial", collectDirect(t, twin))
@@ -261,7 +267,11 @@ func TestStreamDisconnectPerEncoding(t *testing.T) {
 		loadBankHTTP(t, c, ts.URL, "bank")
 		do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 			denseDirtyCSV(4000, 100), http.StatusOK)
-		modes = append(modes, served{mode.name, s, c, ts.URL + "/datasets/bank/violations"})
+		url := ts.URL + "/datasets/bank/violations"
+		// A first read, so each abandoned stream would keep its body had
+		// it ended clean.
+		streamViolations(t, c, url)
+		modes = append(modes, served{mode.name, s, c, url})
 	}
 
 	for _, enc := range streamEncodings {
@@ -528,6 +538,9 @@ func TestStreamDrainErrorRecord(t *testing.T) {
 			loadBankHTTP(t, c, ts.URL, "bank")
 			do(t, c, http.MethodPut, ts.URL+"/datasets/bank?relation=checking",
 				denseDirtyCSV(4000, 100), http.StatusOK)
+			// A first read, so the drained stream would keep its body had
+			// it ended clean.
+			streamViolations(t, c, ts.URL+"/datasets/bank/violations")
 
 			req, err := http.NewRequest(http.MethodGet, ts.URL+"/datasets/bank/violations", nil)
 			if err != nil {
