@@ -125,7 +125,7 @@ go build -o "$violate_bin" ./cmd/cindviolate
 serve_pid=$!
 # set -e aborts on the first failing curl: make every exit path reap the
 # server and the temp files.
-trap 'kill "$serve_pid" 2> /dev/null || true; rm -f "$serve_bin" "$violate_bin" "$serve_log"' EXIT
+trap 'kill "$serve_pid" 2> /dev/null || true; rm -f "$serve_bin" "$violate_bin" "$serve_log" "$serve_log.hdr" "$serve_log.body"' EXIT
 base=""
 for _ in $(seq 1 100); do
 	base="$(sed -n 's/^cindserve: listening on //p' "$serve_log")"
@@ -204,11 +204,12 @@ case "$cons" in
 esac
 # Body memo: a version's first read keeps nothing and its second NDJSON
 # read keeps its body, so a third read of the unchanged version writes the
-# same bytes from the memo, which stream_memo_hits counts. A delta that
-# changes the report ends the version: the next read carries the new
-# report.
+# same bytes from the memo, which stream_memo_hits counts. A read naming
+# the version's tag in If-None-Match gets an empty 304. A delta that
+# changes the report ends the version: the next read, tag or none,
+# carries the new report.
 for i in 2 3; do
-	again="$(curl -sSf "$base/datasets/bank/violations")"
+	again="$(curl -sSf -D "$serve_log.hdr" "$base/datasets/bank/violations")"
 	if [ "$again" != "$ndjson" ]; then
 		echo "ci: NDJSON read $i of an unchanged dataset differs:" >&2
 		printf 'first:\n%s\nread %s:\n%s\n' "$ndjson" "$i" "$again" >&2
@@ -220,8 +221,26 @@ if [ "$(memo_hits)" != "1" ]; then
 	echo "ci: stream_memo_hits = $(memo_hits) after a repeated read, want 1" >&2
 	exit 1
 fi
-curl -sSf -X POST "$base/datasets/bank/deltas" \
-	-d '{"deltas":[{"op":"-","rel":"interest","tuple":["EDI","UK","checking","10.5%"]},{"op":"+","rel":"interest","tuple":["EDI","UK","checking","1.5%"]}]}' > /dev/null
+tag="$(sed -n 's/^[Ee][Tt][Aa][Gg]: *//p' "$serve_log.hdr" | tr -d '\r')"
+rm -f "$serve_log.hdr"
+if [ -z "$tag" ]; then
+	echo "ci: an unlimited read of a recurring version carried no ETag" >&2
+	exit 1
+fi
+cond_code="$(curl -sS -o "$serve_log.body" -w '%{http_code}' -H "If-None-Match: $tag" "$base/datasets/bank/violations")"
+if [ "$cond_code" != "304" ] || [ -s "$serve_log.body" ]; then
+	echo "ci: If-None-Match $tag on an unchanged dataset answered $cond_code with $(wc -c < "$serve_log.body") bytes, want an empty 304" >&2
+	exit 1
+fi
+repair='{"deltas":[{"op":"-","rel":"interest","tuple":["EDI","UK","checking","10.5%"]},{"op":"+","rel":"interest","tuple":["EDI","UK","checking","1.5%"]}]}'
+curl -sSf -X POST "$base/datasets/bank/deltas" -d "$repair" > /dev/null
+cond_code="$(curl -sS -o "$serve_log.body" -w '%{http_code}' -H "If-None-Match: $tag" "$base/datasets/bank/violations")"
+if [ "$cond_code" != "200" ] || [ "$(cat "$serve_log.body")" != '{"done":true,"count":0}' ]; then
+	echo "ci: If-None-Match $tag after a delta answered $cond_code, want 200 with the repaired report:" >&2
+	cat "$serve_log.body" >&2
+	exit 1
+fi
+rm -f "$serve_log.body"
 repaired="$(curl -sSf "$base/datasets/bank/violations")"
 if [ "$repaired" != '{"done":true,"count":0}' ] || [ "$(memo_hits)" != "1" ]; then
 	echo "ci: the read after a repairing delta was not a fresh, clean report (stream_memo_hits $(memo_hits)):" >&2
@@ -234,7 +253,7 @@ if ! wait "$serve_pid"; then
 	cat "$serve_log" >&2
 	exit 1
 fi
-echo "cindserve smoke: 2 violations streamed (binary == ndjson), a repeated read served from the memo, a delta ends it, clean shutdown"
+echo "cindserve smoke: 2 violations streamed (binary == ndjson), a repeated read served from the memo, its tag answered 304, a delta ends it, clean shutdown"
 
 echo "== SQL backend smoke: cindserve -backend mem:, same bank stream byte for byte"
 : > "$serve_log"
@@ -382,7 +401,7 @@ rt_log="$(mktemp)"
 s0_pid=""
 s1_pid=""
 rt_pid=""
-trap 'kill "$serve_pid" "$load_pid" "$s0_pid" "$s1_pid" "$rt_pid" 2> /dev/null || true; rm -rf "$serve_bin" "$violate_bin" "$serve_log" "$data_dir" "$shard_data" "$s0_log" "$s1_log" "$rt_log"' EXIT
+trap 'kill "$serve_pid" "$load_pid" "$s0_pid" "$s1_pid" "$rt_pid" 2> /dev/null || true; rm -rf "$serve_bin" "$violate_bin" "$serve_log" "$data_dir" "$shard_data" "$s0_log" "$s1_log" "$rt_log" "$rt_log".bin?' EXIT
 # Both shards share one -data root: -shard must namespace their WALs.
 "$serve_bin" -addr 127.0.0.1:0 -shard 0 -data "$shard_data" > "$s0_log" 2>&1 &
 s0_pid=$!
@@ -486,6 +505,27 @@ if [ -z "$router_streamed" ] || [ "$router_streamed" = "0" ] || [ "$rollup_strea
 	echo "ci: shard roll-up violations_streamed ($rollup_streamed) != router violations_streamed ($router_streamed): $metrics_rt" >&2
 	exit 1
 fi
+# Router body memo: the repairing delta gives both shards a new version,
+# so the first binary read after it gathers (the shards answer the kept
+# body's tags with 200), the second keeps the merged body, and the third
+# is served from it once both shards answer 304.
+curl -sSf -X POST "$base/datasets/bank/deltas" -d "$repair" > /dev/null
+for i in 1 2 3; do
+	curl -sSf -H 'Accept: application/x-cind-frames' -o "$rt_log.bin$i" "$base/datasets/bank/violations"
+done
+if ! cmp -s "$rt_log.bin1" "$rt_log.bin2" || ! cmp -s "$rt_log.bin1" "$rt_log.bin3"; then
+	echo "ci: three binary reads of an unchanged routed dataset differ" >&2
+	exit 1
+fi
+rm -f "$rt_log.bin1" "$rt_log.bin2" "$rt_log.bin3"
+metrics_rt="$(curl -sSf "$base/metrics")"
+router_hits="$(printf '%s' "$metrics_rt" | sed -n 's/.*"router":{.*"stream_memo_hits":\([0-9]*\)[,}].*"shards":{.*/\1/p')"
+rollup_nm="$(printf '%s' "$metrics_rt" | sed -n 's/.*"rollup":{[^}]*"stream_not_modified":\([0-9]*\)[,}].*/\1/p')"
+echo "router smoke: router stream_memo_hits=$router_hits, rollup stream_not_modified=$rollup_nm"
+if [ "$router_hits" != "1" ] || [ "$rollup_nm" != "2" ]; then
+	echo "ci: router stream_memo_hits = $router_hits, rollup stream_not_modified = $rollup_nm after three binary reads, want 1 and 2: $metrics_rt" >&2
+	exit 1
+fi
 # Kill shard 1: /healthz must degrade to 503 and name the dead shard.
 kill -9 "$s1_pid"
 wait "$s1_pid" 2> /dev/null || true
@@ -510,6 +550,6 @@ if ! wait "$rt_pid"; then
 	exit 1
 fi
 wait "$s0_pid" 2> /dev/null || true
-echo "router smoke: sharded NDJSON and JSON == single-node streams, shard roll-up == router count, reasoning served, dead shard named in 503"
+echo "router smoke: sharded NDJSON and JSON == single-node streams, shard roll-up == router count, reasoning served, warm read served from the router's body, dead shard named in 503"
 
 echo "ci: all green"

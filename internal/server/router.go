@@ -54,7 +54,12 @@ type RouterOptions struct {
 //     renumbered into the output stream's own tables, an NDJSON or JSON
 //     client gets it converted — a violation of a constraint its shard does not
 //     own fails the stream, since the shard then holds a stale Σ, and so
-//     does a malformed record, whose whole frame is never relayed;
+//     does a malformed record, whose whole frame is never relayed. Like a
+//     single node it keeps the merged body per encoding from a key's
+//     second unlimited read, keyed on its own write generation and the
+//     shards' entity tags; a later read sends each shard its tag, and
+//     when every shard answers 304 writes the kept body without a merge.
+//     It tags its own streams and honours If-None-Match as a node does;
 //   - mirrors the fleet's tuple insertion order in a shard.Order so every
 //     wire violation's global merge key can be reconstructed router-side.
 //
@@ -81,8 +86,8 @@ func NewRouter(opts RouterOptions) (*Server, error) {
 	// The client has no overall timeout — violation streams are
 	// legitimately long-lived — and relies on per-request contexts for
 	// cancellation.
-	f := &fleet{shards: shards, client: &http.Client{}, nScatters: new(expvar.Int)}
 	s := newServer()
+	f := &fleet{shards: shards, client: &http.Client{}, nScatters: new(expvar.Int), memos: s.memos}
 	s.create = f.create
 	s.vars.Set("scatter_streams", f.nScatters)
 	s.vars.Set("shards", expvar.Func(func() any { return len(shards) }))
@@ -103,12 +108,14 @@ func NewRouterHTTPServer(s *Server) *http.Server { return NewHTTPServer(s) }
 type fleet struct {
 	shards    []string
 	client    *http.Client
-	nScatters *expvar.Int // violation scatters opened, lifetime
+	nScatters *expvar.Int // violation gathers opened, lifetime
+	memos     *memoSource // the router's, for its datasets' kept bodies
 }
 
 // do issues one request to one shard, wrapping transport errors with the
-// shard's address so fan-out failures name the culprit.
-func (f *fleet) do(ctx context.Context, method, base, path string, body []byte, accept string) (*http.Response, error) {
+// shard's address so fan-out failures name the culprit. header holds
+// name/value pairs to set on the request.
+func (f *fleet) do(ctx context.Context, method, base, path string, body []byte, header ...string) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -117,8 +124,8 @@ func (f *fleet) do(ctx context.Context, method, base, path string, body []byte, 
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", base, err)
 	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -131,7 +138,7 @@ func (f *fleet) do(ctx context.Context, method, base, path string, body []byte, 
 // (may be nil), and turns any other status into an error naming the shard
 // and relaying its error body.
 func (f *fleet) doJSON(ctx context.Context, method, base, path string, body []byte, out any) error {
-	resp, err := f.do(ctx, method, base, path, body, "")
+	resp, err := f.do(ctx, method, base, path, body)
 	if err != nil {
 		return err
 	}
@@ -246,9 +253,13 @@ type routed struct {
 	// exclusively, so order always matches what the shards hold — the
 	// reader/writer discipline a single-node Checker documents, so a
 	// stream observes one atomic batch boundary, never a half-applied
-	// batch.
+	// batch. A memo hit holds it only across its conditional scatter.
 	mu    sync.RWMutex
 	order *shard.Order
+	gen   uint64 // mutations attempted, failed fan-outs included
+
+	// memo keeps merged stream bodies, keyed on gen and the shards' tags.
+	memo *bodyMemo[routedKey]
 
 	// sizes is the order tracker's tuple counts, republished by every
 	// mutation before it releases mu: info reads it without taking mu,
@@ -281,7 +292,8 @@ func (f *fleet) create(ctx context.Context, name string, set *cind.ConstraintSet
 	if err != nil {
 		return nil, err
 	}
-	d := &routed{datasetMeta: newMeta(name, set), fleet: f, plan: plan, order: shard.NewOrder(plan)}
+	d := &routed{datasetMeta: newMeta(name, set), fleet: f, plan: plan, order: shard.NewOrder(plan),
+		memo: newMemo[routedKey](f.memos)}
 	d.publishSizes()
 	return d, nil
 }
@@ -304,7 +316,7 @@ func (d *routed) remove(ctx context.Context) error {
 	// 404 is fine: a shard that lost the dataset (say, to a partially
 	// failed create) is already where the delete wants it.
 	return d.fleet.fanOut(fmt.Sprintf("delete dataset %q", d.name), func(_ int, base string) error {
-		resp, err := d.fleet.do(ctx, http.MethodDelete, base, "/datasets/"+d.name, nil, "")
+		resp, err := d.fleet.do(ctx, http.MethodDelete, base, "/datasets/"+d.name, nil)
 		if err != nil {
 			return err
 		}
@@ -350,6 +362,7 @@ func (d *routed) loadCSV(ctx context.Context, rel string, r io.Reader) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.publishSizes()
+	d.gen++
 	// Commit insertion ranks before the fan-out: if a shard fails and the
 	// client retries, the surviving shards' insertion order already agrees
 	// with these ranks, and re-inserts are no-ops on both sides.
@@ -456,6 +469,7 @@ func marshalCSV(header []string, tuples []cind.Tuple) ([]byte, error) {
 func (d *routed) applyDeltas(ctx context.Context, deltas []cind.Delta) (diffWire, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.gen++
 
 	parts := make([][]cind.Delta, len(d.fleet.shards))
 	for _, dl := range deltas {
@@ -590,52 +604,126 @@ type recordSource struct{ d *stream.Decoder }
 
 func (s recordSource) Next() (stream.Record, error) { return s.d.NextRecord() }
 
+// routedKey keys a routed dataset's kept bodies: the router's generation
+// and the entity tags its shards' streams carried, in shard order, joined
+// by newlines (which no header value holds). A shard's tag names the
+// version it streamed, so a key names one merged report.
+type routedKey struct {
+	gen  uint64
+	tags string
+}
+
 // gather is an opened scatter: one binary-encoded stream per shard, all
 // taken under the dataset's read lock, which release gives back. Binary
 // frames are the inter-node wire format regardless of what the client
 // asked for — they key without decoding, relay into a binary response
 // with only their ids rewritten, and round-trip values exactly.
 type gather struct {
+	memoRead[routedKey]
 	d      *routed
+	rd     violationRead
 	resps  []*http.Response
 	cancel context.CancelFunc
 }
 
-func (d *routed) violations(ctx context.Context) (violationStream, error) {
+// violations answers a warm unlimited read from the router's kept body
+// when every shard confirms, by answering 304 to the tag of the stream the
+// body was merged from, that its version is still current: a conditional
+// scatter under the read lock, released before the body is written. It
+// scatters conditionally only when that body is kept, or the client's
+// If-None-Match names it. Any other read, or a shard that answers 200,
+// gathers as a cold read does.
+func (d *routed) violations(ctx context.Context, rd violationRead) (violationStream, error) {
 	scatterCtx, cancel := context.WithCancel(ctx)
 	// The read lock spans the entire scatter and merge: every shard's
 	// stream is taken at the same batch boundary, so the merge sees one
 	// consistent snapshot — the single-node atomicity contract.
 	d.mu.RLock()
-	g := &gather{d: d, resps: make([]*http.Response, len(d.fleet.shards)), cancel: cancel}
-	path := "/datasets/" + d.name + "/violations"
-	err := d.fleet.fanOut(fmt.Sprintf("scatter violations of %q", d.name), func(i int, base string) error {
-		resp, err := d.fleet.do(scatterCtx, http.MethodGet, base, path, nil, stream.Binary.ContentType())
-		if err != nil {
-			return err
+	g := &gather{d: d, rd: rd, resps: make([]*http.Response, len(d.fleet.shards)), cancel: cancel}
+	if rd.limit == 0 {
+		if r := d.memo.current(rd.enc); r.key.tags != "" && (r.kept.body != nil || noneMatch(rd.ifNoneMatch, r.tag)) {
+			if err := g.scatter(scatterCtx, strings.Split(r.key.tags, "\n")); err != nil {
+				g.release()
+				return nil, err
+			}
+			if r.key.gen == d.gen && g.notModified() {
+				g.release()
+				return &keptStream{r}, nil
+			}
 		}
-		if resp.StatusCode != http.StatusOK {
-			defer resp.Body.Close()
-			return fmt.Errorf("shard %s: GET %s: %s", base, path, shardErrorText(resp))
-		}
-		g.resps[i] = resp
-		return nil
-	})
-	if err != nil {
+	}
+	if err := g.scatter(scatterCtx, nil); err != nil {
 		g.release()
 		return nil, err
 	}
+	if key, ok := g.key(); ok && rd.limit == 0 {
+		g.memoRead = d.memo.open(key, rd.enc)
+	}
 	d.fleet.nScatters.Add(1)
 	return g, nil
+}
+
+// scatter opens a binary stream from every shard that has none open yet,
+// asking each for its stream only if it no longer carries tags[i] when
+// tags is non-nil. A shard that answers 304 is left without a stream.
+func (g *gather) scatter(ctx context.Context, tags []string) error {
+	path := "/datasets/" + g.d.name + "/violations"
+	return g.d.fleet.fanOut(fmt.Sprintf("scatter violations of %q", g.d.name), func(i int, base string) error {
+		if g.resps[i] != nil {
+			return nil
+		}
+		header := []string{"Accept", stream.Binary.ContentType()}
+		if tags != nil {
+			header = append(header, "If-None-Match", tags[i])
+		}
+		resp, err := g.d.fleet.do(ctx, http.MethodGet, base, path, nil, header...)
+		if err != nil {
+			return err
+		}
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			g.resps[i] = resp
+			return nil
+		case resp.StatusCode == http.StatusNotModified && tags != nil:
+			resp.Body.Close()
+			return nil
+		}
+		defer resp.Body.Close()
+		return fmt.Errorf("shard %s: GET %s: %s", base, path, shardErrorText(resp))
+	})
+}
+
+// notModified reports whether every shard answered 304.
+func (g *gather) notModified() bool {
+	for _, resp := range g.resps {
+		if resp != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// key is the memo key of the shard streams gathered, if every shard
+// tagged its stream.
+func (g *gather) key() (routedKey, bool) {
+	tags := make([]string, len(g.resps))
+	for i, resp := range g.resps {
+		if tags[i] = resp.Header.Get("ETag"); tags[i] == "" {
+			return routedKey{}, false
+		}
+	}
+	return routedKey{gen: g.d.gen, tags: strings.Join(tags, "\n")}, true
 }
 
 // run k-way merges the shard streams' undecoded records into the
 // single-node global order and hands them to a relay writer, which
 // renumbers them into a binary stream or converts them for an NDJSON or
 // JSON client, off the merge loop.
-func (g *gather) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
+func (g *gather) run(out io.Writer, fl stream.Flusher) (streamWriter, int64, string) {
 	d := g.d
-	sw := stream.NewRelayWriter(out, fl, enc)
+	limit := g.rd.limit
+	sw := stream.NewRelayWriter(out, fl, g.rd.enc)
+	g.keep(sw)
 	sources := make([]shard.Stream[stream.Record], len(g.resps))
 	for i, resp := range g.resps {
 		sources[i] = recordSource{stream.NewDecoder(resp.Body, stream.Binary)}
@@ -673,3 +761,14 @@ func (g *gather) release() {
 	}
 	g.d.mu.RUnlock()
 }
+
+// keptStream is a routed memo hit: the kept body, written with the
+// dataset's lock already released.
+type keptStream struct{ memoRead[routedKey] }
+
+func (s *keptStream) run(out io.Writer, fl stream.Flusher) (streamWriter, int64, string) {
+	k := s.hit(out, fl)
+	return k, k.count, k.writeViolations()
+}
+
+func (*keptStream) release() {}

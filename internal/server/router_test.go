@@ -341,6 +341,47 @@ func TestRouterMetricsRollup(t *testing.T) {
 	if m.Rollup["datasets"] != 2 {
 		t.Errorf("rollup.datasets = %v, want 2 (bank on both shards)", m.Rollup["datasets"])
 	}
+
+	// A warm third read is served from the router's kept body once both
+	// shards answer 304: across it no shard streams a violation, and the
+	// router streams the whole report.
+	_ = rawStream(t, rc, rts.URL+"/datasets/bank/violations", stream.NDJSON)
+	router0, rollup0 := fleetMetrics(t, rc, rts.URL)
+	third := rawStream(t, rc, rts.URL+"/datasets/bank/violations", stream.NDJSON)
+	router1, rollup1 := fleetMetrics(t, rc, rts.URL)
+	report, err := stream.DecodeAll(bytes.NewReader(third), stream.NDJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rollup1["violations_streamed"] != rollup0["violations_streamed"] {
+		t.Errorf("rollup.violations_streamed moved across a warm read: %v -> %v", rollup0["violations_streamed"], rollup1["violations_streamed"])
+	}
+	if got := router1["violations_streamed"] - router0["violations_streamed"]; got != float64(len(report)) {
+		t.Errorf("router.violations_streamed grew by %v across a warm read, want the report's %d", got, len(report))
+	}
+	if got := rollup1["stream_not_modified"] - rollup0["stream_not_modified"]; got != float64(len(shards)) {
+		t.Errorf("rollup.stream_not_modified grew by %v across a warm read, want one per shard (%d)", got, len(shards))
+	}
+}
+
+// fleetMetrics reads a router's /metrics: the numeric counters of its own
+// section, and the shards' roll-up.
+func fleetMetrics(t testing.TB, c *http.Client, base string) (router, rollup map[string]float64) {
+	t.Helper()
+	var m struct {
+		Router map[string]any     `json:"router"`
+		Rollup map[string]float64 `json:"rollup"`
+	}
+	if err := json.Unmarshal(do(t, c, http.MethodGet, base+"/metrics", nil, http.StatusOK), &m); err != nil {
+		t.Fatal(err)
+	}
+	router = make(map[string]float64)
+	for k, v := range m.Router {
+		if n, ok := v.(float64); ok {
+			router[k] = n
+		}
+	}
+	return router, m.Rollup
 }
 
 // replicatedBankSpec is the bank Σ with every constraint driven by a

@@ -63,6 +63,14 @@
 // stream, which the differential tests pin; ?limit=0 (like WithLimit(0))
 // streams unlimited.
 //
+// A version's report never changes, so an unlimited read of a recurring
+// version carries an ETag (the dataset instance, the epoch of the version
+// in the dataset's body memo, the encoding) and Vary: Accept, and a read
+// whose If-None-Match names the current tag answers 304 Not Modified
+// with no body. From a version's third unlimited read in an encoding on,
+// the server writes the body it kept from the second (memo.go). Limited
+// and SQL-backend reads carry no tag and ignore If-None-Match.
+//
 // Concurrency follows the Checker's existing lock discipline: streams and
 // repair take the checker's read lock (or, after the first Apply, walk an
 // immutable report snapshot lock-free), delta batches its write lock. The
@@ -127,8 +135,8 @@ type dataset interface {
 	// relationSizes reports per-relation tuple counts and whether the
 	// dataset serves incrementally, never queueing behind a writer.
 	relationSizes() (map[string]int, bool)
-	// violations opens the dataset's violation stream.
-	violations(ctx context.Context) (violationStream, error)
+	// violations opens the dataset's violation stream for rd.
+	violations(ctx context.Context, rd violationRead) (violationStream, error)
 	repair(ctx context.Context, opts cind.RepairOptions) (*cind.RepairResult, error)
 	// remove deletes the dataset's state wherever it lives; the handler
 	// unregisters the dataset only once remove succeeds.
@@ -155,13 +163,23 @@ func newMeta(name string, set *cind.ConstraintSet) datasetMeta {
 
 func (m *datasetMeta) meta() *datasetMeta { return m }
 
-// violationStream is an opened violation stream. run drives the mode's hot
-// loop into a writer over out until the stream ends or limit violations
-// (0 = all) went out, and returns the writer still open, the number of
-// violations handed to it and the terminal error ("" for a clean end).
-// release frees what opening the stream took.
+// violationRead is what a GET /violations asks for: the encoding, the
+// limit (0 = all) and the client's If-None-Match header.
+type violationRead struct {
+	enc         stream.Encoding
+	limit       int
+	ifNoneMatch string
+}
+
+// violationStream is an opened violation stream. etag is its entity tag,
+// "" when the read carries none. run drives the mode's hot loop into a
+// writer over out until the stream ends or the read's limit was reached,
+// and returns the writer still open, the number of violations handed to
+// it and the terminal error ("" for a clean end). release frees what
+// opening the stream took.
 type violationStream interface {
-	run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (sw streamWriter, sent int64, endErr string)
+	etag() string
+	run(out io.Writer, fl stream.Flusher) (sw streamWriter, sent int64, endErr string)
 	release()
 }
 
@@ -214,7 +232,7 @@ type local struct {
 	snapAtOffset int64 // WAL end offset the last snapshot covered
 	snapErrs     *expvar.Int
 
-	memo bodyMemo // stream bodies kept for the latest version
+	memo *bodyMemo[cind.Version] // stream bodies kept for the latest version
 }
 
 // checker returns the dataset's Checker, building it on first use.
@@ -278,9 +296,8 @@ type Server struct {
 	nRequests     *expvar.Int
 	nStreamed     *expvar.Int // violations streamed (any encoding), lifetime
 	nActiveStream *expvar.Int // streams currently open
-	nMemoHits     *expvar.Int // streams served from a kept body, lifetime
-	nMemoFills    *expvar.Int // stream bodies kept, lifetime
-	nMemoBytes    *expvar.Int // bytes written from kept bodies, lifetime
+	nNotModified  *expvar.Int // violation reads answered 304, lifetime
+	memos         *memoSource // its datasets' body memos and their counters
 	nDeltas       *expvar.Int // deltas applied, lifetime
 	nImplication  *expvar.Int // implication goals decided, lifetime
 	nConsistency  *expvar.Int // consistency checks run, lifetime
@@ -318,9 +335,8 @@ func newServer() *Server {
 		nRequests:     new(expvar.Int),
 		nStreamed:     new(expvar.Int),
 		nActiveStream: new(expvar.Int),
-		nMemoHits:     new(expvar.Int),
-		nMemoFills:    new(expvar.Int),
-		nMemoBytes:    new(expvar.Int),
+		nNotModified:  new(expvar.Int),
+		memos:         newMemoSource(),
 		nDeltas:       new(expvar.Int),
 		nImplication:  new(expvar.Int),
 		nConsistency:  new(expvar.Int),
@@ -334,9 +350,10 @@ func newServer() *Server {
 	s.vars.Set("requests", s.nRequests)
 	s.vars.Set("violations_streamed", s.nStreamed)
 	s.vars.Set("active_streams", s.nActiveStream)
-	s.vars.Set("stream_memo_hits", s.nMemoHits)
-	s.vars.Set("stream_memo_fills", s.nMemoFills)
-	s.vars.Set("stream_memo_bytes", s.nMemoBytes)
+	s.vars.Set("stream_not_modified", s.nNotModified)
+	s.vars.Set("stream_memo_hits", s.memos.hits)
+	s.vars.Set("stream_memo_fills", s.memos.fills)
+	s.vars.Set("stream_memo_bytes", s.memos.bytes)
 	s.vars.Set("deltas_applied", s.nDeltas)
 	s.vars.Set("implication_checks", s.nImplication)
 	s.vars.Set("consistency_checks", s.nConsistency)
@@ -434,7 +451,7 @@ func (s *Server) newLocal(name string, set *cind.ConstraintSet, parallel int) (*
 	d := &local{datasetMeta: newMeta(name, set), db: cind.NewDatabase(set.Schema()),
 		parallel: parallel, store: s.store,
 		snapBatches: s.snapBatches, snapBytes: s.snapBytes, snapErrs: s.nSnapErrs,
-		memo: bodyMemo{hits: s.nMemoHits, fills: s.nMemoFills, bytes: s.nMemoBytes}}
+		memo: newMemo[cind.Version](s.memos)}
 	d.lastSizes = make(map[string]int, set.Schema().Len())
 	for _, rel := range set.Schema().Relations() {
 		d.lastSizes[rel.Name()] = 0
@@ -685,37 +702,40 @@ func (d *local) markIncremental() {
 	d.mu.Unlock()
 }
 
-func (d *local) violations(ctx context.Context) (violationStream, error) {
-	return &localStream{ctx: ctx, chk: d.checker(), memo: &d.memo}, nil
+// violations pins the version the stream reports before its headers go
+// out, so an unlimited read of a recurring version knows its entity tag.
+func (d *local) violations(ctx context.Context, rd violationRead) (violationStream, error) {
+	ls := &localStream{ctx: ctx, rd: rd}
+	ls.ver, ls.err = d.checker().Pin(ctx)
+	if ls.err == nil && rd.limit == 0 && ls.ver.Recurs() {
+		ls.memoRead = d.memo.open(ls.ver, rd.enc)
+	}
+	return ls, nil
 }
 
 // localStream is a pinned version of the Checker feeding an engine
 // stream.Writer, or its kept body when the dataset's memo holds one.
 type localStream struct {
-	ctx  context.Context
-	chk  *cind.Checker
-	memo *bodyMemo
+	memoRead[cind.Version]
+	ctx context.Context
+	rd  violationRead
+	ver cind.Version
+	err error // Pin's error, which ends the stream
 }
 
-func (ls *localStream) run(out io.Writer, fl stream.Flusher, enc stream.Encoding, limit int) (streamWriter, int64, string) {
-	ver, err := ls.chk.Pin(ls.ctx)
-	keep := false
-	if err == nil && limit == 0 && ver.Recurs() {
-		var k *keptBody
-		if k, keep = ls.memo.lookup(ver, enc, out, fl); k != nil {
-			return k, k.count, k.writeViolations()
-		}
+func (ls *localStream) run(out io.Writer, fl stream.Flusher) (streamWriter, int64, string) {
+	if k := ls.hit(out, fl); k != nil {
+		return k, k.count, k.writeViolations()
 	}
-	sw := stream.NewWriter(out, fl, enc, stream.Options{})
-	if err != nil {
-		return sw, 0, err.Error()
+	sw := stream.NewWriter(out, fl, ls.rd.enc, stream.Options{})
+	if ls.err != nil {
+		return sw, 0, ls.err.Error()
 	}
-	if keep {
-		sw.Keep(maxKeptBody, func(body []byte, end int, count int64) { ls.memo.put(ver, enc, body, end, count) })
-	}
+	ls.keep(sw)
+	limit := ls.rd.limit
 	n := 0
 	endErr := ""
-	for v, err := range ver.Violations(ls.ctx) {
+	for v, err := range ls.ver.Violations(ls.ctx) {
 		if err != nil {
 			// Cancellation (client gone, or Drain): end with the terminal
 			// error record — a disconnected client simply won't read it —
@@ -932,7 +952,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // Every exit path emits the encoding's terminal record: the trailer after
 // a complete stream (limit included), the terminal error record after a
 // cancellation — flushed, so a client can always tell a complete stream
-// from a truncated one.
+// from a truncated one. The one bodiless answer is 304, to a read whose
+// If-None-Match names the stream's tag.
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, observe func()) {
 	d, ok := s.findDataset(w, r)
 	if !ok {
@@ -949,22 +970,33 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request, observ
 		limit = n
 	}
 	enc := stream.Negotiate(r.Header.Get("Accept"))
+	inm := r.Header.Get("If-None-Match")
 
 	ctx, stop := s.boundContext(r)
 	defer stop()
-	vs, err := d.violations(ctx)
+	vs, err := d.violations(ctx, violationRead{enc: enc, limit: limit, ifNoneMatch: inm})
 	if err != nil {
 		fail(w, err, http.StatusInternalServerError)
 		return
 	}
 	defer vs.release()
 
-	w.Header().Set("Content-Type", enc.ContentType())
+	h := w.Header()
+	h.Set("Vary", "Accept")
+	if tag := vs.etag(); tag != "" {
+		h.Set("ETag", tag)
+		if noneMatch(inm, tag) {
+			s.nNotModified.Add(1)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+	}
+	h.Set("Content-Type", enc.ContentType())
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 
 	s.nActiveStream.Add(1)
-	sw, n, endErr := vs.run(w, fl, enc, limit)
+	sw, n, endErr := vs.run(w, fl)
 	// Settle the stream's metrics before its terminal record goes out, so
 	// /metrics agrees with any stream a client has finished reading. The
 	// writer writes every violation it was handed unless the client is

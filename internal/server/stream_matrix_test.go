@@ -53,7 +53,7 @@ func TestStreamEncodingMatrixBank(t *testing.T) {
 }
 
 // memoCounts reads the server's body-memo counters.
-func memoCounts(s *Server) (hits, fills int64) { return s.nMemoHits.Value(), s.nMemoFills.Value() }
+func memoCounts(s *Server) (hits, fills int64) { return s.memos.hits.Value(), s.memos.fills.Value() }
 
 // assertMemo requires the body-memo counters to read hits and fills.
 func assertMemo(t testing.TB, s *Server, label string, hits, fills int64) {
