@@ -119,13 +119,14 @@ echo "== cindserve smoke: start, load bank fixtures, stream violations, clean sh
 serve_bin="$(mktemp)"
 violate_bin="$(mktemp)"
 serve_log="$(mktemp)"
+min_dir="$(mktemp -d)"
 go build -o "$serve_bin" ./cmd/cindserve
 go build -o "$violate_bin" ./cmd/cindviolate
 "$serve_bin" -addr 127.0.0.1:0 > "$serve_log" 2>&1 &
 serve_pid=$!
 # set -e aborts on the first failing curl: make every exit path reap the
 # server and the temp files.
-trap 'kill "$serve_pid" 2> /dev/null || true; rm -f "$serve_bin" "$violate_bin" "$serve_log" "$serve_log.hdr" "$serve_log.body"' EXIT
+trap 'kill "$serve_pid" 2> /dev/null || true; rm -rf "$serve_bin" "$violate_bin" "$serve_log" "$serve_log.hdr" "$serve_log.body" "$min_dir"' EXIT
 base=""
 for _ in $(seq 1 100); do
 	base="$(sed -n 's/^cindserve: listening on //p' "$serve_log")"
@@ -202,6 +203,56 @@ case "$cons" in
 	exit 1
 	;;
 esac
+# Minimize: the bank spec plus a copy of psi3 under a new id. The rest
+# implies one of the two, so minimize must drop exactly one constraint,
+# certified implied with a proof, and the minimized spec it returns must
+# PUT back as a fresh dataset's constraints. A throwaway Go program decodes
+# the JSON response (its strings carry escapes that sed cannot undo).
+{
+	cat testdata/bank/bank.cind
+	printf '\ncind psi3_dup: saving[ab; nil] <= interest[ab; nil] {\n  (_ || _)\n}\n'
+} | curl -sSf -X PUT --data-binary @- "$base/datasets/dup/constraints" > /dev/null
+curl -sSf -X POST "$base/datasets/dup/minimize" > "$min_dir/resp.json"
+cat > "$min_dir/main.go" << 'EOF'
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+)
+
+// Reads a minimize response on stdin, requires exactly one drop certified
+// implied with a proof, and writes the minimized spec to stdout.
+func main() {
+	var resp struct {
+		Dropped []struct {
+			ID, Verdict, Proof string
+		}
+		Constraints string
+	}
+	if err := json.NewDecoder(os.Stdin).Decode(&resp); err != nil {
+		fmt.Fprintln(os.Stderr, "minimize response:", err)
+		os.Exit(1)
+	}
+	if len(resp.Dropped) != 1 || resp.Dropped[0].Verdict != "implied" || resp.Dropped[0].Proof == "" {
+		fmt.Fprintf(os.Stderr, "want one implied drop with a proof, got %+v\n", resp.Dropped)
+		os.Exit(1)
+	}
+	fmt.Print(resp.Constraints)
+}
+EOF
+if ! go run "$min_dir/main.go" < "$min_dir/resp.json" > "$min_dir/min.cind"; then
+	echo "ci: minimize did not drop the duplicated CIND with a proof:" >&2
+	cat "$min_dir/resp.json" >&2
+	exit 1
+fi
+if ! curl -sSf -X PUT --data-binary "@$min_dir/min.cind" "$base/datasets/dupmin/constraints" > /dev/null; then
+	echo "ci: the minimized spec did not PUT back as constraints:" >&2
+	cat "$min_dir/min.cind" >&2
+	exit 1
+fi
+rm -rf "$min_dir"
 # Body memo: a version's first read keeps nothing and its second NDJSON
 # read keeps its body, so a third read of the unchanged version writes the
 # same bytes from the memo, which stream_memo_hits counts. A read naming
@@ -253,7 +304,7 @@ if ! wait "$serve_pid"; then
 	cat "$serve_log" >&2
 	exit 1
 fi
-echo "cindserve smoke: 2 violations streamed (binary == ndjson), a repeated read served from the memo, its tag answered 304, a delta ends it, clean shutdown"
+echo "cindserve smoke: 2 violations streamed (binary == ndjson), minimize dropped the duplicate and its spec PUT back, a repeated read served from the memo, its tag answered 304, a delta ends it, clean shutdown"
 
 echo "== SQL backend smoke: cindserve -backend mem:, same bank stream byte for byte"
 : > "$serve_log"

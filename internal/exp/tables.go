@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -88,7 +89,7 @@ func checkTable1CINDAxioms() Check {
 	goal := cind.MustNew(sch, "ex33", "account_EDI", []string{"at"}, nil,
 		"interest", []string{"at"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
-	proof, ok := inference.Derive(sch, sigma, goal, inference.Options{})
+	proof, ok := inference.Derive(context.Background(), inference.Prepare(sch, sigma), goal, inference.Options{})
 	c.Pass = ok && proof != nil && len(proof.Steps) > 0
 	if c.Pass {
 		c.Detail = fmt.Sprintf("proof with %d steps (CIND2/3/6/8)", len(proof.Steps))

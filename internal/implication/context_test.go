@@ -267,3 +267,52 @@ func TestCappedEnumerationStaysUnknown(t *testing.T) {
 		}
 	}
 }
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on.
+type cancelAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDecideContextCancelledInDerive: a cancellation the inference
+// system's round poll sees ends the decision with ctx's error — no proof,
+// no chase. Σ is the symmetric group on R's eight attributes (a cycle and a
+// swap), which saturates to the fact cap without deriving R[A] ⊆ T[C].
+func TestDecideContextCancelledInDerive(t *testing.T) {
+	d := schema.Infinite("d")
+	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	var rAttrs []schema.Attribute
+	for _, a := range attrs {
+		rAttrs = append(rAttrs, schema.Attribute{Name: a, Dom: d})
+	}
+	sch := schema.MustNew(schema.MustRelation("R", rAttrs...),
+		schema.MustRelation("T", schema.Attribute{Name: "C", Dom: d}))
+	perm := func(id string, y []string) *cind.CIND {
+		return cind.MustNew(sch, id, "R", attrs, nil, "R", y, nil,
+			[]cind.Row{{LHS: pattern.Wilds(len(attrs)), RHS: pattern.Wilds(len(attrs))}})
+	}
+	sigma := []*cind.CIND{
+		perm("cycle", append(append([]string(nil), attrs[1:]...), attrs[0])),
+		perm("swap", append([]string{attrs[1], attrs[0]}, attrs[2:]...)),
+	}
+	goal := cind.MustNew(sch, "g", "R", []string{"A"}, nil, "T", []string{"C"}, nil,
+		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
+	// Err calls: DecideContext, decide, then Derive's first round poll;
+	// the second round's poll sees the cancellation.
+	ctx := &cancelAfter{Context: context.Background(), n: 3}
+	out, err := DecideContext(ctx, sch, sigma, goal, Options{})
+	if err != context.Canceled || out.Proof != nil {
+		t.Fatalf("DecideContext cancelled in Derive = (%v, %v), want context.Canceled", out.Verdict, err)
+	}
+	if ctx.calls != 5 {
+		t.Fatalf("ctx polled %d times, want 5: the decision must end right after Derive", ctx.calls)
+	}
+}

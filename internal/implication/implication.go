@@ -120,17 +120,28 @@ func Decide(sch *schema.Schema, sigma []*cind.CIND, psi *cind.CIND, opts Options
 // outcome is discarded, ctx's error is returned, and every worker has
 // exited before DecideContext returns (no goroutine outlives the call).
 func DecideContext(ctx context.Context, sch *schema.Schema, sigma []*cind.CIND, psi *cind.CIND, opts Options) (Outcome, error) {
-	opts = opts.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, err
 	}
 	if psi == nil {
 		return Outcome{}, fmt.Errorf("implication: nil goal")
 	}
+	return decide(ctx, sch, sigma, inference.Prepare(sch, sigma), psi, opts.withDefaults())
+}
 
+// decide is DecideContext with sigma already prepared for the inference
+// system and opts defaulted; prep is only read, so concurrent calls share
+// it.
+func decide(ctx context.Context, sch *schema.Schema, sigma []*cind.CIND, prep *inference.Sigma, psi *cind.CIND, opts Options) (Outcome, error) {
+	if err := ctx.Err(); err != nil {
+		return Outcome{}, err
+	}
 	// Fast path and positive certificate: the inference system.
-	if proof, ok := inference.Derive(sch, sigma, psi, opts.Inference); ok {
+	if proof, ok := inference.Derive(ctx, prep, psi, opts.Inference); ok {
 		return Outcome{Verdict: Implied, Proof: proof, Reason: "derived in inference system I"}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return Outcome{}, err
 	}
 
 	// Chase every normal-form component of the goal.
@@ -170,8 +181,9 @@ func DecideAll(ctx context.Context, sch *schema.Schema, sigma []*cind.CIND, psis
 			return nil, fmt.Errorf("implication: goal %d is nil", i)
 		}
 	}
+	prep := inference.Prepare(sch, sigma)
 	if len(psis) == 1 {
-		out, err := DecideContext(ctx, sch, sigma, psis[0], opts)
+		out, err := decide(ctx, sch, sigma, prep, psis[0], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -181,10 +193,10 @@ func DecideAll(ctx context.Context, sch *schema.Schema, sigma []*cind.CIND, psis
 	goalOpts := opts
 	goalOpts.Parallel = 1
 	conc.ForEachIdx(conc.Workers(opts.Parallel, len(psis)), len(psis), func(i int) {
-		// Errors are dropped per goal: the only error DecideContext can
-		// return is cancellation, which the merge below re-checks (and
-		// which makes the remaining calls immediate no-ops).
-		out[i], _ = DecideContext(ctx, sch, sigma, psis[i], goalOpts)
+		// Errors are dropped per goal: the only error decide can return is
+		// cancellation, which the merge below re-checks (and which makes
+		// the remaining calls immediate no-ops).
+		out[i], _ = decide(ctx, sch, sigma, prep, psis[i], goalOpts)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -426,36 +438,41 @@ type Drop struct {
 // pointer twice is handled like any other redundancy: one occurrence is
 // dropped (the rest implies it), the other judged on its own.
 func MinimalCoverCertified(ctx context.Context, sch *schema.Schema, sigma []*cind.CIND, opts Options) ([]*cind.CIND, []Drop, error) {
-	type member struct {
-		idx int
-		psi *cind.CIND
-	}
-	cur := make([]member, len(sigma))
+	opts = opts.withDefaults()
 	for i, psi := range sigma {
-		cur[i] = member{i, psi}
+		if psi == nil {
+			return nil, nil, fmt.Errorf("implication: member %d is nil", i)
+		}
+	}
+	// Σ is canonicalized for the inference system once; each decision
+	// reads the prepared members that remain.
+	prep := inference.Prepare(sch, sigma)
+	cur := make([]int, len(sigma)) // positions in sigma of the members kept so far
+	for i := range sigma {
+		cur[i] = i
 	}
 	var drops []Drop
 	for i := 0; i < len(cur); {
-		rest := make([]*cind.CIND, 0, len(cur)-1)
-		for j, m := range cur {
-			if j != i {
-				rest = append(rest, m.psi)
-			}
+		restIdx := make([]int, 0, len(cur)-1)
+		restIdx = append(append(restIdx, cur[:i]...), cur[i+1:]...)
+		rest := make([]*cind.CIND, len(restIdx))
+		for k, j := range restIdx {
+			rest[k] = sigma[j]
 		}
-		dec, err := DecideContext(ctx, sch, rest, cur[i].psi, opts)
+		dec, err := decide(ctx, sch, rest, prep.Subset(restIdx), sigma[cur[i]], opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		if dec.Verdict == Implied {
-			drops = append(drops, Drop{Index: cur[i].idx, Outcome: dec})
+			drops = append(drops, Drop{Index: cur[i], Outcome: dec})
 			cur = append(cur[:i], cur[i+1:]...)
 			continue
 		}
 		i++
 	}
 	cover := make([]*cind.CIND, len(cur))
-	for i, m := range cur {
-		cover[i] = m.psi
+	for i, j := range cur {
+		cover[i] = sigma[j]
 	}
 	return cover, drops, nil
 }

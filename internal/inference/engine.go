@@ -1,12 +1,13 @@
 package inference
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	cind "cind/internal/core"
-	"cind/internal/pattern"
 	"cind/internal/schema"
 )
 
@@ -65,12 +66,68 @@ func (p *Proof) String() string {
 	return b.String()
 }
 
-// fact is an engine node: a canonical CIND plus provenance.
+// fact is an engine node: a canonical CIND with its parts and key, and its
+// provenance. A fact is never modified once admitted, which is what lets a
+// prepared Σ's facts be shared by concurrent Derive calls.
 type fact struct {
-	psi      *cind.CIND
+	psi *cind.CIND
+	form
+	key      string
 	rule     string
 	premises []int // indices into the fact list
 	note     string
+}
+
+// Sigma is a constraint set prepared for Derive: every member's canonical
+// normal forms, taken apart and keyed, and the CIND1 reflexivity facts of
+// the schema. Nothing in it changes after Prepare, so any number of Derive
+// calls, concurrent ones included, share it.
+type Sigma struct {
+	sch     *schema.Schema
+	members [][]fact // canonical normal forms of each member, in order
+	refl    []fact
+}
+
+// Prepare canonicalizes sigma once, for every Derive call over it or over a
+// Subset of it.
+func Prepare(sch *schema.Schema, sigma []*cind.CIND) *Sigma {
+	p := &Sigma{sch: sch, members: make([][]fact, len(sigma))}
+	for i, psi := range sigma {
+		for _, nf := range psi.NormalForm() {
+			p.members[i] = append(p.members[i], seed(sch, nf, "Σ"))
+		}
+	}
+	// CIND1: identity over all attributes of every relation mentioned.
+	for _, rel := range sch.Relations() {
+		id, err := Reflexivity(sch, "refl_"+rel.Name(), rel.Name(), rel.AttrNames())
+		if err == nil {
+			p.refl = append(p.refl, seed(sch, id, "CIND1"))
+		}
+	}
+	return p
+}
+
+// Subset returns the prepared set of the members at positions idx, in that
+// order, sharing their facts.
+func (p *Sigma) Subset(idx []int) *Sigma {
+	out := &Sigma{sch: p.sch, members: make([][]fact, len(idx)), refl: p.refl}
+	for k, i := range idx {
+		out.members[k] = p.members[i]
+	}
+	return out
+}
+
+// seed is the canonical fact of a normal-form CIND.
+func seed(sch *schema.Schema, psi *cind.CIND, rule string) fact {
+	f := fact{form: formOf(psi), rule: rule}
+	c, err := build(sch, psi.ID, &f.form)
+	if err != nil {
+		// psi was valid; a pure reordering cannot invalidate it.
+		panic("inference: canonical form broke validity: " + err.Error())
+	}
+	f.psi = c
+	f.key = string(f.appendKey(nil, "", ""))
+	return f
 }
 
 // Derive searches for a derivation of goal from sigma in the inference
@@ -96,69 +153,99 @@ type fact struct {
 // fire in sorted-key order (CIND7 before CIND8), so the fact order — and
 // the proof — is deterministic.
 //
-// On success it returns a replayable Proof. A false result means "no
-// derivation found within the bounds" — callers should treat it as unknown
-// (package implication pairs this with a chase-based refutation).
-func Derive(sch *schema.Schema, sigma []*cind.CIND, goal *cind.CIND, opts Options) (*Proof, bool) {
-	s := saturate(sch, sigma, goal, opts)
-	if !s.goalsMet() {
+// Facts are pre-keyed. Each fact carries its canonical parts (sorted X=Y
+// pairs, Xp and Yp entries) and key, computed once when it is admitted; a
+// rule applies to the premises' parts, writes the candidate's key into a
+// reused buffer and looks it up, and only a fresh key constructs the
+// candidate's CIND, once and already canonical. A duplicate costs a lookup,
+// and the members of sigma are canonicalized once, by Prepare, for every
+// Derive over them.
+//
+// Derive polls ctx once per round and every few thousand composition
+// attempts; a cancelled Derive reports no proof. On success it returns a
+// replayable Proof. A false result means "no derivation found within the
+// bounds" — callers should treat it as unknown (package implication pairs
+// this with a chase-based refutation).
+func Derive(ctx context.Context, sigma *Sigma, goal *cind.CIND, opts Options) (*Proof, bool) {
+	s := saturate(ctx, sigma, goal, opts)
+	if s.err != nil || !s.goalsMet() {
 		return nil, false
 	}
 	return buildProof(s.facts, s.goals, s.goalDone), true
 }
 
+// pollEvery is how many composition attempts pass between context polls.
+const pollEvery = 4096
+
 // saturation is the engine state of one Derive call.
 type saturation struct {
-	sch   *schema.Schema
-	opts  Options
-	facts []fact
-	index map[string]int // canonKey -> fact index
+	ctx      context.Context
+	err      error // ctx's error, once a poll has seen it
+	attempts int   // composition attempts, counted for the polls
+	sch      *schema.Schema
+	opts     Options
+	facts    []fact
+	index    map[string]int   // key -> fact index
+	byLHS    map[string][]int // LHS relation -> indices of the facts there, ascending
 
 	// goals are the goal's canonical normal-form components; goalDone[i]
 	// is the subsuming fact's index, -1 while open. Facts below checked
 	// have been tried against every open goal.
-	goals    []*cind.CIND
+	goals    []fact
 	goalDone []int
 	checked  int
 
 	// g7 and g8 are the CIND7/CIND8 merge groups over the facts below
-	// merged, kept across rounds.
-	g7, g8 map[string]*mergeGroup
-	merged int
+	// merged, kept across rounds; gained7 and gained8 list the groups that
+	// gained a member in the current merge pass.
+	g7, g8           map[string]*mergeGroup
+	merged           int
+	gained7, gained8 []*mergeGroup
+
+	// cand is the candidate a rule builds and key its key. Their lists
+	// are the premises' own or the scratch buffers below, reused from
+	// candidate to candidate; only a fresh key copies them into a fact.
+	cand         form
+	key          []byte
+	pairBuf      []pair
+	xpBuf, ypBuf []entry
 }
 
 // mergeGroup collects facts identical up to the constant on the finite
 // Xp attribute attrA (CIND7), or up to matching constants on attrA and
-// the Yp attribute attrB (CIND8).
+// the Yp attribute attrB (CIND8). key is its masked canonical key.
 type mergeGroup struct {
+	key          string
 	attrA, attrB string
 	members      []int
 	values       map[string]bool
+	gained       bool // gained a member in the current merge pass
 }
 
 // saturate seeds the fact set and runs semi-naive rounds until every goal
-// component is subsumed, a round adds nothing, or a bound trips. It is
-// Derive without the proof extraction; tests inspect its facts.
-func saturate(sch *schema.Schema, sigma []*cind.CIND, goal *cind.CIND, opts Options) *saturation {
+// component is subsumed, a round adds nothing, a bound trips or ctx is
+// cancelled. It is Derive without the proof extraction; tests inspect its
+// facts.
+func saturate(ctx context.Context, sigma *Sigma, goal *cind.CIND, opts Options) *saturation {
 	s := &saturation{
-		sch:   sch,
+		ctx:   ctx,
+		sch:   sigma.sch,
 		opts:  opts.withDefaults(),
 		index: map[string]int{},
+		byLHS: map[string][]int{},
 		g7:    map[string]*mergeGroup{},
 		g8:    map[string]*mergeGroup{},
 	}
-	for _, psi := range cind.NormalizeAll(sigma) {
-		s.add(fact{psi: canonicalize(sch, psi), rule: "Σ"})
-	}
-	// CIND1: identity over all attributes of every relation mentioned.
-	for _, rel := range sch.Relations() {
-		id, err := Reflexivity(sch, "refl_"+rel.Name(), rel.Name(), rel.AttrNames())
-		if err == nil {
-			s.add(fact{psi: canonicalize(sch, id), rule: "CIND1"})
+	for _, m := range sigma.members {
+		for _, f := range m {
+			s.admit(f)
 		}
 	}
-	for _, g := range cind.NormalizeAll([]*cind.CIND{goal}) {
-		s.goals = append(s.goals, canonicalize(sch, g))
+	for _, f := range sigma.refl {
+		s.admit(f)
+	}
+	for _, g := range goal.NormalForm() {
+		s.goals = append(s.goals, seed(s.sch, g, ""))
 		s.goalDone = append(s.goalDone, -1)
 	}
 	if s.checkGoals() {
@@ -167,37 +254,16 @@ func saturate(sch *schema.Schema, sigma []*cind.CIND, goal *cind.CIND, opts Opti
 
 	prev := 0 // len(facts) when the previous round started
 	for round := 0; round < s.opts.MaxRounds && !s.full(); round++ {
-		n := len(s.facts)
-		grew := false
-
-		// CIND3 compositions (with implicit CIND2/CIND6 alignment) over the
-		// pairs with max(i, j) >= prev, in (i, j) order.
-		for i := 0; i < n && !s.full(); i++ {
-			j := 0
-			if i < prev {
-				j = prev
-			}
-			for ; j < n && !s.full(); j++ {
-				if comp, note, ok := compose(sch, s.facts[i].psi, s.facts[j].psi); ok {
-					if s.add(fact{psi: comp, rule: "CIND3", premises: []int{i, j}, note: note}) {
-						grew = true
-					}
-				}
-			}
+		if s.err = ctx.Err(); s.err != nil {
+			return s
 		}
-		// CIND6 single-attribute reductions of the previous round's facts.
-		for i := prev; i < n && !s.full(); i++ {
-			psi := s.facts[i].psi
-			for _, drop := range psi.Yp {
-				red, err := Reduce(sch, psi.ID+"-"+drop, psi, removeFrom(psi.Yp, drop))
-				if err != nil {
-					continue
-				}
-				if s.add(fact{psi: canonicalize(sch, red), rule: "CIND6", premises: []int{i},
-					note: "drop " + drop + " from Yp"}) {
-					grew = true
-				}
-			}
+		n := len(s.facts)
+		grew := s.composeRound(prev, n)
+		if s.err != nil {
+			return s
+		}
+		if s.reduceRound(prev, n) {
+			grew = true
 		}
 		if s.applyMerges() {
 			grew = true
@@ -211,15 +277,42 @@ func saturate(sch *schema.Schema, sigma []*cind.CIND, goal *cind.CIND, opts Opti
 	return s
 }
 
-// add appends f unless a fact with the same canonical key exists, and
-// reports whether it was fresh.
-func (s *saturation) add(f fact) bool {
-	key := canonKey(f.psi)
-	if _, ok := s.index[key]; ok {
+// admit appends f unless a fact with the same key exists.
+func (s *saturation) admit(f fact) {
+	if _, ok := s.index[f.key]; !ok {
+		s.push(f)
+	}
+}
+
+func (s *saturation) push(f fact) {
+	s.index[f.key] = len(s.facts)
+	s.byLHS[f.lhs] = append(s.byLHS[f.lhs], len(s.facts))
+	s.facts = append(s.facts, f)
+}
+
+// fresh writes the candidate's key into s.key and reports whether no fact
+// has it yet.
+func (s *saturation) fresh() bool {
+	s.key = s.cand.appendKey(s.key[:0], "", "")
+	_, dup := s.index[string(s.key)]
+	return !dup
+}
+
+// admitFresh builds the CIND of the candidate fresh just accepted and
+// appends it as a fact. It reports false, admitting nothing, when cind.New
+// rejects the candidate.
+func (s *saturation) admitFresh(id, rule string, premises []int, note string) bool {
+	psi, err := build(s.sch, id, &s.cand)
+	if err != nil {
 		return false
 	}
-	s.facts = append(s.facts, f)
-	s.index[key] = len(s.facts) - 1
+	c := s.cand
+	s.push(fact{
+		psi: psi,
+		form: form{lhs: c.lhs, rhs: c.rhs,
+			pairs: slices.Clone(c.pairs), xp: slices.Clone(c.xp), yp: slices.Clone(c.yp)},
+		key: string(s.key), rule: rule, premises: premises, note: note,
+	})
 	return true
 }
 
@@ -230,12 +323,12 @@ func (s *saturation) full() bool { return len(s.facts) >= s.opts.MaxFacts }
 // check, recording the first subsuming fact, and reports whether every
 // goal is discharged.
 func (s *saturation) checkGoals() bool {
-	for gi, g := range s.goals {
+	for gi := range s.goals {
 		if s.goalDone[gi] >= 0 {
 			continue
 		}
 		for fi := s.checked; fi < len(s.facts); fi++ {
-			if Subsumes(s.facts[fi].psi, g) {
+			if subsumes(&s.facts[fi].form, &s.goals[gi].form) {
 				s.goalDone[gi] = fi
 				break
 			}
@@ -254,83 +347,111 @@ func (s *saturation) goalsMet() bool {
 	return true
 }
 
-func removeFrom(l []string, drop string) []string {
-	var out []string
-	for _, a := range l {
-		if a != drop {
-			out = append(out, a)
+// composeRound applies CIND3, with implicit CIND2/CIND4/CIND6 alignment, to
+// the pairs (i, j) with max(i, j) >= prev, in (i, j) order. Only a fact
+// starting where facts[i] ends can follow it, so j runs over byLHS alone.
+// It polls ctx every pollEvery attempts and reports whether a fact was
+// added.
+func (s *saturation) composeRound(prev, n int) bool {
+	grew := false
+	for i := 0; i < n && !s.full(); i++ {
+		from := 0
+		if i < prev {
+			from = prev
+		}
+		js := s.byLHS[s.facts[i].rhs]
+		for k := sort.SearchInts(js, from); k < len(js) && js[k] < n && !s.full(); k++ {
+			if s.attempts++; s.attempts%pollEvery == 0 {
+				if s.err = s.ctx.Err(); s.err != nil {
+					return grew
+				}
+			}
+			j := js[k]
+			if s.compose(i, j) && s.fresh() &&
+				s.admitFresh("comp", "CIND3", []int{i, j},
+					"align "+s.facts[i].psi.ID+"->"+s.facts[j].psi.ID+" via CIND2/CIND4/CIND6") {
+				grew = true
+			}
 		}
 	}
-	return out
+	return grew
 }
 
-// compose aligns first's RHS with second's LHS and applies CIND3. The
+// compose builds in s.cand the composition of facts i and j, whose middle
+// relation agrees: it aligns i's RHS with j's LHS and applies CIND3. The
 // alignment may use every single-premise rule:
 //
-//   - second's X attributes found among first's Y attributes become composed
-//     pairs (CIND2 projects first onto exactly those pairs);
-//   - a second X attribute found in first's Yp with constant c is CIND4-
-//     instantiated on second with that constant, contributing (Y_k, c) to
-//     the composed Yp instead of a pair;
-//   - second's Xp constants must appear in first's Yp (extra Yp entries of
-//     first are dropped by CIND6).
+//   - j's X attributes found among i's Y attributes become composed pairs
+//     (CIND2 projects i onto exactly those pairs);
+//   - a j X attribute found in i's Yp with constant c is CIND4-instantiated
+//     on j with that constant, contributing (Y_k, c) to the composed Yp
+//     instead of a pair;
+//   - j's Xp constants must appear in i's Yp (extra Yp entries of i are
+//     dropped by CIND6).
 //
-// Returns the composed canonical CIND and a description of the alignment.
-func compose(sch *schema.Schema, first, second *cind.CIND) (*cind.CIND, string, bool) {
-	if first.RHSRel != second.LHSRel {
-		return nil, "", false
-	}
-	posInY := map[string]int{}
-	for i, a := range first.Y {
-		posInY[a] = i
-	}
-	fYp := ypMap(first)
-
-	var x, y []string
-	ypM := ypMap(second)
-	for k, a := range second.X {
-		if j, ok := posInY[a]; ok {
-			x = append(x, first.X[j])
-			y = append(y, second.Y[k])
-			continue
-		}
-		if c, ok := fYp[a]; ok {
-			// CIND4 on second: the pair (a, second.Y[k]) becomes pattern
-			// entries with constant c on both sides.
-			ypM[second.Y[k]] = c
-			continue
-		}
-		return nil, "", false
-	}
+// It reports whether the two align; a pair that does not allocates nothing.
+func (s *saturation) compose(i, j int) bool {
+	first, second := &s.facts[i], &s.facts[j]
 	// second's Xp must be a sub-map of first's Yp.
-	for a, c := range xpMap(second) {
-		if fYp[a] != c {
-			return nil, "", false
+	for _, e := range second.xp {
+		if c, _ := lookup(first.yp, e.attr); c != e.c {
+			return false
 		}
 	}
-	xpM := xpMap(first)
-	xp := sortedKeys(xpM)
-	yp := sortedKeys(ypM)
-	rows := []cind.Row{{
-		LHS: wildsThenConsts(len(x), xp, xpM),
-		RHS: wildsThenConsts(len(y), yp, ypM),
-	}}
-	out, err := cind.New(sch, "comp", first.LHSRel, x, xp, second.RHSRel, y, yp, rows)
-	if err != nil {
-		return nil, "", false
+	pairs, yp := s.pairBuf[:0], append(s.ypBuf[:0], second.yp...)
+	for _, p := range second.pairs {
+		if x, ok := xOf(first.pairs, p.x); ok {
+			pairs = append(pairs, pair{x, p.y})
+		} else if c, ok := lookup(first.yp, p.x); ok {
+			// CIND4 on second: the pair (p.x, p.y) becomes pattern entries
+			// with constant c on both sides.
+			yp = append(yp, entry{p.y, c})
+		} else {
+			return false
+		}
 	}
-	note := fmt.Sprintf("align %s->%s via CIND2/CIND4/CIND6", first.ID, second.ID)
-	return canonicalize(sch, out), note, true
+	sortPairs(pairs)
+	sortEntries(yp)
+	s.pairBuf, s.ypBuf = pairs, yp
+	s.cand = form{lhs: first.lhs, rhs: second.rhs, pairs: pairs, xp: first.xp, yp: yp}
+	return true
 }
 
-// wildsThenConsts builds a pattern tuple of nWild wildcards followed by the
-// constants of m in the order of attrs.
-func wildsThenConsts(nWild int, attrs []string, m map[string]string) pattern.Tuple {
-	out := pattern.Wilds(nWild)
-	for _, a := range attrs {
-		out = append(out, pattern.Sym(m[a]))
+// xOf returns the X attribute paired with the Y attribute y among ps.
+func xOf(ps []pair, y string) (string, bool) {
+	for _, p := range ps {
+		if p.y == y {
+			return p.x, true
+		}
 	}
-	return out
+	return "", false
+}
+
+// reduceRound applies CIND6 single-attribute reductions to the facts in
+// [prev, n) and reports whether a fact was added.
+func (s *saturation) reduceRound(prev, n int) bool {
+	grew := false
+	for i := prev; i < n && !s.full(); i++ {
+		f := s.facts[i]
+		for _, drop := range f.psi.Yp {
+			s.ypBuf = without(s.ypBuf[:0], f.yp, drop)
+			s.cand = form{lhs: f.lhs, rhs: f.rhs, pairs: f.pairs, xp: f.xp, yp: s.ypBuf}
+			if s.fresh() && s.admitFresh(f.psi.ID+"-"+drop, "CIND6", []int{i}, "drop "+drop+" from Yp") {
+				grew = true
+			}
+		}
+	}
+	return grew
+}
+
+// without appends the entries of es other than attr's to dst.
+func without(dst, es []entry, attr string) []entry {
+	for _, e := range es {
+		if e.attr != attr {
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // applyMerges feeds the facts added since the last merge pass into the
@@ -343,33 +464,21 @@ func wildsThenConsts(nWild int, attrs []string, m map[string]string) pattern.Tup
 // Returns whether a new fact was added.
 func (s *saturation) applyMerges() bool {
 	n := len(s.facts)
-	gained7, gained8 := map[string]bool{}, map[string]bool{}
-	join := func(groups map[string]*mergeGroup, gained map[string]bool, key, a, b string, i int, v string) {
-		grp := groups[key]
-		if grp == nil {
-			grp = &mergeGroup{attrA: a, attrB: b, values: map[string]bool{}}
-			groups[key] = grp
-		}
-		grp.members = append(grp.members, i)
-		grp.values[v] = true
-		gained[key] = true
-	}
 	for i := s.merged; i < n; i++ {
-		psi := s.facts[i].psi
-		rel, ok := s.sch.Relation(psi.LHSRel)
+		f := &s.facts[i]
+		rel, ok := s.sch.Relation(f.lhs)
 		if !ok {
 			continue
 		}
-		xm, ym := xpMap(psi), ypMap(psi)
-		for _, a := range psi.Xp {
-			if !rel.Domain(a).IsFinite() {
+		for _, a := range f.xp {
+			if !rel.Domain(a.attr).IsFinite() {
 				continue
 			}
-			join(s.g7, gained7, a+"|"+keyWithout(psi, a, ""), a, "", i, xm[a])
+			s.gained7 = s.join(s.g7, s.gained7, i, a, "")
 			// CIND8: pair with every Yp attribute holding the same constant.
-			for _, b := range psi.Yp {
-				if ym[b] == xm[a] {
-					join(s.g8, gained8, a+"|"+b+"|"+keyWithout(psi, a, b), a, b, i, xm[a])
+			for _, b := range f.yp {
+				if b.c == a.c {
+					s.gained8 = s.join(s.g8, s.gained8, i, a, b.attr)
 				}
 			}
 		}
@@ -377,77 +486,84 @@ func (s *saturation) applyMerges() bool {
 	s.merged = n
 
 	grew := false
-	fire := func(grp *mergeGroup) {
-		if s.full() {
-			return
-		}
-		rel, _ := s.sch.Relation(s.facts[grp.members[0]].psi.LHSRel)
-		for _, v := range rel.Domain(grp.attrA).Values() {
-			if !grp.values[v] {
-				return // domain not covered
+	for _, gained := range [][]*mergeGroup{s.gained7, s.gained8} {
+		sort.Slice(gained, func(i, j int) bool { return gained[i].key < gained[j].key })
+		for _, grp := range gained {
+			grp.gained = false
+			if s.fire(grp) {
+				grew = true
 			}
 		}
-		members := make([]*cind.CIND, len(grp.members))
-		for k, i := range grp.members {
-			members[k] = s.facts[i].psi
-		}
-		var out *cind.CIND
-		var err error
-		var rule string
-		if grp.attrB != "" {
-			rule = "CIND8"
-			out, err = MergeRestore(s.sch, "merge8", members, grp.attrA, grp.attrB)
-		} else {
-			rule = "CIND7"
-			out, err = MergeFinite(s.sch, "merge7", members, grp.attrA)
-		}
-		if err != nil {
-			return
-		}
-		if s.add(fact{psi: canonicalize(s.sch, out), rule: rule, premises: grp.members}) {
-			grew = true
-		}
 	}
-	for _, key := range sortedSet(gained7) {
-		fire(s.g7[key])
-	}
-	for _, key := range sortedSet(gained8) {
-		fire(s.g8[key])
-	}
+	s.gained7, s.gained8 = s.gained7[:0], s.gained8[:0]
 	return grew
 }
 
-func sortedSet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// join adds fact i to the group of its Xp entry a (and Yp attribute attrB
+// for CIND8), keyed a|[attrB|]key-without-them, and appends the group to
+// gained the first time it gains a member in this pass.
+func (s *saturation) join(groups map[string]*mergeGroup, gained []*mergeGroup, i int, a entry, attrB string) []*mergeGroup {
+	s.key = append(append(s.key[:0], a.attr...), '|')
+	if attrB != "" {
+		s.key = append(append(s.key, attrB...), '|')
 	}
-	sort.Strings(out)
-	return out
+	s.key = s.facts[i].appendKey(s.key, a.attr, attrB)
+	grp := groups[string(s.key)]
+	if grp == nil {
+		grp = &mergeGroup{key: string(s.key), attrA: a.attr, attrB: attrB, values: map[string]bool{}}
+		groups[grp.key] = grp
+	}
+	grp.members = append(grp.members, i)
+	grp.values[a.c] = true
+	if !grp.gained {
+		grp.gained = true
+		gained = append(gained, grp)
+	}
+	return gained
 }
 
-// keyWithout is canonKey with the Xp entry for attrA (and, when attrB is
-// nonempty, the Yp entry for attrB) masked out — the grouping key for the
-// CIND7/CIND8 merges.
-func keyWithout(psi *cind.CIND, attrA, attrB string) string {
-	pairs := make([]string, len(psi.X))
-	for i := range psi.X {
-		pairs[i] = psi.X[i] + "=" + psi.Y[i]
+// fire merges grp's members if their constants cover dom(attrA): CIND7
+// drops attrA from Xp, CIND8 restores the pair (attrA, attrB). It reports
+// whether the merged fact was new.
+func (s *saturation) fire(grp *mergeGroup) bool {
+	if s.full() {
+		return false
 	}
-	sort.Strings(pairs)
-	xm := xpMap(psi)
-	delete(xm, attrA)
-	ym := ypMap(psi)
-	if attrB != "" {
-		delete(ym, attrB)
+	base := s.facts[grp.members[0]]
+	rel, _ := s.sch.Relation(base.lhs)
+	for _, v := range rel.Domain(grp.attrA).Values() {
+		if !grp.values[v] {
+			return false // domain not covered
+		}
 	}
-	return psi.LHSRel + "[" + strings.Join(pairs, ",") + ";" + mapEntries(xm) + "]->" +
-		psi.RHSRel + "[" + mapEntries(ym) + "]"
+	s.xpBuf = without(s.xpBuf[:0], base.xp, grp.attrA)
+	s.cand = form{lhs: base.lhs, rhs: base.rhs, pairs: base.pairs, xp: s.xpBuf, yp: base.yp}
+	id, rule := "merge7", "CIND7"
+	if grp.attrB != "" {
+		id, rule = "merge8", "CIND8"
+		s.pairBuf = append(append(s.pairBuf[:0], base.pairs...), pair{grp.attrA, grp.attrB})
+		sortPairs(s.pairBuf)
+		s.ypBuf = without(s.ypBuf[:0], base.yp, grp.attrB)
+		s.cand.pairs, s.cand.yp = s.pairBuf, s.ypBuf
+	}
+	if !s.fresh() {
+		return false
+	}
+	// The group key makes the members agree beyond attrA (and attrB); check
+	// it on the CINDs as MergeFinite and MergeRestore do.
+	for _, m := range grp.members[1:] {
+		psi := s.facts[m].psi
+		if grp.attrB == "" && !equalModuloXpAttr(base.psi, psi, grp.attrA) ||
+			grp.attrB != "" && !equalModuloXpYpAttrs(base.psi, psi, grp.attrA, grp.attrB) {
+			return false
+		}
+	}
+	return s.admitFresh(id, rule, slices.Clone(grp.members), "")
 }
 
 // buildProof extracts the sub-derivation reaching every goal component and
 // renumbers it as a Proof, appending one final subsumption step per goal.
-func buildProof(facts []fact, goals []*cind.CIND, goalDone []int) *Proof {
+func buildProof(facts []fact, goals []fact, goalDone []int) *Proof {
 	needed := map[int]bool{}
 	var mark func(i int)
 	mark = func(i int) {
@@ -484,7 +600,7 @@ func buildProof(facts []fact, goals []*cind.CIND, goalDone []int) *Proof {
 	}
 	for gi, g := range goals {
 		proof.Steps = append(proof.Steps, Step{
-			Result:   g,
+			Result:   g.psi,
 			Rule:     "CIND2/4/5/6",
 			Premises: []int{renum[goalDone[gi]]},
 			Note:     "goal discharged by subsumption",

@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,12 +22,21 @@ func TestCanonKeyInvariantUnderPermutation(t *testing.T) {
 	if canonKey(a) != canonKey(b) {
 		t.Fatalf("keys differ:\n%s\n%s", canonKey(a), canonKey(b))
 	}
+	if ka, kb := engineKey(a), engineKey(b); ka != kb || ka != canonKey(a) {
+		t.Fatalf("engine keys differ from each other or from canonKey:\n%s\n%s\n%s", ka, kb, canonKey(a))
+	}
 	c := cind.MustNew(sch, "c", "R", []string{"A", "B"}, []string{"F"},
 		"S", []string{"D", "C"}, []string{"G"}, // different pairing
 		[]cind.Row{{LHS: pattern.Tup(w, w, sym("0")), RHS: pattern.Tup(w, w, sym("1"))}})
-	if canonKey(a) == canonKey(c) {
+	if canonKey(a) == canonKey(c) || engineKey(a) == engineKey(c) {
 		t.Fatal("different pairings must have different keys")
 	}
+}
+
+// engineKey is the key the engine gives psi's fact.
+func engineKey(psi *cind.CIND) string {
+	f := formOf(psi)
+	return string(f.appendKey(nil, "", ""))
 }
 
 func TestCanonicalizePreservesSemantics(t *testing.T) {
@@ -39,6 +49,10 @@ func TestCanonicalizePreservesSemantics(t *testing.T) {
 		}
 		if canonKey(psi) != canonKey(canon) {
 			t.Fatalf("%s: canonicalization changed key", psi.ID)
+		}
+		// The engine's seed fact holds the same canonical CIND.
+		if f := seed(sch, psi, "Σ"); f.psi.String() != canon.String() || f.key != canonKey(psi) {
+			t.Fatalf("%s: seed fact %s keyed %s, want %s keyed %s", psi.ID, f.psi, f.key, canon, canonKey(psi))
 		}
 	}
 }
@@ -119,6 +133,27 @@ func TestSubsumesYpCannotAppearFromNowhere(t *testing.T) {
 	}
 }
 
+// TestSubsumesComparesPairsNotStrings: the pairs (a=b, c) and (a, b=c)
+// both spell "a=b=c", but R[a=b] ⊆ S[c] says nothing about R[a] ⊆ S[b=c].
+// Attribute names may contain '=' (the parser accepts them), so Subsumes
+// must match pairs by their attributes.
+func TestSubsumesComparesPairsNotStrings(t *testing.T) {
+	d := schema.Infinite("d")
+	sch := schema.MustNew(
+		schema.MustRelation("R", schema.Attribute{Name: "a", Dom: d}, schema.Attribute{Name: "a=b", Dom: d}),
+		schema.MustRelation("S", schema.Attribute{Name: "c", Dom: d}, schema.Attribute{Name: "b=c", Dom: d}))
+	psi := cind.MustNew(sch, "p1", "R", []string{"a=b"}, nil, "S", []string{"c"}, nil,
+		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
+	goal := cind.MustNew(sch, "p2", "R", []string{"a"}, nil, "S", []string{"b=c"}, nil,
+		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
+	if Subsumes(psi, goal) {
+		t.Fatal("R[a=b] ⊆ S[c] must not subsume R[a] ⊆ S[b=c]")
+	}
+	if _, ok := Derive(context.Background(), Prepare(sch, []*cind.CIND{psi}), goal, Options{}); ok {
+		t.Fatal("R[a] ⊆ S[b=c] must not derive from R[a=b] ⊆ S[c]")
+	}
+}
+
 // TestExample34 replays Example 3.4 end to end: with dom(at) =
 // {saving, checking}, Σ = Fig 2 implies ψ = (account_B[at; nil] ⊆
 // interest[at; nil], (_||_)) — derived via CIND2, CIND3, CIND6, CIND8.
@@ -132,7 +167,7 @@ func TestExample34(t *testing.T) {
 		"interest", []string{"at"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
 
-	proof, ok := Derive(sch, sigma, goal, Options{})
+	proof, ok := Derive(context.Background(), Prepare(sch, sigma), goal, Options{})
 	if !ok {
 		t.Fatal("Σ must derive the Example 3.3 goal")
 	}
@@ -193,7 +228,7 @@ func TestExample34NeedsFiniteDomain(t *testing.T) {
 	goal := cind.MustNew(sch, "goal", "account_EDI", []string{"at"}, nil,
 		"interest", []string{"at"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
-	if _, ok := Derive(sch, sigma, goal, Options{MaxFacts: 2000, MaxRounds: 8}); ok {
+	if _, ok := Derive(context.Background(), Prepare(sch, sigma), goal, Options{MaxFacts: 2000, MaxRounds: 8}); ok {
 		t.Fatal("without a finite at domain the goal must not be derivable")
 	}
 }
@@ -201,7 +236,7 @@ func TestExample34NeedsFiniteDomain(t *testing.T) {
 func TestDeriveMemberOfSigma(t *testing.T) {
 	sch := bank.Schema()
 	sigma := bank.CINDs(sch)
-	proof, ok := Derive(sch, sigma, bank.Psi3(sch), Options{})
+	proof, ok := Derive(context.Background(), Prepare(sch, sigma), bank.Psi3(sch), Options{})
 	if !ok {
 		t.Fatal("a member of Σ derives trivially")
 	}
@@ -215,7 +250,7 @@ func TestDeriveReflexiveGoal(t *testing.T) {
 	goal := cind.MustNew(sch, "g", "saving", []string{"an", "ab"}, nil,
 		"saving", []string{"an", "ab"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(2), RHS: pattern.Wilds(2)}})
-	if _, ok := Derive(sch, nil, goal, Options{}); !ok {
+	if _, ok := Derive(context.Background(), Prepare(sch, nil), goal, Options{}); !ok {
 		t.Fatal("reflexivity goals derive from the empty Σ")
 	}
 }
@@ -231,7 +266,7 @@ func TestDeriveTransitiveChain(t *testing.T) {
 	goal := cind.MustNew(sch, "g", "account_NYC", nil, []string{"at"},
 		"interest", nil, nil,
 		[]cind.Row{{LHS: pattern.Tup(sym("saving")), RHS: pattern.Tup()}})
-	if _, ok := Derive(sch, sigma, goal, Options{}); !ok {
+	if _, ok := Derive(context.Background(), Prepare(sch, sigma), goal, Options{}); !ok {
 		t.Fatal("chained composition must derive the goal")
 	}
 }
@@ -242,7 +277,7 @@ func TestDeriveUnderivable(t *testing.T) {
 	goal := cind.MustNew(sch, "g", "interest", []string{"ab"}, nil,
 		"saving", []string{"ab"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
-	if _, ok := Derive(sch, sigma, goal, Options{MaxFacts: 500, MaxRounds: 6}); ok {
+	if _, ok := Derive(context.Background(), Prepare(sch, sigma), goal, Options{MaxFacts: 500, MaxRounds: 6}); ok {
 		t.Fatal("the converse of ψ3 must not derive")
 	}
 }
@@ -255,7 +290,7 @@ func TestProofWellFormed(t *testing.T) {
 	goal := cind.MustNew(sch, "goal", "account_EDI", []string{"at"}, nil,
 		"interest", []string{"at"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
-	proof, ok := Derive(sch, sigma, goal, Options{})
+	proof, ok := Derive(context.Background(), Prepare(sch, sigma), goal, Options{})
 	if !ok {
 		t.Fatal("derivation expected")
 	}
@@ -288,7 +323,7 @@ func TestDerivedFactsAreSound(t *testing.T) {
 	goal := cind.MustNew(sch, "g", "interest", []string{"ab"}, nil,
 		"saving", []string{"ab"}, nil,
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
-	s := saturate(sch, sigma, goal, Options{})
+	s := saturate(context.Background(), Prepare(sch, sigma), goal, Options{})
 	if s.goalsMet() {
 		t.Fatal("the goal must stay underivable")
 	}
@@ -338,7 +373,7 @@ func TestMergesFireInSortedOrder(t *testing.T) {
 		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
 	var first string
 	for run := 0; run < 200; run++ {
-		proof, ok := Derive(sch, sigma, goal, Options{})
+		proof, ok := Derive(context.Background(), Prepare(sch, sigma), goal, Options{})
 		if !ok {
 			t.Fatal("R[A] ⊆ T[C] must be derivable from the two merges")
 		}
@@ -364,5 +399,83 @@ func TestMergesFireInSortedOrder(t *testing.T) {
 		if got != first {
 			t.Fatalf("run %d: proof differs from run 0:\n%s\nvs\n%s", run, got, first)
 		}
+	}
+}
+
+// permutationSigma: R's eight attributes under a cycle and a swap, whose
+// compositions generate all 8! permutations, so the saturation runs into
+// the fact cap; the goal R[A] ⊆ T[C] never derives.
+func permutationSigma() (*schema.Schema, []*cind.CIND, *cind.CIND) {
+	d := schema.Infinite("d")
+	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	var rAttrs []schema.Attribute
+	for _, a := range attrs {
+		rAttrs = append(rAttrs, schema.Attribute{Name: a, Dom: d})
+	}
+	sch := schema.MustNew(schema.MustRelation("R", rAttrs...),
+		schema.MustRelation("T", schema.Attribute{Name: "C", Dom: d}))
+	perm := func(id string, y []string) *cind.CIND {
+		return cind.MustNew(sch, id, "R", attrs, nil, "R", y, nil,
+			[]cind.Row{{LHS: pattern.Wilds(len(attrs)), RHS: pattern.Wilds(len(attrs))}})
+	}
+	sigma := []*cind.CIND{
+		perm("cycle", append(append([]string(nil), attrs[1:]...), attrs[0])),
+		perm("swap", append([]string{attrs[1], attrs[0]}, attrs[2:]...)),
+	}
+	goal := cind.MustNew(sch, "g", "R", []string{"A"}, nil, "T", []string{"C"}, nil,
+		[]cind.Row{{LHS: pattern.Wilds(1), RHS: pattern.Wilds(1)}})
+	return sch, sigma, goal
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on, so a test can cancel a saturation at a chosen poll.
+type cancelAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDeriveStopsWhenCancelled: Derive polls ctx at each round and every
+// pollEvery composition attempts. Over a Σ that saturates to the fact cap,
+// a cancellation seen at the second round's poll stops with the first
+// round's facts, and one seen at the first poll inside round 4 stops after
+// exactly pollEvery attempts. Neither reports a proof.
+func TestDeriveStopsWhenCancelled(t *testing.T) {
+	sch, sigma, goal := permutationSigma()
+	prep := Prepare(sch, sigma)
+	if s := saturate(context.Background(), prep, goal, Options{}); !s.full() || s.err != nil {
+		t.Fatalf("precondition: the saturation must stop at the cap, got %d facts", len(s.facts))
+	}
+	round1 := saturate(context.Background(), prep, goal, Options{MaxRounds: 1})
+	round4 := saturate(context.Background(), prep, goal, Options{MaxRounds: 4})
+	if round4.attempts <= pollEvery {
+		t.Fatalf("precondition: round 4 must make more than %d attempts, made %d", pollEvery, round4.attempts)
+	}
+
+	s := saturate(&cancelAfter{Context: context.Background(), n: 1}, prep, goal, Options{})
+	if s.err != context.Canceled || len(s.facts) != len(round1.facts) || s.attempts != round1.attempts {
+		t.Fatalf("cancelled after round 1: err %v, %d facts after %d attempts; want Canceled, %d facts after %d",
+			s.err, len(s.facts), s.attempts, len(round1.facts), round1.attempts)
+	}
+	s = saturate(&cancelAfter{Context: context.Background(), n: 4}, prep, goal, Options{})
+	if s.err != context.Canceled || s.attempts != pollEvery || len(s.facts) >= len(round4.facts) {
+		t.Fatalf("cancelled in round 4: err %v, %d facts after %d attempts; want Canceled after %d attempts, fewer than %d facts",
+			s.err, len(s.facts), s.attempts, pollEvery, len(round4.facts))
+	}
+	for _, n := range []int{0, 1, 4} {
+		if proof, ok := Derive(&cancelAfter{Context: context.Background(), n: n}, prep, goal, Options{}); ok || proof != nil {
+			t.Fatalf("cancelled Derive (n=%d) reported a proof", n)
+		}
+	}
+	// A goal the first round derives still derives when the cancellation
+	// comes later.
+	if _, ok := Derive(&cancelAfter{Context: context.Background(), n: 1}, prep, sigma[0], Options{}); !ok {
+		t.Fatal("a member of Σ must derive before any cancellation poll")
 	}
 }

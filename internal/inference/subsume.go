@@ -1,87 +1,202 @@
 package inference
 
 import (
-	"sort"
-	"strings"
-
 	cind "cind/internal/core"
 	"cind/internal/pattern"
 	"cind/internal/schema"
 )
 
-// canonKey returns a canonical string for a normal-form CIND that is
-// invariant under CIND2 permutations: relations, the set of X/Y pairs, and
-// the Xp/Yp constant maps, all in sorted order. Facts in the engine are
-// deduplicated by this key.
-func canonKey(psi *cind.CIND) string {
-	pairs := make([]string, len(psi.X))
-	for i := range psi.X {
-		pairs[i] = psi.X[i] + "=" + psi.Y[i]
-	}
-	sort.Strings(pairs)
-	xp := mapEntries(xpMap(psi))
-	yp := mapEntries(ypMap(psi))
-	return psi.LHSRel + "[" + strings.Join(pairs, ",") + ";" + xp + "]->" +
-		psi.RHSRel + "[" + yp + "]"
+// pair is one X=Y pair of a CIND's embedded IND.
+type pair struct{ x, y string }
+
+// entry is one (attribute, constant) entry of Xp or Yp.
+type entry struct{ attr, c string }
+
+// form is a normal-form CIND taken apart into the parts of its canonical
+// key: the relations, the X=Y pairs and the Xp and Yp entries. Each list is
+// in key order — "x=y" and "attr:c" compared as strings, ties broken by the
+// first part — so the key is the parts written out in order, and two forms
+// with the same key are the same CIND up to a CIND2 permutation.
+type form struct {
+	lhs, rhs string
+	pairs    []pair
+	xp, yp   []entry
 }
 
-func mapEntries(m map[string]string) string {
-	entries := make([]string, 0, len(m))
-	for k, v := range m {
-		entries = append(entries, k+":"+v)
+// formOf takes a normal-form CIND apart.
+func formOf(psi *cind.CIND) form {
+	f := form{
+		lhs: psi.LHSRel, rhs: psi.RHSRel,
+		pairs: make([]pair, len(psi.X)),
+		xp:    entriesOf(psi.Xp, psi.XpPattern()),
+		yp:    entriesOf(psi.Yp, psi.YpPattern()),
 	}
-	sort.Strings(entries)
-	return strings.Join(entries, ",")
+	for i := range psi.X {
+		f.pairs[i] = pair{psi.X[i], psi.Y[i]}
+	}
+	sortPairs(f.pairs)
+	return f
 }
 
-// canonicalize rewrites a normal-form CIND with pairs sorted by (X attr,
-// Y attr) and pattern lists sorted by attribute, so that structurally equal
-// facts are identical. Sound by CIND2 (projection with the full index set is
-// a permutation).
-func canonicalize(sch *schema.Schema, psi *cind.CIND) *cind.CIND {
-	type pair struct{ x, y string }
-	pairs := make([]pair, len(psi.X))
-	for i := range psi.X {
-		pairs[i] = pair{psi.X[i], psi.Y[i]}
+func entriesOf(attrs []string, syms pattern.Tuple) []entry {
+	es := make([]entry, len(attrs))
+	for i, a := range attrs {
+		es[i] = entry{a, syms[i].Const()}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].x != pairs[j].x {
-			return pairs[i].x < pairs[j].x
+	sortEntries(es)
+	return es
+}
+
+// appendKey appends f's canonical key to b, leaving out the Xp entry on
+// maskX and the Yp entry on maskY ("" masks nothing: attribute names are
+// never empty). The key reads R1[x=y,...;a:c,...]->R2[b:c,...]. Facts are
+// deduplicated by it, and the CIND7/CIND8 merge groups by its masked forms.
+func (f *form) appendKey(b []byte, maskX, maskY string) []byte {
+	b = append(b, f.lhs...)
+	b = append(b, '[')
+	for i, p := range f.pairs {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		return pairs[i].y < pairs[j].y
-	})
-	x := make([]string, len(pairs))
-	y := make([]string, len(pairs))
-	for i, p := range pairs {
-		x[i], y[i] = p.x, p.y
+		b = append(b, p.x...)
+		b = append(b, '=')
+		b = append(b, p.y...)
 	}
-	xpM, ypM := xpMap(psi), ypMap(psi)
-	xp := sortedKeys(xpM)
-	yp := sortedKeys(ypM)
-	lhs := pattern.Wilds(len(x))
-	for _, a := range xp {
-		lhs = append(lhs, pattern.Sym(xpM[a]))
-	}
-	rhs := pattern.Wilds(len(y))
-	for _, a := range yp {
-		rhs = append(rhs, pattern.Sym(ypM[a]))
-	}
-	out, err := cind.New(sch, psi.ID, psi.LHSRel, x, xp, psi.RHSRel, y, yp,
-		[]cind.Row{{LHS: lhs, RHS: rhs}})
-	if err != nil {
-		// psi was valid; a pure reordering cannot invalidate it.
-		panic("inference: canonicalize broke validity: " + err.Error())
-	}
-	return out
+	b = append(b, ';')
+	b = appendEntries(b, f.xp, maskX)
+	b = append(b, "]->"...)
+	b = append(b, f.rhs...)
+	b = append(b, '[')
+	b = appendEntries(b, f.yp, maskY)
+	return append(b, ']')
 }
 
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+func appendEntries(b []byte, es []entry, mask string) []byte {
+	sep := false
+	for _, e := range es {
+		if e.attr == mask {
+			continue
+		}
+		if sep {
+			b = append(b, ',')
+		}
+		sep = true
+		b = append(b, e.attr...)
+		b = append(b, ':')
+		b = append(b, e.c...)
 	}
-	sort.Strings(out)
-	return out
+	return b
+}
+
+// sortPairs and sortEntries put a short list in key order by insertion.
+func sortPairs(ps []pair) {
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && joinedLess(ps[j].x, ps[j].y, ps[j-1].x, ps[j-1].y, '='); j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+}
+
+func sortEntries(es []entry) {
+	for i := 1; i < len(es); i++ {
+		for j := i; j > 0 && joinedLess(es[j].attr, es[j].c, es[j-1].attr, es[j-1].c, ':'); j-- {
+			es[j], es[j-1] = es[j-1], es[j]
+		}
+	}
+}
+
+// joinedLess reports whether a1+sep+a2 sorts before b1+sep+b2 without
+// building either string; equal joins order by their first part.
+func joinedLess(a1, a2, b1, b2 string, sep byte) bool {
+	if a1 == b1 {
+		return a2 < b2
+	}
+	for i := 0; ; i++ {
+		ca, oka := joinedAt(a1, a2, sep, i)
+		cb, okb := joinedAt(b1, b2, sep, i)
+		switch {
+		case oka != okb:
+			return !oka // a proper prefix sorts first
+		case !oka:
+			return a1 < b1
+		case ca != cb:
+			return ca < cb
+		}
+	}
+}
+
+func joinedAt(s1, s2 string, sep byte, i int) (byte, bool) {
+	switch {
+	case i < len(s1):
+		return s1[i], true
+	case i == len(s1):
+		return sep, true
+	case i-len(s1)-1 < len(s2):
+		return s2[i-len(s1)-1], true
+	}
+	return 0, false
+}
+
+// build constructs f's CIND in canonical order — pairs sorted by (X, Y)
+// attribute, Xp and Yp by attribute — through cind.New, so that it is
+// schema-valid and structurally equal facts are identical.
+func build(sch *schema.Schema, id string, f *form) (*cind.CIND, error) {
+	n, nx, ny := len(f.pairs), len(f.xp), len(f.yp)
+	names := make([]string, 2*n+nx+ny)
+	x, y, xp, yp := names[:n], names[n:2*n], names[2*n:2*n+nx], names[2*n+nx:]
+	for i, p := range f.pairs {
+		j := i
+		for ; j > 0 && (x[j-1] > p.x || x[j-1] == p.x && y[j-1] > p.y); j-- {
+			x[j], y[j] = x[j-1], y[j-1]
+		}
+		x[j], y[j] = p.x, p.y
+	}
+	lhs := pattern.Wilds(n + nx)
+	rhs := pattern.Wilds(n + ny)
+	byAttr(f.xp, xp, lhs[n:])
+	byAttr(f.yp, yp, rhs[n:])
+	return cind.New(sch, id, f.lhs, x, xp, f.rhs, y, yp, []cind.Row{{LHS: lhs, RHS: rhs}})
+}
+
+// byAttr writes es's attributes and constants into attrs and syms in
+// attribute order.
+func byAttr(es []entry, attrs []string, syms pattern.Tuple) {
+	for i, e := range es {
+		j := i
+		for ; j > 0 && attrs[j-1] > e.attr; j-- {
+			attrs[j], syms[j] = attrs[j-1], syms[j-1]
+		}
+		attrs[j], syms[j] = e.attr, pattern.Sym(e.c)
+	}
+}
+
+// lookup returns the constant of attr among es.
+func lookup(es []entry, attr string) (string, bool) {
+	for _, e := range es {
+		if e.attr == attr {
+			return e.c, true
+		}
+	}
+	return "", false
+}
+
+func hasPair(ps []pair, p pair) bool {
+	for _, q := range ps {
+		if q == p {
+			return true
+		}
+	}
+	return false
+}
+
+// keepsX reports whether attr is an X attribute of one of ps.
+func keepsX(ps []pair, attr string) bool {
+	for _, p := range ps {
+		if p.x == attr {
+			return true
+		}
+	}
+	return false
 }
 
 // Subsumes reports whether goal is derivable from psi using only the
@@ -104,45 +219,39 @@ func Subsumes(psi, goal *cind.CIND) bool {
 	if !psi.IsNormal() || !goal.IsNormal() {
 		return false
 	}
-	if psi.LHSRel != goal.LHSRel || psi.RHSRel != goal.RHSRel {
+	p, g := formOf(psi), formOf(goal)
+	return subsumes(&p, &g)
+}
+
+// subsumes is Subsumes over forms; it allocates nothing.
+func subsumes(p, g *form) bool {
+	if p.lhs != g.lhs || p.rhs != g.rhs {
 		return false
 	}
-	// Map goal pairs into psi pairs.
-	psiPair := map[string]int{} // "x=y" -> position
-	for i := range psi.X {
-		psiPair[psi.X[i]+"="+psi.Y[i]] = i
-	}
-	usedPair := make(map[int]bool, len(psi.X))
-	for i := range goal.X {
-		j, ok := psiPair[goal.X[i]+"="+goal.Y[i]]
-		if !ok || usedPair[j] {
+	for _, gp := range g.pairs {
+		if !hasPair(p.pairs, gp) {
 			return false
 		}
-		usedPair[j] = true
 	}
-	goalXp, goalYp := xpMap(goal), ypMap(goal)
-	psiXp, psiYp := xpMap(psi), ypMap(psi)
-
 	// psi's Xp must be a sub-map of goal's Xp.
-	for a, c := range psiXp {
-		if goalXp[a] != c {
+	for _, e := range p.xp {
+		if c, _ := lookup(g.xp, e.attr); c != e.c {
 			return false
 		}
 	}
-	// Resolve goal's Yp entries.
-	instantiated := map[int]bool{}
-	for b, c := range goalYp {
-		if pc, ok := psiYp[b]; ok && pc == c {
-			continue // directly from psi's Yp
+	// Resolve goal's Yp entries: directly from psi's Yp, or by CIND4 on the
+	// one psi pair (A, B) ending at B (Y attributes are distinct), unused by
+	// the goal, with goal Xp[A] == c.
+	for _, e := range g.yp {
+		if c, ok := lookup(p.yp, e.attr); ok && c == e.c {
+			continue
 		}
-		// Need CIND4 on an unused pair (A, b) with goal Xp[A] == c.
 		found := false
-		for j := range psi.X {
-			if usedPair[j] || instantiated[j] || psi.Y[j] != b {
+		for _, pp := range p.pairs {
+			if pp.y != e.attr || hasPair(g.pairs, pp) {
 				continue
 			}
-			if gc, ok := goalXp[psi.X[j]]; ok && gc == c {
-				instantiated[j] = true
+			if c, ok := lookup(g.xp, pp.x); ok && c == e.c {
 				found = true
 				break
 			}
@@ -151,34 +260,15 @@ func Subsumes(psi, goal *cind.CIND) bool {
 			return false
 		}
 	}
-	// Remaining goal Xp entries must be coverable: either psi already has
-	// them (checked above as sub-map), or they come from an instantiated
-	// pair's X attribute, or CIND5 can add them — CIND5 requires the
-	// attribute not to sit among the *kept* pairs' X attributes.
-	keptX := map[string]bool{}
-	for i := range goal.X {
-		keptX[goal.X[i]] = true
-	}
-	instX := map[string]bool{}
-	for j := range instantiated {
-		instX[psi.X[j]] = true
-	}
-	for a := range goalXp {
-		if _, ok := psiXp[a]; ok {
-			continue
-		}
-		if instX[a] {
-			continue // produced by the CIND4 step
-		}
-		if keptX[a] {
-			return false // attribute already used as a main LHS attribute
-		}
-		// CIND5 adds it (goal validation guarantees the constant is in
-		// dom(a)). Note: if a belongs to a dropped, uninstantiated psi pair,
-		// projection removed it from X first, so CIND5 applies.
-	}
-	// Instantiated pairs put (X_j, c) into Xp — already required to be in
-	// goal's Xp — and (Y_j, c) into Yp — already matched. Everything else in
+	// Remaining goal Xp entries psi lacks come from the CIND4 steps above or
+	// from CIND5, which requires the attribute not to sit among the kept
+	// pairs' X attributes. A kept pair is never instantiated (X attributes
+	// are distinct), so an attribute there is not covered. Everything else in
 	// psi's Yp is dropped by CIND6.
+	for _, e := range g.xp {
+		if _, ok := lookup(p.xp, e.attr); !ok && keepsX(g.pairs, e.attr) {
+			return false
+		}
+	}
 	return true
 }
